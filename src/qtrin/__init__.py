@@ -36,7 +36,6 @@ from .fermionic import (
 from .bosonic import (
     InvalidBranchLabel,
     InvalidCharLabel,
-    PreconditionViolation,
     branching_function,
     conj_lhs,
     kseries_lhs,
@@ -64,7 +63,6 @@ __all__ = [
     "LieAlgebra",
     "MNSolution",
     "NonUnitConstantTerm",
-    "PreconditionViolation",
     "QPoly",
     "QSeries",
     "REGISTRY",

@@ -7,20 +7,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
-from .qpoly import (
-    QPoly,
-    QSeries,
-    euler_inverse,
-    pochhammer,
-    pochhammer_multi,
-)
-
-_HALF = Fraction(1, 2)
-
-
-class PreconditionViolation(Exception):
-    pass
+from .fermionic import _FAMILIES, _kfamily
+from .qcomb import refined_T
+from .qpoly import QPoly, QSeries, euler_inverse, pochhammer
 
 
 class InvalidCharLabel(Exception):
@@ -31,10 +20,6 @@ class InvalidBranchLabel(Exception):
     pass
 
 
-class RepresentationMismatch(Exception):
-    """The three string-function representations disagree: implementation bug."""
-
-
 def _jrange(L: int, M: int, widen: int = 0) -> range:
     # Every theta sum below hits refined_T arguments growing linearly in j;
     # |a| > L kills the term, so a small window suffices.
@@ -42,101 +27,60 @@ def _jrange(L: int, M: int, widen: int = 0) -> range:
     return range(-j, j + 1)
 
 
-def conj_lhs(which: int, L: int, M: int, widen: int = 0) -> QPoly:
-    """Alternating theta sum over refined trinomials for conjecture 1, 2 or 3."""
+def _theta_sum(family: int, k: int, L: int, M: int, widen: int) -> QPoly:
+    """The family's alternating theta sum at depth k.
+
+    Each row (sign, a0, b0, c, d) contributes, for every j, the term
+    sign * q^{ab/2 + cj + d} refined_T(L, M, a, b) with a = A j + a0,
+    b = P j + b0 and A = P(k+1) - 2.
+    """
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
+    P = _FAMILIES[family].P
+    A = P * (k + 1) - 2
+    rows = [(1, 0, 0, 1, 0), (-1, k + 1, 1, 0, 0)]
+    if family == 3:
+        rows += [(1, 3 * k + 2, 3, 0, 0), (-1, 4 * k + 3, 4, 1, Fraction(1, 2))]
     out = QPoly.zero()
-    if which == 1:
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, 3 * j, 5 * j).shift(
-                Fraction(j * (15 * j + 2), 2))
-            out = out - refined_T(L, M, 3 * j + 1, 5 * j + 1).shift(
-                Fraction((3 * j + 1) * (5 * j + 1), 2))
-        return out
-    if which == 2:
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, 4 * j, 6 * j).shift(
-                Fraction(j * (24 * j + 2), 2))
-            out = out - refined_T(L, M, 4 * j + 1, 6 * j + 1).shift(
-                Fraction((4 * j + 1) * (6 * j + 1), 2))
-        return out
-    if which == 3:
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, 6 * j, 8 * j).shift(
-                Fraction(j * (48 * j + 2), 2))
-            out = out - refined_T(L, M, 6 * j + 1, 8 * j + 1).shift(
-                Fraction((6 * j + 1) * (8 * j + 1), 2))
-            out = out + refined_T(L, M, 6 * j + 2, 8 * j + 3).shift(
-                Fraction(j * (48 * j + 34), 2) + 3)
-            out = out - refined_T(L, M, 6 * j + 3, 8 * j + 4).shift(
-                Fraction((6 * j + 1) * (8 * j + 7), 2) + 3)
-        return out
-    raise ValueError("conjecture index must be 1, 2 or 3")
+    for j in _jrange(L, M, widen):
+        for sign, a0, b0, c, d in rows:
+            a, b = A * j + a0, P * j + b0
+            t = refined_T(L, M, a, b).shift(Fraction(a * b, 2) + c * j + d)
+            out = out + t if sign > 0 else out - t
+    return out
+
+
+def conj_lhs(which: int, L: int, M: int, widen: int = 0) -> QPoly:
+    """Alternating theta sum over refined trinomials for conjecture 1, 2 or 3:
+    the k = 0 case of the family's k-series theta sum."""
+    if which not in _FAMILIES:
+        raise ValueError("conjecture index must be 1, 2 or 3")
+    return _theta_sum(which, 0, L, M, widen)
 
 
 def kseries_lhs(family: str, k: int, L: int, M: int, widen: int = 0) -> QPoly:
     """Theta-sum side of the three iterated families at depth k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if L < 0 or M < 0:
-        raise ValueError("L and M must be nonnegative")
-    out = QPoly.zero()
-    if family == "E8-flower":
-        A = 5 * k + 3
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, A * j, 5 * j).shift(
-                Fraction(j * (5 * A * j + 2), 2))
-            out = out - refined_T(L, M, A * j + k + 1, 5 * j + 1).shift(
-                Fraction((5 * j + 1) * (A * j + k + 1), 2))
-        return out
-    if family == "E7-flower2":
-        A = 6 * k + 4
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, A * j, 6 * j).shift(
-                Fraction(j * (6 * A * j + 2), 2))
-            out = out - refined_T(L, M, A * j + k + 1, 6 * j + 1).shift(
-                Fraction((6 * j + 1) * (A * j + k + 1), 2))
-        return out
-    if family == "E6-monster":
-        A = 8 * k + 6
-        pre = Fraction(3 * (3 * k + 2), 2)
-        for j in _jrange(L, M, widen):
-            out = out + refined_T(L, M, A * j, 8 * j).shift(
-                Fraction(j * (8 * A * j + 2), 2))
-            out = out - refined_T(L, M, A * j + k + 1, 8 * j + 1).shift(
-                Fraction((8 * j + 1) * (A * j + k + 1), 2))
-            out = out + refined_T(L, M, A * j + 3 * k + 2, 8 * j + 3).shift(
-                pre + Fraction(j * (8 * A * j + 48 * k + 34), 2))
-            out = out - refined_T(L, M, A * j + 4 * k + 3, 8 * j + 4).shift(
-                pre + Fraction((8 * j + 7) * (A * j + k + 1), 2))
-        return out
-    raise ValueError(f"unknown k-series family {family!r}")
-
-
-def invariance_check(L: int, M: int, a: int, b: int) -> bool:
-    """The refined-trinomial invariance: summing q^{i^2/2} [L+M-i choose L]
-    times the refinement at (L-i, i, a, b) telescopes to q^{b^2/2} times the
-    refinement at (L, M, a+b, b)."""
-    if (a > 0 and b < 0) or (a < 0 and b > 0):
-        raise PreconditionViolation("a and b must not have strictly opposite signs")
-    lhs = QPoly.zero()
-    for i in range(abs(b), min(L - abs(a), M) + 1):
-        t = refined_T(L - i, i, a, b)
-        if not t:
-            continue
-        lhs = lhs + (qbinomial(L + M - i, L) * t).shift(Fraction(i * i, 2))
-    rhs = refined_T(L, M, a + b, b).shift(Fraction(b * b, 2))
-    return lhs == rhs
+    return _theta_sum(_kfamily(family), k, L, M, widen)
 
 
 # -- string functions ------------------------------------------------
 
 
-def _string_nsum(sigma: int, order: Fraction) -> QSeries:
-    # sum_{n = sigma mod 2} q^{n^2/2}/(q)_n, divided by (q)_inf: this is the
-    # large-L limit of T(L,a) with L+a+sigma even (verified numerically; the
-    # bare n-sum does not match the closed-form representations).
+@lru_cache(maxsize=None)
+def string_function(sigma: int, order: Fraction | int) -> QSeries:
+    """Level-1 string function c_sigma: the sum over n = sigma mod 2 of
+    q^{n^2/2}/(q)_n, divided by (q)_inf.
+
+    This is the large-L limit of T(L,a) with L+a+sigma even.  The tests
+    check it against the Pochhammer and product representations.
+    """
+    if sigma not in (0, 1):
+        raise ValueError("sigma must be 0 or 1")
+    order = Fraction(order)
+    if order <= 0:
+        return QSeries.zero(order)
     out = QSeries.zero(order)
     n = sigma
     while Fraction(n * n, 2) < order:
@@ -146,42 +90,6 @@ def _string_nsum(sigma: int, order: Fraction) -> QSeries:
         out = out + t
         n += 2
     return out * euler_inverse(order)
-
-
-def _string_pochhammer(sigma: int, order: Fraction) -> QSeries:
-    plus = pochhammer(_HALF, -1, 1, None, order)   # (-q^{1/2}; q)_inf
-    minus = pochhammer(_HALF, 1, 1, None, order)   # (q^{1/2}; q)_inf
-    num = plus + minus if sigma == 0 else plus - minus
-    assert all(c % 2 == 0 for c in num.terms.values())
-    half = QSeries({e: c // 2 for e, c in num.terms.items()}, order)
-    return half * euler_inverse(order)
-
-
-def _string_product(sigma: int, order: Fraction) -> QSeries:
-    shift = Fraction(sigma, 2)
-    inner = order - shift
-    den = euler_inverse(inner)
-    den = den * pochhammer_multi(
-        (3 - 2 * sigma, 4, 5 + 2 * sigma), 8, inner).inverse()
-    den = den * pochhammer_multi(
-        (2 + 4 * sigma, 14 - 4 * sigma), 16, inner).inverse()
-    return den.shift(shift)
-
-
-@lru_cache(maxsize=None)
-def string_function(sigma: int, order: Fraction | int) -> QSeries:
-    """Level-1 string function c_sigma, computed via the parity-restricted
-    n-sum and cross-checked against the two closed-form representations."""
-    if sigma not in (0, 1):
-        raise ValueError("sigma must be 0 or 1")
-    order = Fraction(order)
-    a = _string_nsum(sigma, order)
-    b = _string_pochhammer(sigma, order)
-    c = _string_product(sigma, order)
-    if not (a == b == c):
-        raise RepresentationMismatch(
-            f"string function c_{sigma} representations disagree at order {order}")
-    return a
 
 
 # -- Virasoro characters and branching functions ---------------------
@@ -265,37 +173,3 @@ def branching_function(
             idx = (p * j + (r + s) // 2 + sigma) % 2
             acc = acc - c[idx].shift(e2).truncate(inner)
     return acc.shift(alpha)
-
-
-# -- single-sum cross-checks -----------------------------------------
-
-
-def abp_series_check(b: int, order: Fraction | int) -> bool:
-    """Truncated check of sum_i q^{i^2/2} T(i,b)/(q)_i = q^{b^2/2}/(q)_inf."""
-    order = Fraction(order)
-    lhs = QSeries.zero(order)
-    i = 0
-    while Fraction(i * i, 2) < order:
-        t = qtrinomial_T(i, b)
-        if t:
-            ser = t.to_series(order - Fraction(i * i, 2))
-            if i:
-                ser = ser * pochhammer(1, 1, 1, i, ser.order).inverse()
-            lhs = lhs + QSeries(ser.shift(Fraction(i * i, 2)).terms, order)
-        i += 1
-    rhs = euler_inverse(order - Fraction(b * b, 2)).shift(Fraction(b * b, 2))
-    return lhs == QSeries(rhs.terms, order)
-
-
-def con_identity_check(L: int, b: int) -> bool:
-    """Exact polynomial check of sum_i q^{i^2/2} [L,i] T(i,b)
-    = q^{b^2/2} [2L choose L-b]."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    lhs = QPoly.zero()
-    for i in range(0, L + 1):
-        f = qbinomial(L, i) * qtrinomial_T(i, b)
-        if f:
-            lhs = lhs + f.shift(Fraction(i * i, 2))
-    rhs = qbinomial(2 * L, L - b).shift(Fraction(b * b, 2))
-    return lhs == rhs

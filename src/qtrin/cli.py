@@ -8,13 +8,13 @@ stability but evaluation is single-threaded.
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
 from fractions import Fraction
 
 from . import bosonic, fermionic, verify
 from .liealg import UnknownAlgebra, algebra
-from .mnsys import mod3_filter, parity_filter, solve_mn_filtered
+from .mnsys import solve_mn_filtered
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
@@ -22,13 +22,9 @@ class UsageError(Exception):
     pass
 
 
-_KSERIES_NAMES = {
-    "flower": "E8-flower",
-    "flower2": "E7-flower2",
-    "monster": "E6-monster",
-}
-
-_FERM_FAMILIES = ("E8", "E7", "E6", "D6-B46", "A5-B68")
+# CLI name -> k-series family: "flower" -> "E8-flower" and so on
+_KSERIES = {f.name.split("-")[1]: f.name for f in fermionic._FAMILIES.values()}
+_IDENTITY_SIDES = ("conj1", "conj2", "conj3", *_KSERIES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,23 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("sigma", type=int, choices=(0, 1))
 
     s = csub.add_parser("rhs", help="fermionic side of a polynomial identity")
-    s.add_argument("name",
-                   choices=("conj1", "conj2", "conj3",
-                            "flower", "flower2", "monster"))
+    s.add_argument("name", choices=_IDENTITY_SIDES)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--M", type=int, required=True)
 
     s = csub.add_parser("lhs", help="bosonic side of a polynomial identity")
-    s.add_argument("name",
-                   choices=("conj1", "conj2", "conj3",
-                            "flower", "flower2", "monster"))
+    s.add_argument("name", choices=_IDENTITY_SIDES)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--M", type=int, required=True)
 
     s = csub.add_parser("ferm", help="fermionic character series")
-    s.add_argument("family", choices=_FERM_FAMILIES)
+    s.add_argument("family", choices=fermionic.CHAR_FAMILIES)
     s.add_argument("--order", type=int, default=12)
     s.add_argument("--sigma", type=int, default=0, choices=(0, 1))
 
@@ -128,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(e.g. n1+n3+n7 or n1+n3+n5+1)")
     m.add_argument("--mod3", metavar="EXPR",
                    help="keep solutions with EXPR divisible by 3 "
-                        "(currently the fixed form n1-n2+n4-n5)")
+                        "(a signed form such as n1-n2+n4-n5)")
 
     a = sub.add_parser("algebra", help="inspect Dynkin diagram data")
     asub = a.add_subparsers(dest="what", required=True)
@@ -138,24 +130,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_linear_form(expr: str) -> tuple[list[int], int]:
-    """Parse `n1+n3+n7` or `n1+n3+n5+1` into (indices, constant)."""
-    indices: list[int] = []
+def _linear_filter(expr: str, modulus: int, rank: int):
+    """Predicate keeping n with `expr` divisible by modulus, where expr is a
+    signed sum of terms n1..n<rank> and integers, e.g. `n1-n2+n4-n5+1`."""
+    text = expr.replace(" ", "")
+    if not re.fullmatch(r"[+-]?[^+-]+([+-][^+-]+)*", text):
+        raise UsageError(f"empty term in linear form {expr!r}")
+    coeffs = [0] * rank
     const = 0
-    for tok in expr.replace(" ", "").split("+"):
-        if not tok:
-            raise UsageError(f"empty term in linear form {expr!r}")
-        if tok.startswith("n"):
-            try:
-                indices.append(int(tok[1:]))
-            except ValueError:
-                raise UsageError(f"bad term {tok!r} in linear form") from None
+    for tok in re.findall(r"[+-]?[^+-]+", text):
+        sign = -1 if tok[0] == "-" else 1
+        body = tok.lstrip("+-")
+        if body.startswith("n") and body[1:].isdigit():
+            j = int(body[1:])
+            if not 1 <= j <= rank:
+                raise UsageError(f"index n{j} in {expr!r} is outside n1..n{rank}")
+            coeffs[j - 1] += sign
+        elif body.isdigit():
+            const += sign * int(body)
         else:
-            try:
-                const += int(tok)
-            except ValueError:
-                raise UsageError(f"bad term {tok!r} in linear form") from None
-    return indices, const
+            raise UsageError(f"bad term {tok!r} in linear form")
+    return lambda n: (sum(c * x for c, x in zip(coeffs, n)) + const) % modulus == 0
 
 
 def _parse_grid(spec: str) -> dict[str, tuple[int, ...]]:
@@ -194,7 +189,7 @@ def _cmd_compute(args) -> int:
             fn = fermionic.conj_rhs if w == "rhs" else bosonic.conj_lhs
             print(fn(which, args.L, args.M))
         else:
-            fam = _KSERIES_NAMES[name]
+            fam = _KSERIES[name]
             if args.k < 1:
                 raise UsageError("--k must be a positive integer")
             fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
@@ -257,13 +252,9 @@ def _cmd_mn_solve(args) -> int:
         raise UsageError("N must be nonnegative")
     predicates = []
     if args.parity:
-        idx, const = _parse_linear_form(args.parity)
-        predicates.append(parity_filter(tuple(idx), const % 2))
+        predicates.append(_linear_filter(args.parity, 2, g.rank))
     if args.mod3:
-        idx, const = _parse_linear_form(args.mod3)
-        if const % 3:
-            raise UsageError("mod3 filter does not take a constant term")
-        predicates.append(mod3_filter())
+        predicates.append(_linear_filter(args.mod3, 3, g.rank))
     for sol in solve_mn_filtered(g, args.N, args.vertex, *predicates):
         print(sol.basis_str())
     return 0
@@ -288,8 +279,11 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -310,7 +304,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError,
-            bosonic.PreconditionViolation,
             bosonic.InvalidCharLabel,
             bosonic.InvalidBranchLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,24 +11,58 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra, algebra
 from .mnsys import mod3_filter, parity_filter, solve_mn, solve_mn_filtered
 from .qcomb import qbinomial, qbinomial_vector
 from .qpoly import QPoly, QSeries, pochhammer
 
-_HALF = Fraction(1, 2)
+
+class _Family(NamedTuple):
+    P: int          # theta period: the bosonic rows step b by P
+    large: str      # E-type algebra of the k-series and chain sums
+    vertex: int     # its marked vertex, the source of those systems
+    small: str      # the diagram left after removing the marked vertex
+    name: str       # k-series family name; the CLI uses the part after "-"
+    x_odd: tuple[int, ...]  # coordinates of the primed parity in the chain sums
 
 
-def _f_filters(name: str, sigma: int):
-    if name == "A5":
-        return (mod3_filter(), parity_filter((1, 3, 5), sigma))
-    if name == "D6":
-        return (parity_filter((1, 3, 6)), parity_filter((1, 3, 5), sigma))
+# The three identity families E8 -> E7, E7 -> D6, E6 -> A5; the polynomial
+# conjectures conj1..conj3 are their depth k = 0 case.
+_FAMILIES = {
+    1: _Family(5, "E8", 1, "E7", "E8-flower", (2, 4, 8)),
+    2: _Family(6, "E7", 6, "D6", "E7-flower2", (1, 3, 5)),
+    3: _Family(8, "E6", 6, "A5", "E6-monster", (1, 3, 5)),
+}
+
+# Fermionic character families: each algebra's cone, the D6 and A5 ones
+# named after the branching functions they equal.
+CHAR_FAMILIES = ("E8", "E7", "E6", "D6-B46", "A5-B68")
+
+
+def _kfamily(name: str) -> int:
+    """Family index of a k-series family name such as "E8-flower"."""
+    for w, f in _FAMILIES.items():
+        if f.name == name:
+            return w
+    raise ValueError(f"unknown k-series family {name!r}")
+
+
+def _filters(name: str, sigma: int = 0) -> tuple:
+    """Cone filters on n for the sums over an algebra's (m,n)-systems;
+    sigma is the constant of the sigma-dependent parity, if any."""
+    if name == "E8":
+        return ()
     if name == "E7":
         return (parity_filter((1, 3, 7), sigma),)
-    raise ValueError(f"F-polynomial not defined for {name}")
+    if name == "E6":
+        return (mod3_filter(),)
+    if name == "D6":
+        return (parity_filter((1, 3, 6)), parity_filter((1, 3, 5), sigma))
+    if name == "A5":
+        return (mod3_filter(), parity_filter((1, 3, 5), sigma))
+    raise ValueError(f"no cone filters for {name}")
 
 
 @lru_cache(maxsize=None)
@@ -38,35 +72,26 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     g = algebra(name)
-    assert g.p is not None
+    if g.p is None:
+        raise ValueError(f"F-polynomial not defined for {name}")
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, *_f_filters(name, sigma)):
+    for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, sigma)):
         term = qbinomial_vector(sol.m, sol.n)
         if term:
             out = out + term.shift(g.quad_form_invcartan(sol.n))
     return out
 
 
-_CONJ = {
-    # which -> (algebra, extra filters beyond the L-parity one, L-parity indices)
-    1: ("E7", (), (1, 3, 7)),
-    2: ("D6", (parity_filter((1, 3, 6)),), (1, 3, 5)),
-    3: ("A5", (mod3_filter(),), (1, 3, 5)),
-}
-
-
 def conj_rhs(which: int, L: int, M: int) -> QPoly:
     """Right-hand side of conjecture 1, 2 or 3: the F-type sum with the extra
     Gaussian prefactor [(L+M+m_p)/2 choose 2M]."""
-    if which not in _CONJ:
+    if which not in _FAMILIES:
         raise ValueError("conjecture index must be 1, 2 or 3")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-    name, extra, par = _CONJ[which]
-    g = algebra(name)
-    assert g.p is not None
+    g = algebra(_FAMILIES[which].small)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, parity_filter(par, L), *extra):
+    for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, L)):
         mp = sol.m[g.p - 1]
         # the parity restriction forces L+M+m_p even
         assert (L + M + mp) % 2 == 0
@@ -79,25 +104,15 @@ def conj_rhs(which: int, L: int, M: int) -> QPoly:
     return out
 
 
-_KFAMILY = {
-    # family -> (algebra, source vertex, distinguished m component, filters)
-    "E8-flower": ("E8", 1, 1, ()),
-    "E7-flower2": ("E7", 6, 6, (parity_filter((1, 3, 7)),)),
-    "E6-monster": ("E6", 6, 6, (mod3_filter(),)),
-}
-
-
 @lru_cache(maxsize=None)
-def _inner_algebra_sum(
-    family: str, top: int, bound: int
-) -> QPoly:
-    """Sum over the (m,n)-system at N=bound of
-    q^{m.C.m/4} [top - m_dot/2 choose bound] [m+n choose n]."""
-    name, vertex, dot, filters = _KFAMILY[family]
-    g = algebra(name)
+def _inner_algebra_sum(family: int, top: int, bound: int) -> QPoly:
+    """Sum over the large algebra's (m,n)-system at N=bound of
+    q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source vertex."""
+    f = _FAMILIES[family]
+    g = algebra(f.large)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, bound, vertex, *filters):
-        md = sol.m[dot - 1]
+    for sol in solve_mn_filtered(g, bound, f.vertex, *_filters(f.large)):
+        md = sol.m[f.vertex - 1]
         if md % 2:
             continue  # half-integer top index: no such term contributes
         pre = qbinomial(top - md // 2, bound)
@@ -116,8 +131,7 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
     q^{(r_a - r_{a+1})^2/2} [r_{a-1}-r_a+r_{a+1} choose r_a] factors times the
     inner algebra sum bounded by r_{k-1}.
     """
-    if family not in _KFAMILY:
-        raise ValueError(f"unknown k-series family {family!r}")
+    w = _kfamily(family)
     if k < 1:
         raise ValueError("k must be >= 1")
     if L < 0 or M < 0:
@@ -130,7 +144,7 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
         nonlocal out
         a = len(r) - 2  # index of the last fixed r entry
         if a == k - 1:
-            inner = _inner_algebra_sum(family, top=r[-2], bound=r[-1])
+            inner = _inner_algebra_sum(w, top=r[-2], bound=r[-1])
             if inner:
                 out = out + prefix * inner
             return
@@ -145,28 +159,17 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
     return out
 
 
-_CHAR_FAMILIES = {
-    "E8": ("E8", lambda sig: ()),
-    "E7": ("E7", lambda sig: (parity_filter((1, 3, 7), sig),)),
-    "E6": ("E6", lambda sig: (mod3_filter(),)),
-    "D6-B46": ("D6", lambda sig: (parity_filter((1, 3, 6)),
-                                  parity_filter((1, 3, 5), sig))),
-    "A5-B68": ("A5", lambda sig: (mod3_filter(),
-                                  parity_filter((1, 3, 5), sig))),
-}
-
-
 @lru_cache(maxsize=None)
 def _inv_qfact(t: int, order: Fraction) -> QSeries:
     """1/(q;q)_t truncated."""
     return pochhammer(1, 1, 1, t, order).inverse()
 
 
-def _enumerate_small_qform(g: LieAlgebra, order: Fraction, scale: int = 1):
-    """Yield all n in Z_+^rank with n.C^{-1}.n * scale... no: with
-    quad_form_invcartan(n) < order.  The form is strictly increasing in every
-    coordinate on the nonnegative orthant (positive inverse Cartan), so a
-    depth-first scan with early cutoff is complete."""
+def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
+    """Yield all n in Z_+^rank with quad_form_invcartan(n) < order.  The form
+    is strictly increasing in every coordinate on the nonnegative orthant
+    (positive inverse Cartan), so a depth-first scan with early cutoff is
+    complete."""
     r = g.rank
     n = [0] * r
 
@@ -191,21 +194,17 @@ def _enumerate_small_qform(g: LieAlgebra, order: Fraction, scale: int = 1):
 
 
 def fermionic_char_sum(
-    family: str, order: Fraction | int, sigma: int = 0, box_scale: int = 1
+    family: str, order: Fraction | int, sigma: int = 0
 ) -> QSeries:
-    """Truncated sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone.
-
-    ``box_scale`` widens the enumeration cutoff (doubling test hook); any
-    value >= 1 must give the same truncated series.
-    """
-    if family not in _CHAR_FAMILIES:
+    """Truncated sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone."""
+    if family not in CHAR_FAMILIES:
         raise ValueError(f"unknown fermionic family {family!r}")
     order = Fraction(order)
-    name, filt = _CHAR_FAMILIES[family]
+    name = family.split("-")[0]
     g = algebra(name)
-    preds = filt(sigma)
+    preds = _filters(name, sigma)
     out = QSeries.zero(order)
-    for n in _enumerate_small_qform(g, order * box_scale):
+    for n in _enumerate_small_qform(g, order):
         if not all(p(n) for p in preds):
             continue
         e = g.quad_form_invcartan(n)
@@ -219,9 +218,6 @@ def fermionic_char_sum(
     return out
 
 
-_FSUM = {1: "E7", 2: "D6", 3: "A5"}
-
-
 def fsum_family_lhs(
     family: int, k: int, sigma: int, order: Fraction | int
 ) -> QSeries:
@@ -232,12 +228,12 @@ def fsum_family_lhs(
     Family 3 uses the A5 F-polynomial (the source's F^{D5} is taken to mean
     the algebra paired with E6, i.e. A5).
     """
-    if family not in _FSUM:
+    if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 1:
         raise ValueError("k must be >= 1")
     order = Fraction(order)
-    name = _FSUM[family]
+    name = _FAMILIES[family].small
     out = QSeries.zero(order)
     cap = isqrt(int(2 * order)) + 1
 
@@ -270,30 +266,22 @@ def fsum_family_lhs(
     return out
 
 
-_XFAMILY = {
-    # family -> (algebra, vertex, distinguished m component, parity coords)
-    1: ("E8", 1, 1, (2, 4, 8)),
-    2: ("E7", 6, 6, (1, 3, 5)),
-    3: ("E6", 6, 6, (1, 3, 5)),
-}
-
-
 def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     """The dual-limit series: sum over r in Z_+^{k-1} and (m,n)-system
     solutions at N = r_{k-1}, with the primed parity restriction on m
     (listed coordinates congruent to r_{k-1} mod 2, all others even)."""
-    if family not in _XFAMILY:
+    if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 2:
         raise ValueError("k must be >= 2")
     order = Fraction(order)
-    name, vertex, dot, odd_coords = _XFAMILY[family]
-    g = algebra(name)
+    f = _FAMILIES[family]
+    g = algebra(f.large)
     out = QSeries.zero(order)
 
     def m_ok(m: Sequence[int], rk1: int) -> bool:
         for j in range(1, g.rank + 1):
-            want = rk1 % 2 if j in odd_coords else 0
+            want = rk1 % 2 if j in f.x_odd else 0
             if m[j - 1] % 2 != want:
                 return False
         return True
@@ -305,10 +293,10 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
         if base >= order:
             return
         rk1 = r[k - 1]
-        for sol in solve_mn(g, rk1, vertex):
+        for sol in solve_mn(g, rk1, f.vertex):
             if not m_ok(sol.m, rk1):
                 continue
-            md = sol.m[dot - 1]
+            md = sol.m[f.vertex - 1]
             assert md % 2 == 0  # parity restriction forces this
             rk = rk1 - md // 2
             e = base + Fraction(g.quad_form_cartan(sol.m), 4)

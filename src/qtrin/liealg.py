@@ -16,7 +16,7 @@ removed (E6 -> A5, E7 -> D6, E8 -> E7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,13 +99,6 @@ class LieAlgebra:
         return [sum(self.incidence[i][j] * m[j] for j in range(self.rank))
                 for i in range(self.rank)]
 
-    def invcartan_apply(self, v: Sequence[Fraction | int]) -> list[Fraction]:
-        if len(v) != self.rank:
-            raise DimensionMismatch(f"vector length {len(v)} != rank {self.rank}")
-        return [sum((self.inverse_cartan[i][j] * v[j] for j in range(self.rank)),
-                    Fraction(0))
-                for i in range(self.rank)]
-
 
 def _build(name: str) -> LieAlgebra:
     r = _RANK[name]
@@ -145,11 +138,3 @@ def algebra(name: str) -> LieAlgebra:
 
 def algebra_names() -> list[str]:
     return sorted(_TABLES)
-
-
-def quad_form_invcartan(g: LieAlgebra, n: Sequence[int]) -> Fraction:
-    return g.quad_form_invcartan(n)
-
-
-def quad_form_cartan(g: LieAlgebra, m: Sequence[int]) -> int:
-    return g.quad_form_cartan(m)

@@ -12,9 +12,6 @@ from typing import Sequence
 
 from .qpoly import QPoly
 
-_HALF = Fraction(1, 2)
-
-
 @lru_cache(maxsize=None)
 def qbinomial(n: int, a: int) -> QPoly:
     """Gaussian polynomial [n, a]; zero unless 0 <= a <= n.
@@ -73,14 +70,15 @@ def qtrinomial2(L: int, a: int) -> QPoly:
     return out
 
 
-def _qtrinomial_T_from_dual(L: int, a: int) -> QPoly:
-    # T(L,a) = q^{(L-a)(L+a)/2} * round-bracket trinomial evaluated at 1/q
-    return qtrinomial2(L, a).substitute_qinv().shift(Fraction((L - a) * (L + a), 2))
+@lru_cache(maxsize=None)
+def qtrinomial_T(L: int, a: int) -> QPoly:
+    """The T(L, a) q-trinomial (half-integer exponents in general).
 
-
-def _qtrinomial_T_explicit(L: int, a: int) -> QPoly:
-    # sum over n with n+a+L even of q^{n^2/2} (q)_L / ((q)_x (q)_y (q)_n),
-    # x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is [L,n][L-n,x].
+    Sum over n with n+a+L even of q^{n^2/2} (q)_L / ((q)_x (q)_y (q)_n),
+    x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is [L,n][L-n,x].
+    """
+    if L < 0:
+        raise ValueError("L must be nonnegative")
     out = QPoly.zero()
     for n in range(0, L - abs(a) + 1):
         if (n + a + L) % 2:
@@ -90,25 +88,6 @@ def _qtrinomial_T_explicit(L: int, a: int) -> QPoly:
         if term:
             out = out + term.shift(Fraction(n * n, 2))
     return out
-
-
-@lru_cache(maxsize=None)
-def qtrinomial_T(L: int, a: int, cross_check: bool = False) -> QPoly:
-    """The T(L, a) q-trinomial (half-integer exponents in general).
-
-    Two independent construction routes exist; ``cross_check=True`` computes
-    both and raises if they disagree.
-    """
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    if abs(a) > L:
-        return QPoly.zero()
-    result = _qtrinomial_T_explicit(L, a)
-    if cross_check:
-        alt = _qtrinomial_T_from_dual(L, a)
-        if alt != result:
-            raise AssertionError(f"T({L},{a}) construction routes disagree")
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -137,9 +116,3 @@ def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
             continue
         out = out + (t1 * t2 * t3).shift(Fraction(n * n, 2))
     return out
-
-
-def refined_T_dual_check(L: int, M: int, a: int, b: int) -> bool:
-    """Duality: the refinement at 1/q equals q^{ab - ML} times itself."""
-    t = refined_T(L, M, a, b)
-    return t.substitute_qinv() == t.shift(a * b - M * L)

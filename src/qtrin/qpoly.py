@@ -377,33 +377,3 @@ def pochhammer_multi(
 def euler_inverse(order: Exponent) -> QSeries:
     """1/(q;q)_infinity, the partition generating function, truncated."""
     return pochhammer(1, 1, 1, None, order).inverse()
-
-
-# Functional aliases matching the operation names used elsewhere.
-
-def poly_add(a: QPoly, b: QPoly) -> QPoly:
-    return a + b
-
-
-def poly_mul(a: QPoly, b: QPoly) -> QPoly:
-    return a * b
-
-
-def poly_substitute_qinv(p: QPoly) -> QPoly:
-    return p.substitute_qinv()
-
-
-def poly_shift(p: QPoly, r: Exponent) -> QPoly:
-    return p.shift(r)
-
-
-def poly_eval_q1(p: QPoly) -> int:
-    return p.eval_q1()
-
-
-def series_from_poly(p: QPoly, order: Exponent) -> QSeries:
-    return p.to_series(order)
-
-
-def series_inverse(s: QSeries) -> QSeries:
-    return s.inverse()

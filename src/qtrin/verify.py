@@ -119,11 +119,9 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
     Series are compared coefficientwise up to the smaller truncation order.
     """
     lt, rt = lhs.terms, rhs.terms
-    if isinstance(lhs, QSeries) or isinstance(rhs, QSeries):
-        cut = min(
-            lhs.order if isinstance(lhs, QSeries) else None or Fraction(10**9),
-            rhs.order if isinstance(rhs, QSeries) else Fraction(10**9),
-        )
+    orders = [s.order for s in (lhs, rhs) if isinstance(s, QSeries)]
+    if orders:
+        cut = min(orders)
         lt = {e: c for e, c in lt.items() if e < cut}
         rt = {e: c for e, c in rt.items() if e < cut}
     if len(lt) > TERM_CEILING or len(rt) > TERM_CEILING:
@@ -154,24 +152,19 @@ def _ev_vanish(p: Params, order) -> SidePair:
     return refined_T(p["L"], p["M"], p["a"], p["b"]), QPoly.zero()
 
 
-def _ev_mTtoT(p: Params, order) -> SidePair:
-    L, a, b = p["L"], p["a"], p["b"]
-    lhs = QPoly.zero()
-    for i in range(abs(b), L - abs(a - b) + 1):
-        t = refined_T(L - i, i, a - b, b)
-        if t:
-            lhs = lhs + t.shift(Fraction(i * i - b * b, 2))
-    return lhs, qtrinomial_T(L, a)
-
-
-def _ev_mTtot(p: Params, order) -> SidePair:
-    L, a, b = p["L"], p["a"], p["b"]
-    lhs = QPoly.zero()
-    for i in range(abs(b), L - abs(a - b) + 1):
-        t = refined_T(i, L - i, b, a - b)
-        if t:
-            lhs = lhs + t.shift(Fraction(i * i - b * b, 2))
-    return lhs, qtrinomial2(L, a)
+def _ev_mT(swap: bool):
+    # T(L,a) as a sum of refinements; with (L,M) and (a,b) swapped in each
+    # refinement the sum is the round-bracket trinomial instead.
+    def ev(p: Params, order) -> SidePair:
+        L, a, b = p["L"], p["a"], p["b"]
+        lhs = QPoly.zero()
+        for i in range(abs(b), L - abs(a - b) + 1):
+            args = (i, L - i, b, a - b) if swap else (L - i, i, a - b, b)
+            t = refined_T(*args)
+            if t:
+                lhs = lhs + t.shift(Fraction(i * i - b * b, 2))
+        return lhs, (qtrinomial2 if swap else qtrinomial_T)(L, a)
+    return ev
 
 
 def _ev_thm1(p: Params, order) -> SidePair:
@@ -304,26 +297,21 @@ def _ev_A5B68(p: Params, order: Fraction) -> SidePair:
 
 
 def _fam_rhs(family: int, k: int, s: int, order: Fraction) -> QSeries:
-    # k odd: chi^{(3,4)} times a second character; k even: branching functions
-    # with the sigma + k/2 shift (applied uniformly; see the ledger note on
-    # the first family).
-    vc = bosonic.virasoro_char
-    bf = bosonic.branching_function
-    if family == 1:
+    # With A = P(k+1) - 2: k odd gives chi^{(3,4)} times chi^{(P, A/2)}; k even
+    # gives B^{(P, A)} with the sigma + k/2 shift (applied uniformly; see the
+    # ledger note on the first family).  Family 3 adds the term with label
+    # P - 1 and the other sigma.
+    P = fermionic._FAMILIES[family].P
+    A = P * (k + 1) - 2
+    out = QSeries.zero(order)
+    for t, r in enumerate((1, P - 1) if family == 3 else (1,)):
         if k % 2:
-            return vc(3, 4, s + 1, 1, order) * vc(5, (5 * k + 3) // 2,
-                                                  1, (k + 1) // 2, order)
-        return bf(5, 5 * k + 3, 1, k + 1, (s + k // 2) % 2, order)
-    if family == 2:
-        if k % 2:
-            return vc(3, 4, s + 1, 1, order) * vc(6, 3 * k + 2,
-                                                  1, (k + 1) // 2, order)
-        return bf(6, 6 * k + 4, 1, k + 1, (s + k // 2) % 2, order)
-    if k % 2:
-        return (vc(3, 4, s + 1, 1, order) * vc(8, 4 * k + 3, 1, (k + 1) // 2, order)
-                + vc(3, 4, 2 - s, 1, order) * vc(8, 4 * k + 3, 7, (k + 1) // 2, order))
-    return (bf(8, 8 * k + 6, 1, k + 1, (s + k // 2) % 2, order)
-            + bf(8, 8 * k + 6, 7, k + 1, (s + k // 2 + 1) % 2, order))
+            out = out + (bosonic.virasoro_char(3, 4, (s + t) % 2 + 1, 1, order)
+                         * bosonic.virasoro_char(P, A // 2, r, (k + 1) // 2, order))
+        else:
+            out = out + bosonic.branching_function(
+                P, A, r, k + 1, (s + k // 2 + t) % 2, order)
+    return out
 
 
 def _ev_fam(family: int, k: int):
@@ -335,20 +323,21 @@ def _ev_fam(family: int, k: int):
 
 
 def _x_rhs(family: int, k: int, order: Fraction) -> QSeries:
-    vc = bosonic.virasoro_char
-    if family == 1:
-        if k % 2:
-            return vc((5 * k + 3) // 2, 5 * k - 2, (k + 1) // 2, k, order)
-        return vc(5 * k // 2 - 1, 5 * k + 3, k // 2, k + 1, order)
-    if family == 2:
-        if k % 2:
-            return vc(3 * k + 2, 6 * k - 2, (k + 1) // 2, k, order)
-        return vc(3 * k - 1, 6 * k + 4, k // 2, k + 1, order)
+    # With A = P(k+1) - 2: k odd gives chi^{(A/2, Pk-2)}_{(k+1)/2, k}; k even
+    # gives chi^{(Pk/2-1, A)}_{k/2, k+1}.  Family 3 adds the term with the
+    # label on the Pk/2 - 1 side reflected: (P-1)k - 2 or (P-1)k/2 - 1.
+    P = fermionic._FAMILIES[family].P
+    A = P * (k + 1) - 2
     if k % 2:
-        return (vc(4 * k + 3, 8 * k - 2, (k + 1) // 2, k, order)
-                + vc(4 * k + 3, 8 * k - 2, (k + 1) // 2, 7 * k - 2, order))
-    return (vc(4 * k - 1, 8 * k + 6, k // 2, k + 1, order)
-            + vc(4 * k - 1, 8 * k + 6, 7 * k // 2 - 1, k + 1, order))
+        p, pp, r, s = A // 2, P * k - 2, (k + 1) // 2, k
+        reflected = (p, pp, r, pp - s)
+    else:
+        p, pp, r, s = P * k // 2 - 1, A, k // 2, k + 1
+        reflected = (p, pp, p - r, s)
+    out = bosonic.virasoro_char(p, pp, r, s, order)
+    if family == 3:
+        out = out + bosonic.virasoro_char(*reflected, order)
+    return out
 
 
 def _ev_x(family: int, k: int):
@@ -425,10 +414,10 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     tri_quick = {"L": _rng(0, 5), "a": _rng(0, 5), "b": _rng(0, 5)}
     tri_filter = lambda p: p["b"] <= p["a"] <= p["L"]
     reg.append(IdentityDescriptor(
-        "mTtoT", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mTtoT,
+        "mTtoT", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mT(False),
         quick_grid=tri_quick, point_filter=tri_filter))
     reg.append(IdentityDescriptor(
-        "mTtot", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mTtot,
+        "mTtot", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mT(True),
         quick_grid=tri_quick, point_filter=tri_filter))
     reg.append(IdentityDescriptor(
         "thm1", "polynomial-exact", "proved-in-paper",
@@ -450,12 +439,12 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
             f"conj{w}", "polynomial-exact", "conjectured-in-paper",
             {"L": _rng(0, 5), "M": _rng(0, 5)}, _ev_conj(w),
             quick_grid={"L": _rng(0, 3), "M": _rng(0, 3)}))
-    for fam, key in (("E8-flower", "flower"), ("E7-flower2", "flower2"),
-                     ("E6-monster", "monster")):
+    for f in fermionic._FAMILIES.values():
         for k in (1, 2):
             reg.append(IdentityDescriptor(
-                f"{key}-k{k}", "polynomial-exact", "conjectured-in-paper",
-                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(fam, k),
+                f"{f.name.split('-')[1]}-k{k}", "polynomial-exact",
+                "conjectured-in-paper",
+                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(f.name, k),
                 quick_grid={"L": _rng(0, 2), "M": _rng(0, 2)}))
     reg.append(IdentityDescriptor(
         "E8", "series-truncated", "proved-in-paper",
@@ -494,10 +483,10 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
                 f"fam{fam}-k{k}", "series-truncated", "conjectured-in-paper",
                 {"sigma": (0, 1)}, _ev_fam(fam, k), order=8, quick_order=6,
                 note=note))
-    for fam, key in ((1, "X"), (2, "X2"), (3, "X3")):
+    for fam in (1, 2, 3):
         for k in (2, 3):
             reg.append(IdentityDescriptor(
-                f"{key}-k{k}", "series-truncated", "conjectured-in-paper",
+                f"X{fam if fam > 1 else ''}-k{k}", "series-truncated", "conjectured-in-paper",
                 {"point": (0,)}, _ev_x(fam, k), order=8, quick_order=6))
     reg.append(IdentityDescriptor(
         "limit-tlim", "series-truncated", "proved-in-paper",

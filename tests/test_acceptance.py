@@ -11,6 +11,7 @@ from qtrin.qcomb import qbinomial, qtrinomial_T, refined_T
 from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn, solve_mn_bruteforce
 from qtrin import bosonic, fermionic, verify
+from string_reps import checked_string_function
 
 
 def _report(num: int, label: str, ok: bool, seconds: float):
@@ -139,7 +140,7 @@ def test_criterion_14_string_function_representations():
     start = time.perf_counter()
     ok = True
     for sigma in (0, 1):
-        s = bosonic.string_function(sigma, 30)   # asserts 3-way agreement
+        s = checked_string_function(sigma, 30)   # raises unless all three agree
         ok &= s.order == Fraction(30)
     _report(14, "string function representations", ok,
             time.perf_counter() - start)

@@ -3,16 +3,57 @@ from fractions import Fraction
 import pytest
 
 from qtrin.qpoly import QSeries, euler_inverse, pochhammer_multi
-from qtrin import bosonic, fermionic
+from qtrin import bosonic, fermionic, verify
+from string_reps import checked_string_function
 
 
 def test_string_function_three_representations():
-    # the equality of all three forms is asserted internally
     for sigma in (0, 1):
-        s = bosonic.string_function(sigma, 30)
+        s = checked_string_function(sigma, 30)
         assert s.order == Fraction(30)
     with pytest.raises(ValueError):
         bosonic.string_function(2, 10)
+
+
+def test_string_function_order_zero_is_empty():
+    for sigma in (0, 1):
+        for order in (0, -3):
+            assert bosonic.string_function(sigma, order) == QSeries.zero(order)
+
+
+def _partition_counts(n_max):
+    """p(0..n_max) by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+def test_string_functions_against_partition_oracle():
+    # c_0 + c_1 = (-q^{1/2}; q)_inf / (q)_inf.  In powers of x = q^{1/2}
+    # that is (partitions into distinct odd parts) times p(m) x^{2m}; c_0
+    # holds the even powers of x, c_1 the odd ones.
+    order = 24
+    size = 2 * order
+    odd = [1] + [0] * (size - 1)
+    for part in range(1, size, 2):
+        for s in range(size - 1, part - 1, -1):
+            odd[s] += odd[s - part]
+    p = _partition_counts(order)
+    total = [sum(odd[x - 2 * m] * p[m] for m in range(x // 2 + 1))
+             for x in range(size)]
+    for sigma in (0, 1):
+        got = [0] * size
+        for e, c in bosonic.string_function(sigma, order).terms.items():
+            assert (2 * e).denominator == 1
+            got[int(2 * e)] = c
+        assert got == [t if x % 2 == sigma else 0 for x, t in enumerate(total)]
 
 
 def test_string_function_leading_terms():
@@ -74,16 +115,21 @@ def test_kseries_lhs_theta_widening_invariance():
 
 
 def test_invariance_check_helper():
-    assert bosonic.invariance_check(4, 4, 2, 1)
-    assert bosonic.invariance_check(5, 3, -2, -2)
+    # the invariance sum at (L, M, a, b) = (4, 4, 2, 1) and (5, 3, -2, -2)
+    for L, M, a, b, s in ((4, 4, 2, 1, 1), (5, 3, 2, 2, -1)):
+        point = {"L": L, "M": M, "a": a, "b": b, "s": s}
+        r = verify.verify_identity(
+            "thm1", grid={k: (v,) for k, v in point.items()})
+        assert r.points == 1 and r.passed
+        assert verify.REGISTRY["thm1"].evaluate(point, Fraction(0))[1]
 
 
 def test_abp_and_con_checks():
-    for b in (-3, 0, 2):
-        assert bosonic.abp_series_check(b, 10)
-    for L in range(6):
-        for b in range(-L, L + 1):
-            assert bosonic.con_identity_check(L, b)
+    r = verify.verify_identity("abp", grid={"b": (-3, 0, 2)}, order=10)
+    assert r.points == 3 and r.passed
+    r = verify.verify_identity(
+        "con10", grid={"L": range(6), "b": range(-5, 6)})
+    assert r.points == 36 and r.passed
 
 
 def test_conj_identities_small_grid():

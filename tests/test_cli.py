@@ -161,3 +161,81 @@ def test_compute_lhs_rhs_agree(capsys):
                                       "--k", "2", "--L", "2", "--M", "2"])
     assert code == code2 == 0
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("sigma", ["0", "1"])
+def test_compute_string_function_order_zero(capsys, sigma):
+    code, out, _ = _capture(capsys, ["compute", "c", sigma, "--order", "0"])
+    assert code == 0
+    assert out == "0 + O(q^0)\n"
+
+
+def test_mn_solve_signed_mod3_form(capsys):
+    from qtrin.liealg import algebra
+    from qtrin.mnsys import mod3_filter, solve_mn_filtered
+
+    g = algebra("A5")
+    expect = [s.basis_str() for s in solve_mn_filtered(g, 6, 3, mod3_filter())]
+    code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
+                                     "--mod3", "n1-n2+n4-n5"])
+    assert code == 0 and expect
+    assert out.splitlines() == expect
+    # the parsed form is applied, not a fixed one
+    code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
+                                     "--mod3", "n1+n2+1"])
+    assert code == 0
+    assert out.splitlines() == [
+        s.basis_str() for s in solve_mn_filtered(g, 6, 3)
+        if (s.n[0] + s.n[1] + 1) % 3 == 0]
+
+
+def test_mn_solve_index_out_of_range(capsys):
+    for flag, expr in (("--mod3", "n7+n9"), ("--parity", "n7")):
+        code, out, err = _capture(capsys, ["mn-solve", "A5", "6", "3",
+                                           flag, expr])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "n7" in err.splitlines()[0]
+
+
+def test_parses_are_independent(capsys):
+    from qtrin import bosonic, fermionic
+
+    # defaults come back after a call that overrode them
+    _capture(capsys, ["compute", "ferm", "E7", "--order", "5", "--sigma", "1"])
+    _, out, _ = _capture(capsys, ["compute", "ferm", "E7", "--order", "5"])
+    assert out == f"{fermionic.fermionic_char_sum('E7', 5)}\n"
+    _capture(capsys, ["compute", "lhs", "flower", "--k", "2",
+                      "--L", "1", "--M", "1"])
+    _, out, _ = _capture(capsys, ["compute", "lhs", "flower",
+                                  "--L", "1", "--M", "1"])
+    assert out == f"{bosonic.kseries_lhs('E8-flower', 1, 1, 1)}\n"
+
+
+def test_import_qtrin_leaves_cli_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qtrin
+
+    src = str(Path(qtrin.__file__).resolve().parents[1])
+    code = "import sys, qtrin; print('qtrin.cli' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_readme_command_examples(monkeypatch, tmp_path, capsys):
+    import shlex
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("qtrin ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)  # the verify example writes report.json
+    for argv in commands:
+        code, _, err = _capture(capsys, argv)
+        assert code == 0, (argv, err)

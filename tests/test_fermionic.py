@@ -88,3 +88,16 @@ def test_bad_family_names():
         fermionic.kseries_rhs("nope", 1, 1, 1)
     with pytest.raises((KeyError, ValueError)):
         fermionic.fermionic_char_sum("nope", Fraction(5))
+
+
+def test_family_table_pairs_each_algebra_with_its_cut_diagram():
+    # each family's small algebra is its large one with the marked source
+    # vertex removed, labels kept in order
+    from qtrin.liealg import algebra
+
+    for f in fermionic._FAMILIES.values():
+        big, small = algebra(f.large), algebra(f.small)
+        assert f.vertex in big.marked_vertices
+        keep = [i for i in range(big.rank) if i != f.vertex - 1]
+        assert ([[big.incidence[i][j] for j in keep] for i in keep]
+                == [list(row) for row in small.incidence])

@@ -62,9 +62,12 @@ def test_trinomial_negation_symmetry(L, a):
 
 
 def test_T_two_routes_agree():
+    # T(L,a) = q^{(L-a)(L+a)/2} times the round-bracket trinomial at 1/q
     for L in range(8):
         for a in range(-L, L + 1):
-            qtrinomial_T(L, a, cross_check=True)
+            dual = qtrinomial2(L, a).substitute_qinv().shift(
+                Fraction((L - a) * (L + a), 2))
+            assert qtrinomial_T(L, a) == dual
 
 
 def test_T_worked_value():
