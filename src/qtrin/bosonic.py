@@ -84,7 +84,7 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     out = QSeries.zero(order)
     n = sigma
     while Fraction(n * n, 2) < order:
-        t = QSeries({Fraction(n * n, 2): 1}, order)
+        t = QSeries([(Fraction(n * n, 2), 1)], order)
         if n:
             t = t * pochhammer(1, 1, 1, n, order).inverse()
         out = out + t
@@ -95,12 +95,18 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
 # -- Virasoro characters and branching functions ---------------------
 
 
-def _char_jrange(quad: int, lin: int, cutoff: Fraction, widen: int = 0) -> range:
+def _rocha_caridi(p: int, pp: int, r: int, s: int, cutoff: Fraction, widen: int):
+    """Terms (j, sign, e) of the Rocha-Caridi theta sum: for every j in a
+    window that holds all e < cutoff, e = j(pp'j + p'r - ps) with sign +1
+    and e = (pj + r)(p'j + s) with sign -1."""
+    quad = p * pp
+    lin = max(abs(pp * r - p * s), p * s + pp * r)
     # smallest J with quad*j^2 - lin*|j| >= cutoff for all |j| > J
     c = max(int(cutoff), 0)
-    j = 1 + (lin + isqrt(lin * lin + 4 * quad * c) + 2 * quad - 1) // (2 * quad)
-    j += widen
-    return range(-j, j + 1)
+    J = 1 + (lin + isqrt(lin * lin + 4 * quad * c) + 2 * quad - 1) // (2 * quad)
+    for j in range(-J - widen, J + widen + 1):
+        yield j, 1, j * (quad * j + pp * r - p * s)
+        yield j, -1, (p * j + r) * (pp * j + s)
 
 
 def virasoro_char(
@@ -122,16 +128,7 @@ def virasoro_char(
     inner = order - alpha
     if inner <= 0:
         return QSeries.zero(order)
-    lin = max(abs(pp * r - p * s), p * s + pp * r)
-    theta: dict[Fraction, int] = {}
-    for j in _char_jrange(p * pp, lin, inner, widen):
-        for e, sign in (
-            (j * (p * pp * j + pp * r - p * s), 1),
-            ((p * j + r) * (pp * j + s), -1),
-        ):
-            ef = Fraction(e)
-            if ef < inner:
-                theta[ef] = theta.get(ef, 0) + sign
+    theta = [(e, sign) for _, sign, e in _rocha_caridi(p, pp, r, s, inner, widen)]
     series = QSeries(theta, inner) * euler_inverse(inner)
     return series.shift(alpha)
 
@@ -162,14 +159,9 @@ def branching_function(
     # chi^{(4,5)}_{2 sigma+1,1} exactly (checked coefficientwise).
     c = (string_function(0, inner), string_function(1, inner))
     acc = QSeries.zero(inner)
-    lin = max(abs(pp * r - p * s), p * s + pp * r)
-    for j in _char_jrange(p * pp, lin, 2 * inner, widen):
-        e1 = Fraction(j * (p * pp * j + pp * r - p * s), 2)
-        if e1 < inner:
-            idx = (p * j + (r - s) // 2 + sigma) % 2
-            acc = acc + c[idx].shift(e1).truncate(inner)
-        e2 = Fraction((p * j + r) * (pp * j + s), 2)
-        if e2 < inner:
-            idx = (p * j + (r + s) // 2 + sigma) % 2
-            acc = acc - c[idx].shift(e2).truncate(inner)
+    for j, sign, e in _rocha_caridi(p, pp, r, s, 2 * inner, widen):
+        if e < 2 * inner:
+            t = c[(p * j + (r - sign * s) // 2 + sigma) % 2]
+            t = t.shift(Fraction(e, 2)).truncate(inner)
+            acc = acc + t if sign > 0 else acc - t
     return acc.shift(alpha)

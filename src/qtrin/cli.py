@@ -282,10 +282,23 @@ def _cmd_algebra(args) -> int:
 _PARSER = _build_parser()
 
 
+def _attach_forms(argv: list[str]) -> list[str]:
+    # argparse takes a value that starts with '-' for an option, so a signed
+    # form passed as its own argument is attached: --parity=-n1+n3.
+    out: list[str] = []
+    for tok in argv:
+        signed = tok.startswith("-") and not tok.startswith("--")
+        if signed and out and out[-1] in ("--parity", "--mod3"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _PARSER
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_forms(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

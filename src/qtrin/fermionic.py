@@ -210,7 +210,7 @@ def fermionic_char_sum(
         e = g.quad_form_invcartan(n)
         if e >= order:
             continue
-        term = QSeries({e: 1}, order)
+        term = QSeries([(e, 1)], order)
         for nj in n:
             if nj:
                 term = term * _inv_qfact(nj, order)
@@ -250,14 +250,12 @@ def fsum_family_lhs(
             term = f_poly(name, nvec[-1], msig).to_series(order - e)
             if not term:
                 return
-            term = QSeries(term.terms, order - e)
             for na in nvec[:-1]:
                 if na:
                     term = term * _inv_qfact(na, order - e)
             term = term * _inv_qfact(2 * nvec[-1], order - e)
-            out_terms = term.shift(e)
             nonlocal out
-            out = out + QSeries(out_terms.terms, order)
+            out = out + term.shift(e)
             return
         for v in range(cap + 1):
             rec(tup + [v])
@@ -312,9 +310,8 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
             if not chain:
                 continue
             term = chain * qbinomial_vector(sol.m, sol.n)
-            ser = term.to_series(order - e)
-            ser = QSeries(ser.terms, order - e) * _inv_qfact(r[1], order - e)
-            out = out + QSeries(ser.shift(e).terms, order)
+            ser = term.to_series(order - e) * _inv_qfact(r[1], order - e)
+            out = out + ser.shift(e)
 
     def rec(r: list[int]) -> None:
         if len(r) == k:

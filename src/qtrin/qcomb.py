@@ -40,7 +40,7 @@ def qbinomial(n: int, a: int) -> QPoly:
                 for i, c in enumerate(right):
                     coeffs[i + k] += c
             table[(m, k)] = coeffs
-    return QPoly({i: c for i, c in enumerate(table[(n, a)]) if c})
+    return QPoly(enumerate(table[(n, a)]))
 
 
 def qbinomial_vector(m: Sequence[int], n: Sequence[int]) -> QPoly:

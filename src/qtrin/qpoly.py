@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 Exponent = Union[int, Fraction]
+Terms = Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]]]
 
 
 class NonUnitConstantTerm(Exception):
@@ -33,25 +34,88 @@ def _fmt_term(exp: Fraction, coeff: int, first: bool) -> str:
     return (" + " if coeff > 0 else " - ") + body
 
 
+# -- the term-map kernel ----------------------------------------------
+#
+# A term map is a dict from Fraction exponent to nonzero int coefficient.
+# These routines are the only code that builds or walks one; both classes
+# below call them, a series passing its truncation order as ``cut``.
+
+
+def _accumulate(out: dict, pairs, cut: Fraction | None) -> dict[Fraction, int]:
+    """Add (Fraction exponent, nonzero coeff) pairs below ``cut`` into ``out``."""
+    for e, c in pairs:
+        if cut is None or e < cut:
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _clean(terms: Terms, cut: Fraction | None = None) -> dict[Fraction, int]:
+    """Term map of a mapping or of (exponent, coeff) pairs: repeated
+    exponents summed, zero coefficients and exponents >= cut dropped."""
+    if isinstance(terms, Mapping):
+        terms = terms.items()
+    return _accumulate({}, ((Fraction(e), c) for e, c in terms if c), cut)
+
+
+def _add(a: dict, b: dict, cut: Fraction | None = None) -> dict[Fraction, int]:
+    out = dict(a) if cut is None else {e: c for e, c in a.items() if e < cut}
+    return _accumulate(out, b.items(), cut)
+
+
+def _scale(a: dict, k: int) -> dict[Fraction, int]:
+    return {e: c * k for e, c in a.items()} if k else {}
+
+
+def _shift(a: dict, r: Fraction) -> dict[Fraction, int]:
+    return {e + r: c for e, c in a.items()}
+
+
+def _mul(a: dict, b: dict, cut: Fraction | None = None) -> dict[Fraction, int]:
+    if len(a) > len(b):
+        a, b = b, a
+    acc: dict[Fraction, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if cut is not None and e >= cut:
+                continue
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
+
+
+def _format(a: dict) -> str:
+    if not a:
+        return "0"
+    return "".join(_fmt_term(e, a[e], i == 0) for i, e in enumerate(sorted(a)))
+
+
 class QPoly:
     """Sparse polynomial in q with rational exponents and integer coefficients.
 
     Immutable by convention: no public method mutates ``terms``.  Zero
     coefficients are never stored; the zero polynomial has an empty map.
+    The constructor takes a mapping or an iterable of (exponent, coeff)
+    pairs; repeated exponents are summed.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        clean: dict[Fraction, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    f = Fraction(e)
-                    clean[f] = clean.get(f, 0) + c
-                    if clean[f] == 0:
-                        del clean[f]
-        self.terms = clean
+    def __init__(self, terms: Terms | None = None):
+        self.terms = _clean(terms or ())
+
+    @staticmethod
+    def _of(terms: dict[Fraction, int]) -> "QPoly":
+        out = QPoly.__new__(QPoly)
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -61,56 +125,31 @@ class QPoly:
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly({Fraction(0): 1})
+        return QPoly([(0, 1)])
 
     @staticmethod
     def q_power(e: Exponent, coeff: int = 1) -> "QPoly":
-        return QPoly({Fraction(e): coeff})
+        return QPoly([(e, coeff)])
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out = QPoly.__new__(QPoly)
-        out.terms = terms
-        return out
+        return QPoly._of(_add(self.terms, other.terms))
 
     def __neg__(self) -> "QPoly":
-        out = QPoly.__new__(QPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return QPoly._of(_scale(self.terms, -1))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self.terms.items()})
+            return QPoly._of(_scale(self.terms, other))
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[Fraction, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = acc.get(e, 0) + ca * cb
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        out = QPoly.__new__(QPoly)
-        out.terms = acc
-        return out
+        return QPoly._of(_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -118,16 +157,11 @@ class QPoly:
 
     def substitute_qinv(self) -> "QPoly":
         """Replace q by 1/q: every exponent e becomes -e."""
-        out = QPoly.__new__(QPoly)
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
+        return QPoly._of({-e: c for e, c in self.terms.items()})
 
     def shift(self, r: Exponent) -> "QPoly":
         """Multiply by q^r."""
-        r = Fraction(r)
-        out = QPoly.__new__(QPoly)
-        out.terms = {e + r: c for e, c in self.terms.items()}
-        return out
+        return QPoly._of(_shift(self.terms, Fraction(r)))
 
     def eval_q1(self) -> int:
         """Sum of all coefficients (the q -> 1 specialization)."""
@@ -139,15 +173,8 @@ class QPoly:
     def min_exponent(self) -> Fraction | None:
         return min(self.terms) if self.terms else None
 
-    def max_exponent(self) -> Fraction | None:
-        return max(self.terms) if self.terms else None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def to_series(self, order: Exponent) -> "QSeries":
-        order = Fraction(order)
-        return QSeries({e: c for e, c in self.terms.items() if e < order}, order)
+        return QSeries(self.terms, order)
 
     # -- comparison / display -----------------------------------------
 
@@ -159,16 +186,12 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def __len__(self) -> int:
+        """Number of nonzero terms."""
+        return len(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, e in enumerate(sorted(self.terms)):
-            parts.append(_fmt_term(e, self.terms[e], i == 0))
-        return "".join(parts)
+        return _format(self.terms)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
@@ -183,72 +206,53 @@ class QSeries:
 
     __slots__ = ("terms", "order")
 
-    def __init__(self, terms: Mapping[Exponent, int] | None, order: Exponent):
+    def __init__(self, terms: Terms | None, order: Exponent):
         self.order = Fraction(order)
-        clean: dict[Fraction, int] = {}
-        if terms:
-            for e, c in terms.items():
-                f = Fraction(e)
-                if c and f < self.order:
-                    clean[f] = clean.get(f, 0) + c
-                    if clean[f] == 0:
-                        del clean[f]
-        self.terms = clean
+        self.terms = _clean(terms or (), self.order)
+
+    @staticmethod
+    def _of(terms: dict[Fraction, int], order: Fraction) -> "QSeries":
+        out = QSeries.__new__(QSeries)
+        out.terms = terms
+        out.order = order
+        return out
 
     @staticmethod
     def one(order: Exponent) -> "QSeries":
-        return QSeries({0: 1}, order)
+        return QSeries([(0, 1)], order)
 
     @staticmethod
     def zero(order: Exponent) -> "QSeries":
-        return QSeries({}, order)
+        return QSeries((), order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return QSeries(terms, order)
+        return QSeries._of(_add(self.terms, other.terms, order), order)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.order)
+        return QSeries._of(_scale(self.terms, -1), self.order)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other: "QSeries | QPoly | int") -> "QSeries":
         if isinstance(other, int):
-            return QSeries({e: c * other for e, c in self.terms.items()}, self.order)
+            return QSeries._of(_scale(self.terms, other), self.order)
         if isinstance(other, QPoly):
             other = other.to_series(self.order)
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        acc: dict[Fraction, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e >= order:
-                    continue
-                s = acc.get(e, 0) + ca * cb
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return QSeries(acc, order)
+        return QSeries._of(_mul(self.terms, other.terms, order), order)
 
     __rmul__ = __mul__
 
     def shift(self, r: Exponent) -> "QSeries":
         """Multiply by q^r; the truncation order shifts along."""
         r = Fraction(r)
-        return QSeries({e + r: c for e, c in self.terms.items()}, self.order + r)
+        return QSeries._of(_shift(self.terms, r), self.order + r)
 
     def truncate(self, order: Exponent) -> "QSeries":
         order = Fraction(order)
@@ -291,7 +295,7 @@ class QSeries:
             t_e = -acc * c0  # c0 in {1,-1} so 1/c0 == c0
             if t_e:
                 inv[e] = t_e
-        return QSeries(inv, self.order)
+        return QSeries._of(inv, self.order)
 
     def coeff(self, e: Exponent) -> int:
         return self.terms.get(Fraction(e), 0)
@@ -307,18 +311,12 @@ class QSeries:
     def __hash__(self) -> int:
         return hash((self.order, frozenset(self.terms.items())))
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def __len__(self) -> int:
+        """Number of nonzero terms below the truncation order."""
+        return len(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            body = "".join(
-                _fmt_term(e, self.terms[e], i == 0)
-                for i, e in enumerate(sorted(self.terms))
-            )
-        return f"{body} + O(q^{self.order})"
+        return f"{_format(self.terms)} + O(q^{self.order})"
 
     def __repr__(self) -> str:
         return f"QSeries({self})"
@@ -354,13 +352,13 @@ def pochhammer(
             )
         j = 0
         while a + j * step < order:
-            result = result * QSeries({0: 1, a + j * step: -a_sign}, order)
+            result = result * QSeries(((0, 1), (a + j * step, -a_sign)), order)
             j += 1
         return result
     if n < 0:
         raise ValueError("finite Pochhammer length must be nonnegative")
     for j in range(n):
-        result = result * QSeries({0: 1, a + j * step: -a_sign}, order)
+        result = result * QSeries(((0, 1), (a + j * step, -a_sign)), order)
     return result
 
 

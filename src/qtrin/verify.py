@@ -118,19 +118,15 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
 
     Series are compared coefficientwise up to the smaller truncation order.
     """
-    lt, rt = lhs.terms, rhs.terms
     orders = [s.order for s in (lhs, rhs) if isinstance(s, QSeries)]
     if orders:
         cut = min(orders)
-        lt = {e: c for e, c in lt.items() if e < cut}
-        rt = {e: c for e, c in rt.items() if e < cut}
-    if len(lt) > TERM_CEILING or len(rt) > TERM_CEILING:
+        lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
+                    for s in (lhs, rhs))
+    if len(lhs) > TERM_CEILING or len(rhs) > TERM_CEILING:
         raise RunawayComputation("term-count ceiling exceeded")
-    for e in sorted(set(lt) | set(rt)):
-        cl, cr = lt.get(e, 0), rt.get(e, 0)
-        if cl != cr:
-            return e, cl, cr
-    return None
+    e = (lhs - rhs).min_exponent()
+    return None if e is None else (e, lhs.coeff(e), rhs.coeff(e))
 
 
 # --------------------------------------------------------------------
@@ -198,13 +194,12 @@ def _ev_abp(p: Params, order: Fraction) -> SidePair:
             ser = t.to_series(order - Fraction(i * i, 2))
             if i:
                 ser = ser * pochhammer(1, 1, 1, i, ser.order).inverse()
-            lhs = lhs + QSeries(ser.shift(Fraction(i * i, 2)).terms, order)
+            lhs = lhs + ser.shift(Fraction(i * i, 2))
         i += 1
     inner = order - Fraction(b * b, 2)
     if inner <= 0:
         return lhs, QSeries.zero(order)
-    rhs = euler_inverse(inner).shift(Fraction(b * b, 2))
-    return lhs, QSeries(rhs.terms, order)
+    return lhs, euler_inverse(inner).shift(Fraction(b * b, 2))
 
 
 def _ev_conj(which: int):
@@ -252,30 +247,18 @@ def _ev_B35(p: Params, order: Fraction) -> SidePair:
 
 def _ev_B46_s0(p: Params, order: Fraction) -> SidePair:
     lhs = bosonic.branching_function(4, 6, 1, 1, 0, order)
-    acc: dict[Fraction, int] = {}
-    j = 0
-    while j * j < order:
-        e = Fraction(j * j)
-        acc[e] = acc.get(e, 0) + (-1) ** (j * j)
-        j += 1
-    j = 1
-    while 6 * j * j < order:
-        e = Fraction(6 * j * j)
-        acc[e] = acc.get(e, 0) + 1
-        j += 1
-    return lhs, QSeries(acc, order) * euler_inverse(order)
+    # sum_{j>=0} (-1)^j q^{j^2} + sum_{j>=1} q^{6j^2}; the order cuts both
+    theta = [(j * j, (-1) ** j) for j in range(int(order) + 1)]
+    theta += [(6 * j * j, 1) for j in range(1, int(order) + 1)]
+    return lhs, QSeries(theta, order) * euler_inverse(order)
 
 
 def _ev_B46_s1(p: Params, order: Fraction) -> SidePair:
     lhs = bosonic.branching_function(4, 6, 1, 1, 1, order)
     inner = order - Fraction(3, 2)
     if p["form"] == 0:
-        acc: dict[Fraction, int] = {}
-        j = 0
-        while 6 * j * (j + 1) < inner:
-            acc[Fraction(6 * j * (j + 1))] = 1
-            j += 1
-        rhs = (QSeries(acc, inner) * euler_inverse(inner)).shift(Fraction(3, 2))
+        theta = [(6 * j * (j + 1), 1) for j in range(int(inner) + 1)]
+        rhs = (QSeries(theta, inner) * euler_inverse(inner)).shift(Fraction(3, 2))
     else:
         rhs = (pochhammer(24, 1, 24, None, inner)
                * pochhammer(12, 1, 24, None, inner).inverse()
@@ -553,6 +536,8 @@ def verify_identity(
     else:
         use_grid = d.grid
     if order is not None:
+        if order < 1:
+            raise ValueError(f"order must be a positive integer, got {order}")
         use_order = Fraction(order)
     elif level == "quick" and d.quick_order is not None:
         use_order = Fraction(d.quick_order)

@@ -114,6 +114,30 @@ def test_kseries_lhs_theta_widening_invariance():
                         == bosonic.kseries_lhs(fam, k, L, M, widen=3))
 
 
+# Every character and branching label the registry's series identities use.
+_REGISTRY_CHI_LABELS = (
+    (3, 4, 1, 1), (3, 4, 2, 1), (4, 5, 1, 1), (4, 5, 3, 1), (4, 13, 1, 3),
+    (5, 4, 1, 1), (5, 16, 1, 3), (6, 5, 1, 1), (6, 7, 1, 1), (6, 7, 5, 1),
+    (7, 22, 1, 3), (7, 22, 6, 3), (8, 7, 1, 1), (8, 7, 7, 1), (9, 13, 2, 3),
+    (11, 16, 2, 3), (15, 22, 2, 3), (15, 22, 2, 19),
+)
+_REGISTRY_BRANCH_LABELS = tuple(
+    label + (sigma,)
+    for label in ((3, 5, 1, 1), (4, 6, 1, 1), (5, 13, 1, 3), (6, 8, 1, 1),
+                  (6, 8, 1, 7), (6, 16, 1, 3), (8, 22, 1, 3), (8, 22, 7, 3))
+    for sigma in (0, 1)
+)
+
+
+def test_character_theta_widening_invariance():
+    for label in _REGISTRY_CHI_LABELS:
+        assert (bosonic.virasoro_char(*label, 20)
+                == bosonic.virasoro_char(*label, 20, widen=3)), label
+    for label in _REGISTRY_BRANCH_LABELS:
+        assert (bosonic.branching_function(*label, 20)
+                == bosonic.branching_function(*label, 20, widen=3)), label
+
+
 def test_invariance_check_helper():
     # the invariance sum at (L, M, a, b) = (4, 4, 2, 1) and (5, 3, -2, -2)
     for L, M, a, b, s in ((4, 4, 2, 1, 1), (5, 3, 2, 2, -1)):

@@ -189,6 +189,23 @@ def test_mn_solve_signed_mod3_form(capsys):
         if (s.n[0] + s.n[1] + 1) % 3 == 0]
 
 
+def test_mn_solve_signed_form_as_separate_argument(capsys):
+    for flag, expr in (("--parity", "-n1+n3"), ("--mod3", "-n1+n2-n4+n5")):
+        code, joined, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
+                                            f"{flag}={expr}"])
+        assert code == 0 and joined
+        code, separate, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
+                                              flag, expr])
+        assert code == 0 and separate == joined
+
+
+def test_verify_order_below_one_is_a_usage_error(capsys):
+    for order in ("0", "-3"):
+        code, out, err = _capture(capsys, ["verify", "abp", "--order", order])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_mn_solve_index_out_of_range(capsys):
     for flag, expr in (("--mod3", "n7+n9"), ("--parity", "n7")):
         code, out, err = _capture(capsys, ["mn-solve", "A5", "6", "3",

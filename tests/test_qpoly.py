@@ -22,6 +22,10 @@ def test_zero_coefficients_dropped():
     p = QPoly({Fraction(1): 3, Fraction(2): 0})
     assert Fraction(2) not in p.terms
     assert QPoly({Fraction(0): 5}) - QPoly({Fraction(0): 5}) == QPoly.zero()
+    # (exponent, coeff) pairs: repeated exponents are summed
+    pairs = QPoly([(1, 2), (Fraction(1, 2), 3), (1, -2), (0, 0)])
+    assert pairs == QPoly({Fraction(1, 2): 3}) and len(pairs) == 1
+    assert QSeries([(0, 1), (2, 1), (Fraction(4), 1)], 3) == QSeries({0: 1, 2: 1}, 3)
 
 
 def test_str_canonical_form():
@@ -89,6 +93,9 @@ def test_pochhammer_finite_matches_product():
         expect = expect * QPoly({Fraction(0): 1, Fraction(j): -1})
     got = pochhammer(1, 1, 1, 3, 20)
     assert got == expect.to_series(Fraction(20))
+    # a first factor 1 - q^0 makes the product vanish; 1 + q^0 is 2
+    assert pochhammer(0, 1, 1, 2, 5) == QSeries.zero(5)
+    assert pochhammer(0, -1, 1, 2, 5) == QSeries([(0, 2), (1, 2)], 5)
 
 
 def test_pochhammer_truncation_compatibility():
@@ -119,3 +126,23 @@ def test_pochhammer_multi_is_product_of_factors():
 def test_series_str_shows_order():
     s = QSeries({Fraction(0): 1, Fraction(1): 2}, Fraction(3))
     assert str(s).endswith("O(q^3)")
+
+
+def test_term_map_stays_inside_qpoly():
+    # Only qpoly reads the exponent -> coefficient map; every other module
+    # goes through the QPoly/QSeries methods, so the representation can
+    # change inside qpoly alone.
+    import ast
+    from pathlib import Path
+
+    import qtrin
+
+    modules = sorted(Path(qtrin.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    leaks = [
+        f"{path.name}:{node.lineno}"
+        for path in modules if path.name != "qpoly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert leaks == []
