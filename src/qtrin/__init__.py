@@ -7,6 +7,8 @@ fermionic and bosonic character constructions, and a registry-driven
 verification engine with a command line front end.
 """
 
+import sys
+
 from .qpoly import (
     DivergentProduct,
     NonUnitConstantTerm,
@@ -54,6 +56,18 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every functools cache in the package's loaded modules, so that
+    the next call computes from scratch (a timing taken right after it
+    measures cold work)."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 __all__ = [
     "DimensionMismatch",
     "DivergentProduct",
@@ -72,6 +86,7 @@ __all__ = [
     "VerificationReport",
     "algebra",
     "branching_function",
+    "clear_caches",
     "conj_lhs",
     "conj_rhs",
     "euler_inverse",

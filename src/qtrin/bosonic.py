@@ -79,8 +79,6 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)
-    if order <= 0:
-        return QSeries.zero(order)
     out = QSeries.zero(order)
     n = sigma
     while Fraction(n * n, 2) < order:

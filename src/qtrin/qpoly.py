@@ -1,33 +1,42 @@
 """Exact sparse Laurent polynomials and truncated power series in q.
 
-Exponents are exact rationals (Fraction), coefficients arbitrary-precision
-integers.  These two types underpin everything else in the package.
+Exponents are exact rationals, coefficients arbitrary-precision integers.
+Exponents are accepted and returned as ``Fraction`` (or int), but each
+object stores them as integers over one denominator: ``d >= 1`` and a map
+from integer ``k`` to the coefficient of q^(k/d).  These two types
+underpin everything else in the package.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Union
 
 Exponent = Union[int, Fraction]
 Terms = Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]]]
+TermMap = tuple[int, dict[int, int]]
 
 
 class NonUnitConstantTerm(Exception):
     """Series inversion requires a constant term of +1 or -1."""
 
 
-def _fmt_term(exp: Fraction, coeff: int, first: bool) -> str:
+def _fmt_term(k: int, d: int, coeff: int, first: bool) -> str:
     c = abs(coeff)
-    if exp == 0:
+    g = gcd(k, d)
+    num, den = k // g, d // g
+    if num == 0:
         body = str(c)
     else:
-        if exp == 1:
+        if num == 1 and den == 1:
             qpart = "q"
-        elif exp.denominator == 1:
-            qpart = f"q^{exp.numerator}"
+        elif den == 1:
+            qpart = f"q^{num}"
         else:
-            qpart = f"q^({exp.numerator}/{exp.denominator})"
+            qpart = f"q^({num}/{den})"
         body = qpart if c == 1 else f"{c}*{qpart}"
     if first:
         return body if coeff > 0 else f"-{body}"
@@ -36,96 +45,153 @@ def _fmt_term(exp: Fraction, coeff: int, first: bool) -> str:
 
 # -- the term-map kernel ----------------------------------------------
 #
-# A term map is a dict from Fraction exponent to nonzero int coefficient.
-# These routines are the only code that builds or walks one; both classes
-# below call them, a series passing its truncation order as ``cut``.
+# A term map is a pair (d, m): m maps an integer k to the nonzero int
+# coefficient of q^(k/d).  It is kept reduced, gcd(d, *m) == 1 and d == 1
+# for zero, so equal values have equal pairs.  Binary routines first align
+# both maps on lcm(d1, d2); a truncation order ``cut`` becomes the integer
+# bound ceil(cut * d) once per call.  Only this module builds or walks a
+# term map: the classes below wrap one and call these routines, a series
+# passing its truncation order as ``cut``.
 
 
-def _accumulate(out: dict, pairs, cut: Fraction | None) -> dict[Fraction, int]:
-    """Add (Fraction exponent, nonzero coeff) pairs below ``cut`` into ``out``."""
-    for e, c in pairs:
-        if cut is None or e < cut:
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+def _bound(cut: Fraction, d: int) -> int:
+    """Least integer k with k/d >= cut."""
+    return -(-cut.numerator * d // cut.denominator)
 
 
-def _clean(terms: Terms, cut: Fraction | None = None) -> dict[Fraction, int]:
+def _reduced(d: int, m: dict[int, int]) -> TermMap:
+    if d > 1:
+        g = gcd(d, *m)
+        if g > 1:
+            return d // g, {k // g: c for k, c in m.items()}
+    return d, m
+
+
+def _aligned(da: int, a: dict, db: int, b: dict) -> tuple[int, dict, dict]:
+    if da == db:
+        return da, a, b
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return (d, {k * fa: c for k, c in a.items()} if fa > 1 else a,
+            {k * fb: c for k, c in b.items()} if fb > 1 else b)
+
+
+def _clean(terms: Terms, cut: Fraction | None = None) -> TermMap:
     """Term map of a mapping or of (exponent, coeff) pairs: repeated
     exponents summed, zero coefficients and exponents >= cut dropped."""
     if isinstance(terms, Mapping):
         terms = terms.items()
-    return _accumulate({}, ((Fraction(e), c) for e, c in terms if c), cut)
+    pairs = []
+    d = 1
+    for e, c in terms:
+        if c:
+            if type(e) is not int:
+                e = e if isinstance(e, Fraction) else Fraction(e)
+                d = lcm(d, e.denominator)
+            pairs.append((e, c))
+    bound = None if cut is None else _bound(cut, d)
+    m: dict[int, int] = {}
+    for e, c in pairs:
+        k = e * d if type(e) is int else e.numerator * (d // e.denominator)
+        if bound is None or k < bound:
+            m[k] = m.get(k, 0) + c
+    return _reduced(d, {k: c for k, c in m.items() if c})
 
 
-def _add(a: dict, b: dict, cut: Fraction | None = None) -> dict[Fraction, int]:
-    out = dict(a) if cut is None else {e: c for e, c in a.items() if e < cut}
-    return _accumulate(out, b.items(), cut)
+def _below(d: int, m: dict, cut: Fraction) -> TermMap:
+    bound = _bound(cut, d)
+    return _reduced(d, {k: c for k, c in m.items() if k < bound})
 
 
-def _scale(a: dict, k: int) -> dict[Fraction, int]:
-    return {e: c * k for e, c in a.items()} if k else {}
+def _add(da: int, a: dict, db: int, b: dict) -> TermMap:
+    d, a, b = _aligned(da, a, db, b)
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _reduced(d, out)
 
 
-def _shift(a: dict, r: Fraction) -> dict[Fraction, int]:
-    return {e + r: c for e, c in a.items()}
+def _scale(d: int, m: dict, n: int) -> TermMap:
+    return (d, {k: c * n for k, c in m.items()}) if n else (1, {})
 
 
-def _mul(a: dict, b: dict, cut: Fraction | None = None) -> dict[Fraction, int]:
+def _shift(d: int, m: dict, r: Fraction) -> TermMap:
+    e = lcm(d, r.denominator)
+    f, s = e // d, r.numerator * (e // r.denominator)
+    return _reduced(e, {k * f + s: c for k, c in m.items()})
+
+
+def _mul(da: int, a: dict, db: int, b: dict, cut: Fraction | None = None) -> TermMap:
+    d, a, b = _aligned(da, a, db, b)
     if len(a) > len(b):
         a, b = b, a
-    acc: dict[Fraction, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if cut is not None and e >= cut:
-                continue
-            s = acc.get(e, 0) + ca * cb
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
+    keys = sorted(b)
+    row = [(k, b[k]) for k in keys]
+    bound = None if cut is None else _bound(cut, d)
+    # b is walked in key order, so under a cut each row stops at the first
+    # key whose product exponent reaches the bound.
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in (row if bound is None else row[:bisect_left(keys, bound - ka)]):
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return _reduced(d, {k: c for k, c in acc.items() if c})
 
 
-def _format(a: dict) -> str:
-    if not a:
+def _coeff(d: int, m: dict, e: Exponent) -> int:
+    if type(e) is int:
+        return m.get(e * d, 0)
+    e = Fraction(e)
+    f, r = divmod(d, e.denominator)
+    return 0 if r else m.get(e.numerator * f, 0)
+
+
+def _format(d: int, m: dict) -> str:
+    if not m:
         return "0"
-    return "".join(_fmt_term(e, a[e], i == 0) for i, e in enumerate(sorted(a)))
+    return "".join(_fmt_term(k, d, m[k], i == 0) for i, k in enumerate(sorted(m)))
 
 
 class QPoly:
     """Sparse polynomial in q with rational exponents and integer coefficients.
 
-    Immutable by convention: no public method mutates ``terms``.  Zero
+    Immutable by convention: no public method mutates the term map.  Zero
     coefficients are never stored; the zero polynomial has an empty map.
     The constructor takes a mapping or an iterable of (exponent, coeff)
     pairs; repeated exponents are summed.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_d", "_m")
 
     def __init__(self, terms: Terms | None = None):
-        self.terms = _clean(terms or ())
+        self._d, self._m = _clean(terms or ())
 
     @staticmethod
-    def _of(terms: dict[Fraction, int]) -> "QPoly":
+    def _of(d: int, m: dict[int, int]) -> "QPoly":
         out = QPoly.__new__(QPoly)
-        out.terms = terms
+        out._d = d
+        out._m = m
         return out
+
+    @property
+    def terms(self) -> dict[Fraction, int]:
+        """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
+        return {Fraction(k, self._d): c for k, c in self._m.items()}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly()
+        return QPoly._of(1, {})
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly([(0, 1)])
+        return QPoly._of(1, {0: 1})
 
     @staticmethod
     def q_power(e: Exponent, coeff: int = 1) -> "QPoly":
@@ -136,20 +202,20 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly._of(_add(self.terms, other.terms))
+        return QPoly._of(*_add(self._d, self._m, other._d, other._m))
 
     def __neg__(self) -> "QPoly":
-        return QPoly._of(_scale(self.terms, -1))
+        return QPoly._of(*_scale(self._d, self._m, -1))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if isinstance(other, int):
-            return QPoly._of(_scale(self.terms, other))
+            return QPoly._of(*_scale(self._d, self._m, other))
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly._of(_mul(self.terms, other.terms))
+        return QPoly._of(*_mul(self._d, self._m, other._d, other._m))
 
     __rmul__ = __mul__
 
@@ -157,41 +223,42 @@ class QPoly:
 
     def substitute_qinv(self) -> "QPoly":
         """Replace q by 1/q: every exponent e becomes -e."""
-        return QPoly._of({-e: c for e, c in self.terms.items()})
+        return QPoly._of(self._d, {-k: c for k, c in self._m.items()})
 
     def shift(self, r: Exponent) -> "QPoly":
         """Multiply by q^r."""
-        return QPoly._of(_shift(self.terms, Fraction(r)))
+        return QPoly._of(*_shift(self._d, self._m, Fraction(r)))
 
     def eval_q1(self) -> int:
         """Sum of all coefficients (the q -> 1 specialization)."""
-        return sum(self.terms.values())
+        return sum(self._m.values())
 
     def coeff(self, e: Exponent) -> int:
-        return self.terms.get(Fraction(e), 0)
+        return _coeff(self._d, self._m, e)
 
     def min_exponent(self) -> Fraction | None:
-        return min(self.terms) if self.terms else None
+        return Fraction(min(self._m), self._d) if self._m else None
 
     def to_series(self, order: Exponent) -> "QSeries":
-        return QSeries(self.terms, order)
+        order = Fraction(order)
+        return QSeries._of(*_below(self._d, self._m, order), order)
 
     # -- comparison / display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._d == other._d and self._m == other._m
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._d, frozenset(self._m.items())))
 
     def __len__(self) -> int:
         """Number of nonzero terms."""
-        return len(self.terms)
+        return len(self._m)
 
     def __str__(self) -> str:
-        return _format(self.terms)
+        return _format(self._d, self._m)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
@@ -200,22 +267,34 @@ class QPoly:
 class QSeries:
     """Truncated power series: same term map plus a truncation order.
 
-    All stored exponents are strictly below ``order``.  Binary operations
-    carry order = min of the operand orders.
+    All stored exponents are strictly below ``order`` (a Fraction).  Binary
+    operations carry order = min of the operand orders.
     """
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("_d", "_m", "order")
 
     def __init__(self, terms: Terms | None, order: Exponent):
         self.order = Fraction(order)
-        self.terms = _clean(terms or (), self.order)
+        self._d, self._m = _clean(terms or (), self.order)
 
     @staticmethod
-    def _of(terms: dict[Fraction, int], order: Fraction) -> "QSeries":
+    def _of(d: int, m: dict[int, int], order: Fraction) -> "QSeries":
         out = QSeries.__new__(QSeries)
-        out.terms = terms
+        out._d = d
+        out._m = m
         out.order = order
         return out
+
+    @property
+    def terms(self) -> dict[Fraction, int]:
+        """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
+        return {Fraction(k, self._d): c for k, c in self._m.items()}
+
+    def _at(self, order: Fraction) -> TermMap:
+        """Term map cut at ``order``, which is at most ``self.order``."""
+        if order == self.order:
+            return self._d, self._m
+        return _below(self._d, self._m, order)
 
     @staticmethod
     def one(order: Exponent) -> "QSeries":
@@ -223,100 +302,106 @@ class QSeries:
 
     @staticmethod
     def zero(order: Exponent) -> "QSeries":
-        return QSeries((), order)
+        return QSeries._of(1, {}, Fraction(order))
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        return QSeries._of(_add(self.terms, other.terms, order), order)
+        return QSeries._of(*_add(*self._at(order), *other._at(order)), order)
 
     def __neg__(self) -> "QSeries":
-        return QSeries._of(_scale(self.terms, -1), self.order)
+        return QSeries._of(*_scale(self._d, self._m, -1), self.order)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other: "QSeries | QPoly | int") -> "QSeries":
         if isinstance(other, int):
-            return QSeries._of(_scale(self.terms, other), self.order)
+            return QSeries._of(*_scale(self._d, self._m, other), self.order)
         if isinstance(other, QPoly):
             other = other.to_series(self.order)
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        return QSeries._of(_mul(self.terms, other.terms, order), order)
+        return QSeries._of(*_mul(self._d, self._m, other._d, other._m, order), order)
 
     __rmul__ = __mul__
 
     def shift(self, r: Exponent) -> "QSeries":
         """Multiply by q^r; the truncation order shifts along."""
         r = Fraction(r)
-        return QSeries._of(_shift(self.terms, r), self.order + r)
+        return QSeries._of(*_shift(self._d, self._m, r), self.order + r)
 
     def truncate(self, order: Exponent) -> "QSeries":
         order = Fraction(order)
         if order > self.order:
             raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return QSeries(self.terms, order)
+        return QSeries._of(*self._at(order), order)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
 
         Requires constant term +1 or -1; Newton-free direct recursion on
-        sorted exponents.
+        sorted exponents.  A series truncated at order <= 0 keeps no
+        terms, and neither does its inverse.
         """
-        c0 = self.terms.get(Fraction(0), 0)
+        if self.order <= 0:
+            return QSeries.zero(self.order)
+        d, m = self._d, self._m
+        c0 = m.get(0, 0)
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(
                 f"constant term is {c0}, need +1 or -1 for series inversion"
             )
         # t solves s*t = 1: process target exponents in increasing order.
-        src = sorted((e, c) for e, c in self.terms.items() if e != 0)
-        inv: dict[Fraction, int] = {Fraction(0): c0}
+        src = sorted((k, c) for k, c in m.items() if k)
+        bound = _bound(self.order, d)
+        inv = {0: c0}
         # Exponents of the inverse live in the additive monoid generated by
         # the exponents of s; build them breadth-first below the order.
-        frontier = [Fraction(0)]
-        seen = {Fraction(0)}
+        frontier = [0]
+        seen = {0}
         while frontier:
             nxt = []
-            for e in frontier:
-                for es, _ in src:
-                    f = e + es
-                    if f < self.order and f not in seen:
+            for k in frontier:
+                for ks, _ in src:
+                    f = k + ks
+                    if f < bound and f not in seen:
                         seen.add(f)
                         nxt.append(f)
             frontier = nxt
-        for e in sorted(seen - {Fraction(0)}):
+        for k in sorted(seen - {0}):
             acc = 0
-            for es, cs in src:
-                acc += cs * inv.get(e - es, 0)
-            # coefficient of q^e in s*t must vanish: c0*t_e + acc = 0
-            t_e = -acc * c0  # c0 in {1,-1} so 1/c0 == c0
-            if t_e:
-                inv[e] = t_e
-        return QSeries._of(inv, self.order)
+            for ks, cs in src:
+                acc += cs * inv.get(k - ks, 0)
+            # coefficient of q^k in s*t must vanish: c0*t_k + acc = 0
+            t_k = -acc * c0  # c0 in {1,-1} so 1/c0 == c0
+            if t_k:
+                inv[k] = t_k
+        return QSeries._of(*_reduced(d, inv), self.order)
 
     def coeff(self, e: Exponent) -> int:
-        return self.terms.get(Fraction(e), 0)
+        return _coeff(self._d, self._m, e)
 
     def min_exponent(self) -> Fraction | None:
-        return min(self.terms) if self.terms else None
+        return Fraction(min(self._m), self._d) if self._m else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return (self.order == other.order and self._d == other._d
+                and self._m == other._m)
 
     def __hash__(self) -> int:
-        return hash((self.order, frozenset(self.terms.items())))
+        return hash((self.order, self._d, frozenset(self._m.items())))
 
     def __len__(self) -> int:
         """Number of nonzero terms below the truncation order."""
-        return len(self.terms)
+        return len(self._m)
 
     def __str__(self) -> str:
-        return f"{_format(self.terms)} + O(q^{self.order})"
+        return f"{_format(self._d, self._m)} + O(q^{self.order})"
 
     def __repr__(self) -> str:
         return f"QSeries({self})"

@@ -196,10 +196,7 @@ def _ev_abp(p: Params, order: Fraction) -> SidePair:
                 ser = ser * pochhammer(1, 1, 1, i, ser.order).inverse()
             lhs = lhs + ser.shift(Fraction(i * i, 2))
         i += 1
-    inner = order - Fraction(b * b, 2)
-    if inner <= 0:
-        return lhs, QSeries.zero(order)
-    return lhs, euler_inverse(inner).shift(Fraction(b * b, 2))
+    return lhs, euler_inverse(order - Fraction(b * b, 2)).shift(Fraction(b * b, 2))
 
 
 def _ev_conj(which: int):

@@ -1,0 +1,64 @@
+"""Reference term maps for the differential tests of ``qtrin.qpoly``.
+
+A term map here is a plain dict from ``Fraction`` exponent to nonzero int
+coefficient, and every operation is written the direct way, sharing no code
+with qtrin.  A truncation order ``cut`` drops exponents >= cut; ``None``
+keeps all (a polynomial).
+"""
+
+from fractions import Fraction
+
+
+def clean(pairs, cut=None):
+    out = {}
+    for e, c in pairs:
+        e = Fraction(e)
+        if cut is None or e < cut:
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def add(a, b, cut=None):
+    return clean([*a.items(), *b.items()], cut)
+
+
+def neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def mul(a, b, cut=None):
+    return clean([(ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items()], cut)
+
+
+def shift(a, r):
+    return {e + Fraction(r): c for e, c in a.items()}
+
+
+def qinv(a):
+    return {-e: c for e, c in a.items()}
+
+
+def inverse(a, cut):
+    """1/a below ``cut`` for a constant term c0 = +-1 and otherwise positive
+    exponents: a = c0 (1 - u), so 1/a = c0 (1 + u + u^2 + ...)."""
+    if cut <= 0:
+        return {}
+    c0 = a[0]
+    u = {e: -c * c0 for e, c in a.items() if e}
+    total, power = {}, {Fraction(0): 1}
+    while power:
+        total = add(total, power)
+        power = mul(power, u, cut)
+    return {e: c * c0 for e, c in total.items()}
+
+
+def fmt(a):
+    """qtrin's canonical text: increasing exponents, q^(p/r) for fractions."""
+    out = ""
+    for e in sorted(a):
+        c = a[e]
+        q = "" if e == 0 else "q" if e == 1 else f"q^{e}" if e.denominator == 1 else f"q^({e})"
+        body = str(abs(c)) if not q else q if abs(c) == 1 else f"{abs(c)}*{q}"
+        sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+        out += sign + body
+    return out or "0"

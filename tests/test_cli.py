@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qtrin.cli import run
+from qtrin.verify import REGISTRY
 
 
 def _capture(capsys, argv):
@@ -204,6 +205,15 @@ def test_verify_order_below_one_is_a_usage_error(capsys):
         code, out, err = _capture(capsys, ["verify", "abp", "--order", order])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, d in REGISTRY.items() if d.kind == "series-truncated"])
+def test_verify_series_identity_at_order_one(capsys, name):
+    # Order 1 cuts some inner series at an order <= 0 (B46-simplification-s1
+    # inverts a Pochhammer product at order -1/2); their inverse is empty.
+    code, out, _ = _capture(capsys, ["verify", name, "--order", "1"])
+    assert code == 0 and "PASS" in out
 
 
 def test_mn_solve_index_out_of_range(capsys):

@@ -14,8 +14,14 @@ from qtrin.qpoly import (
     pochhammer_multi,
 )
 
-exponents = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2]))
-polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(QPoly)
+import qpoly_reference as ref
+
+# each value stores its exponents over one denominator, so inputs mix several
+DENOMINATORS = [1, 2, 3, 4, 6, 8]
+exponents = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
+orders = st.builds(Fraction, st.integers(-4, 12), st.sampled_from(DENOMINATORS))
+term_maps = st.dictionaries(exponents, st.integers(-9, 9), max_size=6)
+polys = term_maps.map(QPoly)
 
 
 def test_zero_coefficients_dropped():
@@ -129,9 +135,10 @@ def test_series_str_shows_order():
 
 
 def test_term_map_stays_inside_qpoly():
-    # Only qpoly reads the exponent -> coefficient map; every other module
-    # goes through the QPoly/QSeries methods, so the representation can
-    # change inside qpoly alone.
+    # The term map is internal to qpoly's kernel; every other module goes
+    # through the QPoly/QSeries methods, so the representation can change
+    # inside qpoly alone.  ``.terms`` is a Fraction-keyed view for tests
+    # and tools, and no package code reads it, qpoly included.
     import ast
     from pathlib import Path
 
@@ -141,8 +148,79 @@ def test_term_map_stays_inside_qpoly():
     assert len(modules) >= 9
     leaks = [
         f"{path.name}:{node.lineno}"
-        for path in modules if path.name != "qpoly.py"
+        for path in modules
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "terms"
     ]
     assert leaks == []
+
+
+# -- differential tests against the Fraction-keyed reference ------------
+
+
+@given(term_maps, term_maps, exponents)
+def test_poly_ops_match_reference(a, b, r):
+    a, b = ref.clean(a.items()), ref.clean(b.items())
+    pa, pb = QPoly(a), QPoly(b)
+    assert pa.terms == a
+    assert (pa + pb).terms == ref.add(a, b)
+    assert (pa - pb).terms == ref.add(a, ref.neg(b))
+    prod = pa * pb
+    assert prod.terms == ref.mul(a, b)
+    # the same value built another way compares and hashes equal
+    again = QPoly(ref.mul(a, b))
+    assert prod == again and hash(prod) == hash(again)
+    assert pa.shift(r).terms == ref.shift(a, r)
+    assert pa.substitute_qinv().terms == ref.qinv(a)
+    assert str(pa) == ref.fmt(a)
+    assert pa.min_exponent() == min(a, default=None)
+    for e in (r, *a, *b):
+        assert pa.coeff(e) == a.get(e, 0)
+
+
+@given(term_maps, term_maps, orders, orders, exponents)
+def test_series_ops_match_reference(a, b, oa, ob, r):
+    sa, sb = QSeries(a, oa), QSeries(b, ob)
+    ra, rb = ref.clean(a.items(), oa), ref.clean(b.items(), ob)
+    cut = min(oa, ob)
+    assert sa.terms == ra and sa.order == oa
+    assert ((sa + sb).terms, (sa + sb).order) == (ref.add(ra, rb, cut), cut)
+    assert (sa - sb).terms == ref.add(ra, ref.neg(rb), cut)
+    assert ((sa * sb).terms, (sa * sb).order) == (ref.mul(ra, rb, cut), cut)
+    assert (sa * QPoly(b)).terms == ref.mul(ra, ref.clean(b.items(), oa), oa)
+    assert QPoly(a).to_series(ob).terms == ref.clean(a.items(), ob)
+    assert sa.truncate(cut).terms == ref.clean(ra.items(), cut)
+    assert sa.truncate(cut) == QSeries(ra, cut)
+    assert hash(sa.truncate(cut)) == hash(QSeries(ra, cut))
+    assert (sa.shift(r).terms, sa.shift(r).order) == (ref.shift(ra, r), oa + r)
+    assert str(sa) == f"{ref.fmt(ra)} + O(q^{oa})"
+    assert sa.min_exponent() == min(ra, default=None)
+    for e in (r, *a, *b):
+        assert sa.coeff(e) == ra.get(e, 0)
+
+
+@given(term_maps, st.sampled_from([1, -1]),
+       st.builds(Fraction, st.integers(-4, 8), st.sampled_from(DENOMINATORS)))
+@settings(max_examples=40)
+def test_series_inverse_matches_reference(a, c0, order):
+    unit = {**{e: c for e, c in a.items() if e > 0}, Fraction(0): c0}
+    s = QSeries(unit, order)
+    inv = s.inverse()
+    assert inv.order == order
+    assert inv.terms == ref.inverse(ref.clean(unit.items()), order)
+
+
+def test_equal_values_through_different_denominators():
+    half, third = QPoly.q_power(Fraction(1, 2)), QPoly.q_power(Fraction(1, 3))
+    assert half * half == QPoly.q_power(1) and hash(half * half) == hash(QPoly.q_power(1))
+    assert half.shift(Fraction(1, 2)) == QPoly.q_power(1)
+    mixed = (half + third) - third
+    assert mixed == half and hash(mixed) == hash(half)
+    cut = QSeries([(Fraction(1, 2), 1), (Fraction(2, 3), 1)], 1).truncate(Fraction(2, 3))
+    assert cut == QSeries([(Fraction(1, 2), 1)], Fraction(2, 3))
+    assert hash(cut) == hash(QSeries([(Fraction(1, 2), 1)], Fraction(2, 3)))
+    # an exponent whose denominator does not divide the stored one has no term
+    assert half.coeff(Fraction(1, 3)) == 0 and half.coeff(Fraction(1, 2)) == 1
+    assert (half * half).coeff(Fraction(1, 2)) == 0 and (half * half).coeff(1) == 1
+    assert QSeries([(Fraction(3, 4), 5)], 2).coeff(Fraction(1, 8)) == 0
+    assert QPoly.zero() == half - half and hash(QPoly.zero()) == hash(half - half)

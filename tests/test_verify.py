@@ -100,3 +100,19 @@ def test_verify_all_quick_green():
     assert [r.identity for r in reports] == sorted(EXPECTED)
     bad = [r.identity for r in reports if not r.passed]
     assert not bad, bad
+
+
+def test_clear_caches_empties_every_cache():
+    import sys
+
+    import qtrin
+
+    verify.verify_all(level="quick")
+    caches = {f"{obj.__module__}.{obj.__qualname__}": obj
+              for name, module in list(sys.modules.items())
+              if name.startswith("qtrin.")
+              for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    assert len(caches) >= 9
+    assert {n for n, f in caches.items() if f.cache_info().currsize == 0} == set()
+    qtrin.clear_caches()
+    assert {n for n, f in caches.items() if f.cache_info().currsize} == set()
