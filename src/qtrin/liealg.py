@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -62,25 +63,35 @@ def _invert_exact(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """Diagram data of one algebra, with its inverse Cartan matrix stored in
+    integers: C^{-1} = invcartan_num / invcartan_den, where the denominator
+    is the lcm of the entries' denominators (6, 2, 3, 2, 1 for A5, D6, E6,
+    E7, E8)."""
+
     name: str
     rank: int
     incidence: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
+    invcartan_num: tuple[tuple[int, ...], ...]
+    invcartan_den: int
     marked_vertices: frozenset[int]
     p: int | None  # distinguished marked vertex, where defined
+
+    @property
+    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+        """C^{-1} as exact rationals (a read-only view of the scaled matrix)."""
+        d = self.invcartan_den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.invcartan_num)
 
     def quad_form_invcartan(self, n: Sequence[int]) -> Fraction:
         """n . C^{-1} . n as an exact rational."""
         if len(n) != self.rank:
             raise DimensionMismatch(f"vector length {len(n)} != rank {self.rank}")
-        total = Fraction(0)
-        inv = self.inverse_cartan
-        for i, ni in enumerate(n):
+        total = 0
+        for ni, row in zip(n, self.invcartan_num):
             if ni:
-                row = inv[i]
-                total += ni * sum(row[j] * nj for j, nj in enumerate(n) if nj)
-        return total
+                total += ni * sum(x * nj for x, nj in zip(row, n) if nj)
+        return Fraction(total, self.invcartan_den)
 
     def quad_form_cartan(self, m: Sequence[int]) -> int:
         """m . C . m (callers apply the quarter factor themselves)."""
@@ -108,18 +119,21 @@ def _build(name: str) -> LieAlgebra:
         inc[j - 1][i - 1] = 1
     cartan = [[2 * int(i == j) - inc[i][j] for j in range(r)] for i in range(r)]
     inv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
-    # defining property, checked once at table construction
+    den = lcm(*(x.denominator for row in inv for x in row))
+    num = [[int(x * den) for x in row] for row in inv]
+    # defining property of the stored matrix, checked once at table construction
     for i in range(r):
         for j in range(r):
-            s = sum(cartan[i][k] * inv[k][j] for k in range(r))
-            assert s == (1 if i == j else 0)
-            assert inv[i][j] > 0  # finite-type simply-laced
+            s = sum(cartan[i][k] * num[k][j] for k in range(r))
+            assert s == (den if i == j else 0)
+            assert num[i][j] > 0  # finite-type simply-laced
     return LieAlgebra(
         name=name,
         rank=r,
         incidence=tuple(tuple(row) for row in inc),
         cartan=tuple(tuple(row) for row in cartan),
-        inverse_cartan=tuple(tuple(row) for row in inv),
+        invcartan_num=tuple(tuple(row) for row in num),
+        invcartan_den=den,
         marked_vertices=frozenset(_MARKED[name]),
         p=_P.get(name),
     )

@@ -3,13 +3,14 @@
 Strategy: depth-first search over candidate n vectors with positive-matrix
 pruning, recovering m = C^{-1}(N e_i - 2n) and keeping solutions where m is a
 nonnegative integer vector.  All entries of the inverse Cartan matrix are
-positive, which gives exact per-coordinate bounds.
+positive, which gives exact per-coordinate bounds.  The search runs in plain
+integers on the scaled matrix den * C^{-1} that ``LieAlgebra`` stores; an m_j
+is kept when den divides its scaled value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -57,39 +58,40 @@ def _solve_mn_cached(g: LieAlgebra, N: int, i: int) -> tuple[MNSolution, ...]:
     if not 1 <= i <= g.rank:
         raise ValueError(f"vertex index {i} out of range for rank {g.rank}")
     r = g.rank
-    inv = g.inverse_cartan
-    # m_j = N*inv[j][i-1] - 2*(inv . n)_j must stay >= 0
-    target = [N * inv[j][i - 1] for j in range(r)]
+    num, den = g.invcartan_num, g.invcartan_den
+    # In units of 1/den: m_j = (target_j - 2*(num . n)_j) / den must be a
+    # nonnegative integer.
+    cols = list(zip(*num))
+    target = [N * x for x in cols[i - 1]]
     solutions: list[MNSolution] = []
     n = [0] * r
-    partial = [Fraction(0)] * r  # (inv . n)_j over coordinates fixed so far
+    partial = [0] * r  # (num . n)_j over coordinates fixed so far
 
     def dfs(k: int) -> None:
         if k == r:
             m = []
             for j in range(r):
-                mj = target[j] - 2 * partial[j]
-                if mj < 0 or mj.denominator != 1:
+                mj, rem = divmod(target[j] - 2 * partial[j], den)
+                if mj < 0 or rem:
                     return
-                m.append(int(mj))
+                m.append(mj)
             solutions.append(MNSolution(tuple(m), tuple(n)))
             return
+        col = cols[k]
         v = 0
         while True:
             n[k] = v
             ok = True
             if v:
                 for j in range(r):
-                    partial[j] += inv[j][k]
+                    partial[j] += col[j]
                     if 2 * partial[j] > target[j]:
                         ok = False
             if not ok:
                 # undo and stop increasing this coordinate
                 n[k] = 0
-                while v > 0:
-                    for j in range(r):
-                        partial[j] -= inv[j][k]
-                    v -= 1
+                for j in range(r):
+                    partial[j] -= v * col[j]
                 return
             dfs(k + 1)
             v += 1
@@ -124,24 +126,3 @@ def solve_mn_filtered(
         s for s in solve_mn(g, N, i)
         if all(pred(s.n) for pred in predicates)
     ]
-
-
-def solve_mn_bruteforce(g: LieAlgebra, N: int, i: int, box: int) -> list[MNSolution]:
-    """Reference enumeration over the full box 0 <= n_j <= box (test oracle)."""
-    r = g.rank
-    out = []
-
-    def rec(k: int, n: list[int]) -> None:
-        if k == r:
-            v = [N * g.inverse_cartan[j][i - 1]
-                 - 2 * sum(g.inverse_cartan[j][l] * n[l] for l in range(r))
-                 for j in range(r)]
-            if all(x >= 0 and Fraction(x).denominator == 1 for x in v):
-                out.append(MNSolution(tuple(int(x) for x in v), tuple(n)))
-            return
-        for val in range(box + 1):
-            rec(k + 1, n + [val])
-
-    rec(0, [])
-    out.sort(key=lambda s: s.n)
-    return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .qpoly import QPoly
@@ -16,31 +17,23 @@ from .qpoly import QPoly
 def qbinomial(n: int, a: int) -> QPoly:
     """Gaussian polynomial [n, a]; zero unless 0 <= a <= n.
 
-    Built by the q-Pascal recurrence on integer-exponent coefficient lists,
-    cached by (n, a).
+    Built from the product formula [n, a] = prod_{j=1..a} (1 - q^{n-a+j}) /
+    (1 - q^j) on one dense integer coefficient list, cached by (n, a).
+    After step j the list holds [n-a+j, j], so every division is exact.
     """
     if a < 0 or n < 0 or a > n:
         return QPoly.zero()
     a = min(a, n - a)  # [n, a] = [n, n-a]
-    # DP on the q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k].
-    table: dict[tuple[int, int], list[int]] = {}
-    for m in range(n + 1):
-        top = min(a, m)
-        for k in range(top + 1):
-            if k == 0 or k == m:
-                table[(m, k)] = [1]
-                continue
-            left = table[(m - 1, k - 1)]
-            right = table.get((m - 1, k))
-            deg = k * (m - k)
-            coeffs = [0] * (deg + 1)
-            for i, c in enumerate(left):
-                coeffs[i] += c
-            if right is not None:
-                for i, c in enumerate(right):
-                    coeffs[i + k] += c
-            table[(m, k)] = coeffs
-    return QPoly(enumerate(table[(n, a)]))
+    b = n - a
+    c = [1]
+    for j in range(1, a + 1):
+        s = b + j
+        c += [0] * s  # times (1 - q^s)
+        c[s:] = [x - y for x, y in zip(c[s:], c)]
+        for r in range(j):  # divided by (1 - q^j): a running sum at stride j
+            c[r::j] = accumulate(c[r::j])
+        del c[j * b + 1:]  # the quotient has degree j*b; the rest is zero
+    return QPoly(enumerate(c))
 
 
 def qbinomial_vector(m: Sequence[int], n: Sequence[int]) -> QPoly:

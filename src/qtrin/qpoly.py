@@ -342,10 +342,13 @@ class QSeries:
     def inverse(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
 
-        Requires constant term +1 or -1; Newton-free direct recursion on
-        sorted exponents.  A series truncated at order <= 0 keeps no
-        terms, and neither does its inverse.
+        Requires exponents >= 0 and constant term +1 or -1; Newton-free
+        direct recursion on sorted exponents.  A series truncated at order
+        <= 0 keeps no terms, and neither does its inverse.
         """
+        if self._m and min(self._m) < 0:
+            raise ValueError("series inversion needs exponents >= 0, "
+                             f"got q^{self.min_exponent()}")
         if self.order <= 0:
             return QSeries.zero(self.order)
         d, m = self._d, self._m

@@ -9,8 +9,9 @@ from fractions import Fraction
 from qtrin.qpoly import QPoly, QSeries
 from qtrin.qcomb import qbinomial, qtrinomial_T, refined_T
 from qtrin.liealg import algebra
-from qtrin.mnsys import solve_mn, solve_mn_bruteforce
+from qtrin.mnsys import solve_mn
 from qtrin import bosonic, clear_caches, fermionic, verify
+from mn_reference import solve_mn_bruteforce
 from string_reps import checked_string_function
 
 

@@ -1,8 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import Matrix
 
 from qtrin.liealg import UnknownAlgebra, algebra, algebra_names
+
+
+def _sympy_inverse(name):
+    """C^{-1} from sympy, as Fractions (shares no code with liealg)."""
+    inv = Matrix(algebra(name).cartan).inv()
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in inv.tolist()]
+
+
+_SYMPY_INVERSE = {name: _sympy_inverse(name) for name in algebra_names()}
 
 
 def test_known_names_and_ranks():
@@ -40,6 +52,28 @@ def test_inverse_cartan_is_exact_inverse():
                 s = sum(g.cartan[i][k] * g.inverse_cartan[k][j]
                         for k in range(r))
                 assert s == (1 if i == j else 0)
+
+
+def test_inverse_cartan_against_sympy():
+    # stored as integers over the lcm of the entries' denominators; the
+    # Fraction view equals sympy's rational inverse
+    dens = {"A5": 6, "D6": 2, "E6": 3, "E7": 2, "E8": 1}
+    for name, den in dens.items():
+        g = algebra(name)
+        assert g.invcartan_den == den
+        assert all(type(x) is int for row in g.invcartan_num for x in row)
+        assert g.inverse_cartan == tuple(map(tuple, _SYMPY_INVERSE[name]))
+
+
+@given(st.sampled_from(sorted(_SYMPY_INVERSE)), st.data())
+def test_quad_form_invcartan_against_sympy(name, data):
+    g = algebra(name)
+    n = data.draw(st.lists(st.integers(0, 6), min_size=g.rank, max_size=g.rank))
+    inv = _SYMPY_INVERSE[name]
+    direct = sum(n[i] * inv[i][j] * n[j]
+                 for i in range(g.rank) for j in range(g.rank))
+    got = g.quad_form_invcartan(n)
+    assert type(got) is Fraction and got == direct
 
 
 def test_inverse_cartan_positive():

@@ -1,11 +1,11 @@
 import pytest
 
-from qtrin.liealg import algebra
+from mn_reference import solve_mn_bruteforce
+from qtrin.liealg import algebra, algebra_names
 from qtrin.mnsys import (
     mod3_filter,
     parity_filter,
     solve_mn,
-    solve_mn_bruteforce,
     solve_mn_filtered,
 )
 
@@ -45,18 +45,19 @@ def test_e7_parity_split():
 
 
 def test_solutions_satisfy_system():
-    for name, i in (("A5", 3), ("D6", 5), ("E7", 1), ("E8", 1), ("E6", 6)):
+    for name in algebra_names():
         g = algebra(name)
-        for N in range(7):
-            for s in solve_mn(g, N, i):
-                assert s.check(g, N, i)
+        for i in range(1, g.rank + 1):
+            for N in range(9):
+                for s in solve_mn(g, N, i):
+                    assert s.check(g, N, i), (name, i, N, s)
 
 
 def test_completeness_against_bruteforce():
     # every n_j is at most N/2 (the inverse Cartan rows peak on the
     # diagonal), so the box [0, N//2]^rank contains all solutions
     cases = [("A5", 3, range(9)), ("D6", 5, (0, 2, 4, 6)),
-             ("E7", 1, (6,)), ("E6", 6, (0, 3, 6))]
+             ("E7", 1, (6,)), ("E6", 6, (0, 3, 6)), ("E8", 1, (4,))]
     for name, i, Ns in cases:
         g = algebra(name)
         for N in Ns:

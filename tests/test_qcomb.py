@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
 
 from qtrin.qpoly import QPoly, pochhammer
 from qtrin.qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
@@ -23,6 +24,55 @@ def test_qbinomial_against_factorial_formula():
     for n in range(9):
         for a in range(n + 1):
             assert qbinomial(n, a) == _qbin_oracle(n, a)
+
+
+def _qpascal_table(nmax):
+    """Every [m, k] for m <= nmax as a coefficient list, by the q-Pascal rule
+    [m, k] = [m-1, k-1] + q^k [m-1, k], which shares nothing with the
+    product formula qbinomial uses."""
+    table = {}
+    for m in range(nmax + 1):
+        for k in range(m + 1):
+            if k == 0 or k == m:
+                table[(m, k)] = [1]
+                continue
+            left = table[(m - 1, k - 1)]
+            right = table[(m - 1, k)]
+            coeffs = [0] * (k * (m - k) + 1)
+            for i, c in enumerate(left):
+                coeffs[i] += c
+            for i, c in enumerate(right):
+                coeffs[i + k] += c
+            table[(m, k)] = coeffs
+    return table
+
+
+def test_qbinomial_against_q_pascal():
+    for (n, a), coeffs in _qpascal_table(30).items():
+        assert qbinomial(n, a) == QPoly(enumerate(coeffs)), (n, a)
+
+
+def test_qbinomial_against_sympy_division():
+    q = symbols("q")
+
+    def qfac(k):
+        return math.prod([Poly(1 - q**i, q) for i in range(1, k + 1)], start=Poly(1, q))
+
+    for n, a in ((7, 3), (12, 5), (19, 9), (24, 1), (30, 14), (30, 30)):
+        quot, rem = qfac(n).div(qfac(a) * qfac(n - a))
+        assert rem.is_zero
+        expect = QPoly(enumerate(int(c) for c in reversed(quot.all_coeffs())))
+        assert qbinomial(n, a) == expect, (n, a)
+
+
+def test_qbinomial_large_case_shape():
+    n, a = 79, 38
+    p = qbinomial(n, a)
+    coeffs = [p.coeff(k) for k in range(a * (n - a) + 1)]
+    assert p == QPoly(enumerate(coeffs))  # degree a(n-a), nothing below 0
+    assert coeffs[0] == coeffs[-1] == 1
+    assert coeffs == coeffs[::-1]
+    assert p.eval_q1() == math.comb(n, a)
 
 
 def test_qbinomial_edge_cases():

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,23 @@ def test_series_inverse_needs_unit():
         QSeries({Fraction(0): 2}, Fraction(5)).inverse()
     with pytest.raises(NonUnitConstantTerm):
         QSeries({Fraction(1): 1}, Fraction(5)).inverse()
+
+
+def test_series_inverse_rejects_negative_exponents():
+    # the exponents of such an inverse have no lower bound; a regression
+    # would search them until memory runs out, so it is cut after 1 s
+    def timeout(signum, frame):
+        raise TimeoutError("QSeries.inverse did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        for order in (5, 0):
+            with pytest.raises(ValueError, match="exponents >= 0"):
+                QSeries({0: 1, -1: 1}, order).inverse()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_series_addition_takes_min_order():
