@@ -9,7 +9,7 @@ from math import gcd, isqrt
 
 from .fermionic import _FAMILIES, _kfamily
 from .qcomb import refined_T
-from .qpoly import QPoly, QSeries, euler_inverse, pochhammer
+from .qpoly import QPoly, QSeries, euler_inverse
 
 
 class InvalidCharLabel(Exception):
@@ -20,14 +20,14 @@ class InvalidBranchLabel(Exception):
     pass
 
 
-def _jrange(L: int, M: int, widen: int = 0) -> range:
+def _jrange(L: int, M: int) -> range:
     # Every theta sum below hits refined_T arguments growing linearly in j;
     # |a| > L kills the term, so a small window suffices.
-    j = max(L, M) + 2 + widen
+    j = max(L, M) + 2
     return range(-j, j + 1)
 
 
-def _theta_sum(family: int, k: int, L: int, M: int, widen: int) -> QPoly:
+def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
     """The family's alternating theta sum at depth k.
 
     Each row (sign, a0, b0, c, d) contributes, for every j, the term
@@ -42,7 +42,7 @@ def _theta_sum(family: int, k: int, L: int, M: int, widen: int) -> QPoly:
     if family == 3:
         rows += [(1, 3 * k + 2, 3, 0, 0), (-1, 4 * k + 3, 4, 1, Fraction(1, 2))]
     out = QPoly.zero()
-    for j in _jrange(L, M, widen):
+    for j in _jrange(L, M):
         for sign, a0, b0, c, d in rows:
             a, b = A * j + a0, P * j + b0
             t = refined_T(L, M, a, b).shift(Fraction(a * b, 2) + c * j + d)
@@ -50,19 +50,19 @@ def _theta_sum(family: int, k: int, L: int, M: int, widen: int) -> QPoly:
     return out
 
 
-def conj_lhs(which: int, L: int, M: int, widen: int = 0) -> QPoly:
+def conj_lhs(which: int, L: int, M: int) -> QPoly:
     """Alternating theta sum over refined trinomials for conjecture 1, 2 or 3:
     the k = 0 case of the family's k-series theta sum."""
     if which not in _FAMILIES:
         raise ValueError("conjecture index must be 1, 2 or 3")
-    return _theta_sum(which, 0, L, M, widen)
+    return _theta_sum(which, 0, L, M)
 
 
-def kseries_lhs(family: str, k: int, L: int, M: int, widen: int = 0) -> QPoly:
+def kseries_lhs(family: str, k: int, L: int, M: int) -> QPoly:
     """Theta-sum side of the three iterated families at depth k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _theta_sum(_kfamily(family), k, L, M, widen)
+    return _theta_sum(_kfamily(family), k, L, M)
 
 
 # -- string functions ------------------------------------------------
@@ -84,7 +84,7 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     while Fraction(n * n, 2) < order:
         t = QSeries([(Fraction(n * n, 2), 1)], order)
         if n:
-            t = t * pochhammer(1, 1, 1, n, order).inverse()
+            t = t * euler_inverse(order, n)
         out = out + t
         n += 2
     return out * euler_inverse(order)
@@ -93,7 +93,7 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
 # -- Virasoro characters and branching functions ---------------------
 
 
-def _rocha_caridi(p: int, pp: int, r: int, s: int, cutoff: Fraction, widen: int):
+def _rocha_caridi(p: int, pp: int, r: int, s: int, cutoff: Fraction):
     """Terms (j, sign, e) of the Rocha-Caridi theta sum: for every j in a
     window that holds all e < cutoff, e = j(pp'j + p'r - ps) with sign +1
     and e = (pj + r)(p'j + s) with sign -1."""
@@ -102,14 +102,12 @@ def _rocha_caridi(p: int, pp: int, r: int, s: int, cutoff: Fraction, widen: int)
     # smallest J with quad*j^2 - lin*|j| >= cutoff for all |j| > J
     c = max(int(cutoff), 0)
     J = 1 + (lin + isqrt(lin * lin + 4 * quad * c) + 2 * quad - 1) // (2 * quad)
-    for j in range(-J - widen, J + widen + 1):
+    for j in range(-J, J + 1):
         yield j, 1, j * (quad * j + pp * r - p * s)
         yield j, -1, (p * j + r) * (pp * j + s)
 
 
-def virasoro_char(
-    p: int, pp: int, r: int, s: int, order: Fraction | int, widen: int = 0
-) -> QSeries:
+def virasoro_char(p: int, pp: int, r: int, s: int, order: Fraction | int) -> QSeries:
     """Minimal-model character chi^{(p,p')}_{r,s} as a truncated series.
 
     Labels with p > p' are accepted via the symmetry chi^{(p,p')}_{r,s} =
@@ -126,14 +124,13 @@ def virasoro_char(
     inner = order - alpha
     if inner <= 0:
         return QSeries.zero(order)
-    theta = [(e, sign) for _, sign, e in _rocha_caridi(p, pp, r, s, inner, widen)]
+    theta = [(e, sign) for _, sign, e in _rocha_caridi(p, pp, r, s, inner)]
     series = QSeries(theta, inner) * euler_inverse(inner)
     return series.shift(alpha)
 
 
 def branching_function(
-    p: int, pp: int, r: int, s: int, sigma: int, order: Fraction | int,
-    widen: int = 0,
+    p: int, pp: int, r: int, s: int, sigma: int, order: Fraction | int
 ) -> QSeries:
     """Coset branching function B^{(p,p')}_{r,s;sigma} as a truncated series."""
     if not (2 <= p < pp):
@@ -157,7 +154,7 @@ def branching_function(
     # chi^{(4,5)}_{2 sigma+1,1} exactly (checked coefficientwise).
     c = (string_function(0, inner), string_function(1, inner))
     acc = QSeries.zero(inner)
-    for j, sign, e in _rocha_caridi(p, pp, r, s, 2 * inner, widen):
+    for j, sign, e in _rocha_caridi(p, pp, r, s, 2 * inner):
         if e < 2 * inner:
             t = c[(p * j + (r - sign * s) // 2 + sigma) % 2]
             t = t.shift(Fraction(e, 2)).truncate(inner)

@@ -1,8 +1,7 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
-All output is deterministic; --threads is accepted for interface
-stability but evaluation is single-threaded.
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from fractions import Fraction
 
 from . import bosonic, fermionic, verify
 from .liealg import UnknownAlgebra, algebra
-from .mnsys import solve_mn_filtered
+from .mnsys import linear_filter, solve_mn_filtered
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
@@ -32,9 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qtrin",
         description="exact q-series computations and identity verification",
     )
-    p.add_argument("--threads", type=int, default=0, metavar="K",
-                   help="parallelism degree (0 = auto); accepted, "
-                        "evaluation is currently single-threaded")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="print one object in canonical form")
@@ -130,13 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _linear_filter(expr: str, modulus: int, rank: int):
-    """Predicate keeping n with `expr` divisible by modulus, where expr is a
-    signed sum of terms n1..n<rank> and integers, e.g. `n1-n2+n4-n5+1`."""
+def _linear_form(expr: str, rank: int) -> tuple[dict[int, int], int]:
+    """Coefficients by 1-based index, and the constant, of `expr`: a signed
+    sum of terms n1..n<rank> and integers, e.g. `n1-n2+n4-n5+1`."""
     text = expr.replace(" ", "")
     if not re.fullmatch(r"[+-]?[^+-]+([+-][^+-]+)*", text):
         raise UsageError(f"empty term in linear form {expr!r}")
-    coeffs = [0] * rank
+    coeffs: dict[int, int] = {}
     const = 0
     for tok in re.findall(r"[+-]?[^+-]+", text):
         sign = -1 if tok[0] == "-" else 1
@@ -145,12 +141,12 @@ def _linear_filter(expr: str, modulus: int, rank: int):
             j = int(body[1:])
             if not 1 <= j <= rank:
                 raise UsageError(f"index n{j} in {expr!r} is outside n1..n{rank}")
-            coeffs[j - 1] += sign
+            coeffs[j] = coeffs.get(j, 0) + sign
         elif body.isdigit():
             const += sign * int(body)
         else:
             raise UsageError(f"bad term {tok!r} in linear form")
-    return lambda n: (sum(c * x for c, x in zip(coeffs, n)) + const) % modulus == 0
+    return coeffs, const
 
 
 def _parse_grid(spec: str) -> dict[str, tuple[int, ...]]:
@@ -251,10 +247,10 @@ def _cmd_mn_solve(args) -> int:
     if args.N < 0:
         raise UsageError("N must be nonnegative")
     predicates = []
-    if args.parity:
-        predicates.append(_linear_filter(args.parity, 2, g.rank))
-    if args.mod3:
-        predicates.append(_linear_filter(args.mod3, 3, g.rank))
+    for expr, modulus in ((args.parity, 2), (args.mod3, 3)):
+        if expr:
+            coeffs, const = _linear_form(expr, g.rank)
+            predicates.append(linear_filter(coeffs, modulus, const))
     for sol in solve_mn_filtered(g, args.N, args.vertex, *predicates):
         print(sol.basis_str())
     return 0

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 from .liealg import LieAlgebra, algebra
 from .mnsys import mod3_filter, parity_filter, solve_mn, solve_mn_filtered
 from .qcomb import qbinomial, qbinomial_vector
-from .qpoly import QPoly, QSeries, pochhammer
+from .qpoly import QPoly, QSeries, euler_inverse
 
 
 class _Family(NamedTuple):
@@ -69,6 +69,8 @@ def _filters(name: str, sigma: int = 0) -> tuple:
 def f_poly(name: str, M: int, sigma: int) -> QPoly:
     """F polynomial of A5, D6 or E7: sum over the (m,n)-system with N = 2M at
     the marked vertex p, of q^{n.C^{-1}.n} [m+n choose n]."""
+    if M < 0:
+        raise ValueError("M must be nonnegative")
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     g = algebra(name)
@@ -159,12 +161,6 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def _inv_qfact(t: int, order: Fraction) -> QSeries:
-    """1/(q;q)_t truncated."""
-    return pochhammer(1, 1, 1, t, order).inverse()
-
-
 def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
     """Yield all n in Z_+^rank with quad_form_invcartan(n) < order.  The form
     is strictly increasing in every coordinate on the nonnegative orthant
@@ -213,7 +209,7 @@ def fermionic_char_sum(
         term = QSeries([(e, 1)], order)
         for nj in n:
             if nj:
-                term = term * _inv_qfact(nj, order)
+                term = term * euler_inverse(order, nj)
         out = out + term
     return out
 
@@ -252,8 +248,8 @@ def fsum_family_lhs(
                 return
             for na in nvec[:-1]:
                 if na:
-                    term = term * _inv_qfact(na, order - e)
-            term = term * _inv_qfact(2 * nvec[-1], order - e)
+                    term = term * euler_inverse(order - e, na)
+            term = term * euler_inverse(order - e, 2 * nvec[-1])
             nonlocal out
             out = out + term.shift(e)
             return
@@ -310,7 +306,7 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
             if not chain:
                 continue
             term = chain * qbinomial_vector(sol.m, sol.n)
-            ser = term.to_series(order - e) * _inv_qfact(r[1], order - e)
+            ser = term.to_series(order - e) * euler_inverse(order - e, r[1])
             out = out + ser.shift(e)
 
     def rec(r: list[int]) -> None:

@@ -104,12 +104,6 @@ class LieAlgebra:
                 total += mi * sum(row[j] * mj for j, mj in enumerate(m) if mj)
         return total
 
-    def incidence_apply(self, m: Sequence[int]) -> list[int]:
-        if len(m) != self.rank:
-            raise DimensionMismatch(f"vector length {len(m)} != rank {self.rank}")
-        return [sum(self.incidence[i][j] * m[j] for j in range(self.rank))
-                for i in range(self.rank)]
-
 
 def _build(name: str) -> LieAlgebra:
     r = _RANK[name]
@@ -121,12 +115,6 @@ def _build(name: str) -> LieAlgebra:
     inv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
     den = lcm(*(x.denominator for row in inv for x in row))
     num = [[int(x * den) for x in row] for row in inv]
-    # defining property of the stored matrix, checked once at table construction
-    for i in range(r):
-        for j in range(r):
-            s = sum(cartan[i][k] * num[k][j] for k in range(r))
-            assert s == (den if i == j else 0)
-            assert num[i][j] > 0  # finite-type simply-laced
     return LieAlgebra(
         name=name,
         rank=r,

@@ -10,9 +10,10 @@ is kept when den divides its scaled value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .liealg import LieAlgebra
 
@@ -21,15 +22,6 @@ from .liealg import LieAlgebra
 class MNSolution:
     m: tuple[int, ...]
     n: tuple[int, ...]
-
-    def check(self, g: LieAlgebra, N: int, i: int) -> bool:
-        """Verify m + n = (I.m + N e_i)/2 exactly."""
-        im = g.incidence_apply(self.m)
-        for j in range(g.rank):
-            rhs = im[j] + (N if j == i - 1 else 0)
-            if rhs % 2 or self.m[j] + self.n[j] != rhs // 2:
-                return False
-        return True
 
     def basis_str(self) -> str:
         """Unit-vector notation, e.g. `m=5e1+4e2+e7 n=e5`."""
@@ -104,18 +96,24 @@ def _solve_mn_cached(g: LieAlgebra, N: int, i: int) -> tuple[MNSolution, ...]:
 Predicate = Callable[[Sequence[int]], bool]
 
 
+def linear_filter(coeffs: Mapping[int, int], modulus: int, const: int = 0) -> Predicate:
+    """n -> sum of coeffs[j] * n_j (1-based j) plus const is divisible by
+    modulus."""
+    terms = [(j - 1, c) for j, c in coeffs.items() if c]
+
+    def pred(n: Sequence[int]) -> bool:
+        return (sum(c * n[j] for j, c in terms) + const) % modulus == 0
+    return pred
+
+
 def parity_filter(indices: Sequence[int], sigma: int = 0) -> Predicate:
     """n -> (sum of the 1-based components) + sigma is even."""
-    def pred(n: Sequence[int]) -> bool:
-        return (sum(n[j - 1] for j in indices) + sigma) % 2 == 0
-    return pred
+    return linear_filter(Counter(indices), 2, sigma)
 
 
 def mod3_filter() -> Predicate:
     """The A5/E6 constraint n1 + n4 == n2 + n5 (mod 3)."""
-    def pred(n: Sequence[int]) -> bool:
-        return (n[0] + n[3] - n[1] - n[4]) % 3 == 0
-    return pred
+    return linear_filter({1: 1, 2: -1, 4: 1, 5: -1}, 3)
 
 
 def solve_mn_filtered(

@@ -95,7 +95,6 @@ def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     for n in range(0, hi + 1):
         if (n + a + L) % 2:
             continue
-        assert (L - a - n) % 2 == 0  # parity filter keeps the offsets integral
         u = (L - a - n) // 2
         v = (L + a - n) // 2
         t1 = qbinomial(M, n)

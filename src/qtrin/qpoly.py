@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
@@ -343,8 +344,9 @@ class QSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires exponents >= 0 and constant term +1 or -1; Newton-free
-        direct recursion on sorted exponents.  A series truncated at order
-        <= 0 keeps no terms, and neither does its inverse.
+        direct recursion, one exponent at a time in increasing order.  A
+        series truncated at order <= 0 keeps no terms, and neither does its
+        inverse.
         """
         if self._m and min(self._m) < 0:
             raise ValueError("series inversion needs exponents >= 0, "
@@ -357,31 +359,19 @@ class QSeries:
             raise NonUnitConstantTerm(
                 f"constant term is {c0}, need +1 or -1 for series inversion"
             )
-        # t solves s*t = 1: process target exponents in increasing order.
+        # t solves s*t = 1: the coefficient of q^k in s*t vanishes for
+        # 0 < k < bound, so c0*t_k = -sum over source terms k_s <= k of
+        # c_s*t_{k-k_s}, with 1/c0 == c0.
         src = sorted((k, c) for k, c in m.items() if k)
-        bound = _bound(self.order, d)
         inv = {0: c0}
-        # Exponents of the inverse live in the additive monoid generated by
-        # the exponents of s; build them breadth-first below the order.
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for ks, _ in src:
-                    f = k + ks
-                    if f < bound and f not in seen:
-                        seen.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        for k in sorted(seen - {0}):
+        for k in range(1, _bound(self.order, d)):
             acc = 0
             for ks, cs in src:
+                if ks > k:
+                    break
                 acc += cs * inv.get(k - ks, 0)
-            # coefficient of q^k in s*t must vanish: c0*t_k + acc = 0
-            t_k = -acc * c0  # c0 in {1,-1} so 1/c0 == c0
-            if t_k:
-                inv[k] = t_k
+            if acc:
+                inv[k] = -acc * c0
         return QSeries._of(*_reduced(d, inv), self.order)
 
     def coeff(self, e: Exponent) -> int:
@@ -460,6 +450,8 @@ def pochhammer_multi(
     return result
 
 
-def euler_inverse(order: Exponent) -> QSeries:
-    """1/(q;q)_infinity, the partition generating function, truncated."""
-    return pochhammer(1, 1, 1, None, order).inverse()
+@lru_cache(maxsize=None)
+def euler_inverse(order: Exponent, n: int | None = None) -> QSeries:
+    """1/(q;q)_n truncated, cached; n=None is 1/(q;q)_infinity, the
+    partition generating function."""
+    return pochhammer(1, 1, 1, n, order).inverse()

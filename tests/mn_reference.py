@@ -1,8 +1,10 @@
-"""Box enumeration of (m,n)-systems, an oracle for ``qtrin.mnsys.solve_mn``.
+"""Oracles for ``qtrin.mnsys.solve_mn``: a box enumeration of (m,n)-systems,
+and a check of one solution against the defining equations.
 
-It shares no code with ``qtrin.liealg``'s inverse: m = C^{-1}(N e_i - 2n) is
-taken from sympy's integer adjugate and determinant of the Cartan matrix,
-C^{-1} = adj(C) / det(C), over every n in the box [0, box]^rank.
+Neither shares code with ``qtrin.liealg``'s inverse.  The box enumeration
+takes m = C^{-1}(N e_i - 2n) from sympy's integer adjugate and determinant of
+the Cartan matrix, C^{-1} = adj(C) / det(C), over every n in the box
+[0, box]^rank; the check uses only the incidence matrix.
 """
 
 from __future__ import annotations
@@ -32,3 +34,18 @@ def solve_mn_bruteforce(g, N: int, i: int, box: int) -> list[MNSolution]:
         else:
             out.append(MNSolution(tuple(m), n))
     return out
+
+
+def incidence_apply(g, m) -> list[int]:
+    """I.m for the incidence matrix I of g."""
+    return [sum(row[j] * m[j] for j in range(g.rank)) for row in g.incidence]
+
+
+def check_solution(s: MNSolution, g, N: int, i: int) -> bool:
+    """Whether m + n = (I.m + N e_i)/2 holds exactly."""
+    im = incidence_apply(g, s.m)
+    for j in range(g.rank):
+        rhs = im[j] + (N if j == i - 1 else 0)
+        if rhs % 2 or s.m[j] + s.n[j] != rhs // 2:
+            return False
+    return True

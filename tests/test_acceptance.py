@@ -148,7 +148,7 @@ def test_criterion_14_string_function_representations():
             time.perf_counter() - start)
 
 
-def test_criterion_15_property_suites():
+def test_criterion_15_property_suites(monkeypatch):
     import random
     start = time.perf_counter()
     rng = random.Random(20260826)
@@ -176,10 +176,12 @@ def test_criterion_15_property_suites():
             fast = {(s.m, s.n) for s in solve_mn(g, N, i)}
             slow = {(s.m, s.n) for s in solve_mn_bruteforce(g, N, i, N // 2)}
             ok &= fast == slow
-    # theta-range widening invariance
-    for which in (1, 2, 3):
-        ok &= bosonic.conj_lhs(which, 4, 4) == \
-            bosonic.conj_lhs(which, 4, 4, widen=2)
+    # theta-range widening invariance: the j-window 2 wider on each side
+    narrow = [bosonic.conj_lhs(which, 4, 4) for which in (1, 2, 3)]
+    jrange = bosonic._jrange
+    monkeypatch.setattr(bosonic, "_jrange", lambda L, M: range(
+        jrange(L, M).start - 2, jrange(L, M).stop + 2))
+    ok &= [bosonic.conj_lhs(which, 4, 4) for which in (1, 2, 3)] == narrow
     # mutation detection
     p = qtrinomial_T(5, 1)
     mutated = p + QPoly.q_power(Fraction(3, 2))

@@ -99,19 +99,31 @@ def test_branching_b35_matches_characters():
         assert lhs == rhs
 
 
-def test_conj_lhs_theta_widening_invariance():
-    for which in (1, 2, 3):
-        for L, M in ((0, 0), (2, 3), (4, 4), (5, 2)):
-            assert (bosonic.conj_lhs(which, L, M)
-                    == bosonic.conj_lhs(which, L, M, widen=3))
+def widen_jrange(monkeypatch, by):
+    """Make every polynomial theta sum run over a j-window `by` wider on
+    each side."""
+    orig = bosonic._jrange
+
+    def wide(L, M):
+        r = orig(L, M)
+        return range(r.start - by, r.stop + by)
+    monkeypatch.setattr(bosonic, "_jrange", wide)
 
 
-def test_kseries_lhs_theta_widening_invariance():
-    for fam in ("E8-flower", "E7-flower2", "E6-monster"):
-        for k in (1, 2):
-            for L, M in ((0, 0), (2, 2), (3, 1)):
-                assert (bosonic.kseries_lhs(fam, k, L, M)
-                        == bosonic.kseries_lhs(fam, k, L, M, widen=3))
+def test_conj_lhs_theta_widening_invariance(monkeypatch):
+    points = [(which, L, M) for which in (1, 2, 3)
+              for L, M in ((0, 0), (2, 3), (4, 4), (5, 2))]
+    narrow = [bosonic.conj_lhs(*pt) for pt in points]
+    widen_jrange(monkeypatch, 3)
+    assert [bosonic.conj_lhs(*pt) for pt in points] == narrow
+
+
+def test_kseries_lhs_theta_widening_invariance(monkeypatch):
+    points = [(fam, k, L, M) for fam in ("E8-flower", "E7-flower2", "E6-monster")
+              for k in (1, 2) for L, M in ((0, 0), (2, 2), (3, 1))]
+    narrow = [bosonic.kseries_lhs(*pt) for pt in points]
+    widen_jrange(monkeypatch, 3)
+    assert [bosonic.kseries_lhs(*pt) for pt in points] == narrow
 
 
 # Every character and branching label the registry's series identities use.
@@ -129,13 +141,23 @@ _REGISTRY_BRANCH_LABELS = tuple(
 )
 
 
-def test_character_theta_widening_invariance():
-    for label in _REGISTRY_CHI_LABELS:
-        assert (bosonic.virasoro_char(*label, 20)
-                == bosonic.virasoro_char(*label, 20, widen=3)), label
-    for label in _REGISTRY_BRANCH_LABELS:
-        assert (bosonic.branching_function(*label, 20)
-                == bosonic.branching_function(*label, 20, widen=3)), label
+def test_character_theta_widening_invariance(monkeypatch):
+    chi = [bosonic.virasoro_char(*label, 20) for label in _REGISTRY_CHI_LABELS]
+    branch = [bosonic.branching_function(*label, 20)
+              for label in _REGISTRY_BRANCH_LABELS]
+    orig = bosonic._rocha_caridi
+
+    def wide(p, pp, r, s, cutoff):
+        # a larger cutoff gives a window at least 3 wider on each side
+        J = max(j for j, _, _ in orig(p, pp, r, s, cutoff))
+        terms = list(orig(p, pp, r, s, 4 * cutoff + 16 * p * pp))
+        assert max(j for j, _, _ in terms) >= J + 3
+        return terms
+    monkeypatch.setattr(bosonic, "_rocha_caridi", wide)
+    for label, want in zip(_REGISTRY_CHI_LABELS, chi):
+        assert bosonic.virasoro_char(*label, 20) == want, label
+    for label, want in zip(_REGISTRY_BRANCH_LABELS, branch):
+        assert bosonic.branching_function(*label, 20) == want, label
 
 
 def test_invariance_check_helper():

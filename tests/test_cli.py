@@ -143,9 +143,10 @@ def test_determinism(capsys):
     assert a[0] == 0
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = _capture(capsys, ["--threads", "4", "compute", "T", "2", "0"])
-    assert code == 0
+def test_compute_F_negative_M_names_M(capsys):
+    code, out, err = _capture(capsys, ["compute", "F", "A5", "-1", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: M must be nonnegative\n"
 
 
 def test_compute_lhs_rhs_agree(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from mn_reference import solve_mn_bruteforce
+from mn_reference import check_solution, solve_mn_bruteforce
 from qtrin.liealg import algebra, algebra_names
 from qtrin.mnsys import (
     mod3_filter,
@@ -50,7 +50,7 @@ def test_solutions_satisfy_system():
         for i in range(1, g.rank + 1):
             for N in range(9):
                 for s in solve_mn(g, N, i):
-                    assert s.check(g, N, i), (name, i, N, s)
+                    assert check_solution(s, g, N, i), (name, i, N, s)
 
 
 def test_completeness_against_bruteforce():
