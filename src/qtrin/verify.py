@@ -30,6 +30,10 @@ class RunawayComputation(Exception):
 
 TERM_CEILING = 500_000
 
+# Grid parameters that pick a variant (a form, a point, a sign) rather than
+# a size: each registered grid lists every value the evaluator understands.
+CHOICE_PARAMS = ("form", "point", "sigma", "s")
+
 Params = dict[str, int]
 SidePair = tuple[QPoly | QSeries, QPoly | QSeries]
 
@@ -109,8 +113,10 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
                     for s in (lhs, rhs))
     if len(lhs) > TERM_CEILING or len(rhs) > TERM_CEILING:
         raise RunawayComputation("term-count ceiling exceeded")
+    if lhs == rhs:
+        return None
     e = (lhs - rhs).min_exponent()
-    return None if e is None else (e, lhs.coeff(e), rhs.coeff(e))
+    return e, lhs.coeff(e), rhs.coeff(e)
 
 
 # --------------------------------------------------------------------
@@ -494,6 +500,10 @@ def verify_identity(
             if key not in use_grid:
                 raise UnknownIdentity(
                     f"identity {name!r} has no grid parameter {key!r}")
+            if key in CHOICE_PARAMS and not set(vals) <= set(d.grid[key]):
+                raise ValueError(
+                    f"identity {name!r} takes {key} in {sorted(d.grid[key])}, "
+                    f"got {min(set(vals) - set(d.grid[key]))}")
             use_grid[key] = tuple(vals)
     elif level == "quick" and d.quick_grid is not None:
         use_grid = d.quick_grid

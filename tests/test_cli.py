@@ -217,6 +217,18 @@ def test_verify_series_identity_at_order_one(capsys, name):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("name, spec", [
+    ("limit-mTlim", "point=0..5"), ("E8", "form=0..3"),
+    ("B46-simplification-s1", "form=5..5"), ("E6", "point=3..4"),
+    ("limit-mTlim", "point=-1..-1"), ("fam1-k1", "sigma=2..3"),
+    ("thm1", "s=2..2")])
+def test_verify_grid_choice_outside_registry_is_a_usage_error(capsys, name, spec):
+    code, out, err = _capture(capsys, ["verify", name, "--grid", spec])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert spec.split("=")[0] in err
+
+
 def test_mn_solve_index_out_of_range(capsys):
     for flag, expr in (("--mod3", "n7+n9"), ("--parity", "n7")):
         code, out, err = _capture(capsys, ["mn-solve", "A5", "6", "3",
@@ -251,6 +263,29 @@ def test_import_qtrin_leaves_cli_unloaded():
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qtrin
+
+    src = str(Path(qtrin.__file__).resolve().parents[1])
+
+    def qtrin_m(*argv):
+        return subprocess.run([sys.executable, "-m", "qtrin", *argv], cwd=src,
+                              capture_output=True, text=True)
+
+    done = qtrin_m("compute", "T", "4", "2")
+    assert done.returncode == 0
+    assert done.stdout == "1 + q + 2*q^2 + 2*q^3 + 2*q^4 + q^5 + q^6\n"
+    done = qtrin_m("verify", "abp")
+    assert done.returncode == 0 and done.stdout.split()[:2] == ["abp", "PASS"]
+    done = qtrin_m("verify", "no-such-identity")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ")
 
 
 def test_readme_command_examples(monkeypatch, tmp_path, capsys):

@@ -1,12 +1,15 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
+from qcomb_reference import refined_T_reference
 from qtrin.qpoly import QPoly, pochhammer
-from qtrin.qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
+from qtrin.qcomb import _packed_sum, qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
 def _qbin_oracle(n, a):
@@ -150,3 +153,77 @@ def test_refined_small_values():
     assert refined_T(0, 0, 0, 0) == QPoly.one()
     assert str(refined_T(2, 2, 0, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
     assert str(refined_T(3, 1, 2, 0).shift(Fraction(-1, 2))) == "1 + q + q^2"
+
+
+@st.composite
+def _refined_args(draw):
+    L = draw(st.integers(0, 10))
+    M = draw(st.integers(0, 10))
+    charge = st.integers(-L - 2, L + 2)
+    return L, M, draw(charge), draw(charge)
+
+
+@settings(max_examples=300)
+@given(_refined_args())
+def test_refined_against_reference_sum(args):
+    assert refined_T(*args) == refined_T_reference(*args)
+
+
+def test_refined_wide_coefficients_against_reference():
+    t = refined_T(40, 38, 2, -3)
+    assert max(t.terms.values()).bit_length() == 109
+    assert t == refined_T_reference(40, 38, 2, -3)
+
+
+@pytest.mark.parametrize("args, at_1, top", [
+    # the value at q = 1, which sets the slot width, at 2^8 - 1 and 2^8
+    ((3, 9, 0, 9), 255, 17),
+    ((4, 4, 1, 1), 256, 38),
+    # the largest coefficient at 2^8 - 1, 2^8 and 2^16
+    ((3, 29, 1, 17), 9555, 2**8 - 1),
+    ((3, 19, 1, 3), 6426, 2**8),
+    ((8, 28, 5, 22), 2832984, 2**16),
+])
+def test_refined_near_slot_boundaries_against_reference(args, at_1, top):
+    t = refined_T(*args)
+    assert (t.eval_q1(), max(t.terms.values())) == (at_1, top)
+    assert t == refined_T_reference(*args)
+
+
+def _dense_sum(summands):
+    out = []
+    for s, factors in summands:
+        prod = [1]
+        for f in factors:
+            nxt = [0] * (len(prod) + len(f) - 1)
+            for i, x in enumerate(prod):
+                for j, y in enumerate(f):
+                    nxt[i + j] += x * y
+            prod = nxt
+        out += [0] * (s + len(prod) - len(out))
+        for i, c in enumerate(prod):
+            out[s + i] += c
+    return out
+
+
+@pytest.mark.parametrize("x, y", [(15, 17), (16, 16), (255, 257), (256, 256)])
+def test_packed_sum_slot_width_boundaries(x, y):
+    # (x + q)(y + q) + q(1 + q + q^2): the largest coefficient is x*y, which
+    # is 2^8 - 1, 2^8, 2^16 - 1 or 2^16, and the bound is exactly that value
+    summands = [(0, [(x, 1), (y, 1)]), (1, [(1, 1, 1)])]
+    expect = _dense_sum(summands)
+    assert max(expect) == x * y
+    assert _packed_sum(summands, x * y) == expect
+
+
+def test_refined_T_output_digest():
+    # sha256 of str(refined_T(L, M, a, b)), one line each, in loop order;
+    # computed with the QPoly-sum evaluation the packed kernel replaced
+    h = hashlib.sha256()
+    for L in range(9):
+        for M in range(9):
+            for a in range(-10, 11):
+                for b in range(-10, 11):
+                    h.update(f"{refined_T(L, M, a, b)}\n".encode())
+    assert h.hexdigest() == (
+        "7668d92ce23851000329fe754f06dc850da88094dd1fd128e76fd71165dabc25")

@@ -58,6 +58,36 @@ def test_comparison_respects_series_order():
     assert verify.compare_sides(a, c) == (Fraction(0), 1, 2)
 
 
+def test_comparison_of_poly_against_series():
+    p = QPoly({Fraction(0): 1, Fraction(2): 5, Fraction(7, 2): -3})
+    # the polynomial is cut at the series order; q^(7/2) lies above it
+    assert verify.compare_sides(p, QSeries({0: 1, 2: 5}, 3)) is None
+    assert verify.compare_sides(p, QSeries({0: 1, 2: 4}, 3)) == (Fraction(2), 5, 4)
+    assert verify.compare_sides(QSeries({0: 1, 2: 4}, 3), p) == (Fraction(2), 4, 5)
+    assert verify.compare_sides(p, QSeries({0: 1}, Fraction(5, 2))) == (Fraction(2), 5, 0)
+
+
+def test_comparison_of_series_with_different_orders():
+    a = QSeries({0: 1, 1: -2}, 2)
+    # b agrees with a below a's order 2 and differs at it and above it
+    b = QSeries({0: 1, 1: -2, 2: 7, 3: 1}, 4)
+    assert verify.compare_sides(a, b) is None
+    assert verify.compare_sides(b, a) is None
+    c = QSeries({0: 1, 1: 3, 2: 7}, 4)
+    assert verify.compare_sides(a, c) == (Fraction(1), -2, 3)
+    assert verify.compare_sides(c, a) == (Fraction(1), 3, -2)
+    d = QSeries({Fraction(1, 2): 1, 1: -2, 3: 1}, 4)
+    assert verify.compare_sides(a, d) == (Fraction(0), 1, 0)
+    assert verify.compare_sides(d, a) == (Fraction(0), 0, 1)
+
+
+def test_choice_parameter_outside_registry_is_rejected():
+    assert verify.verify_identity("limit-mTlim", grid={"point": (2,)}).passed
+    for grid in ({"point": (3,)}, {"point": (-1, 0)}, {"form": (0, 2)}):
+        with pytest.raises(ValueError):
+            verify.verify_identity("limit-mTlim", grid=grid)
+
+
 def test_grid_override_shrinks_run():
     full = verify.verify_identity("symmetry", level="quick")
     tiny = verify.verify_identity(
