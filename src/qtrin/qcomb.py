@@ -1,16 +1,19 @@
 """q-binomials, q-trinomial coefficients T and their four-parameter refinement.
 
-All results are exact QPoly values.  The refined coefficient is evaluated
-straight from its defining sum; no recurrences.
+All results are exact QPoly values.  The refined coefficient, and the sums
+of refinements that the paper's invariance identities take, are evaluated
+straight from their defining sums on one positive-sum kernel; no recurrences.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .qpoly import QPoly
 
@@ -41,7 +44,7 @@ def _gauss(n: int, a: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def qbinomial(n: int, a: int) -> QPoly:
     """Gaussian polynomial [n, a]; zero unless 0 <= a <= n.  Cached by (n, a)."""
-    return QPoly(enumerate(_gauss(n, a)))
+    return QPoly.from_coeffs(_gauss(n, a))
 
 
 def qbinomial_vector(m: Sequence[int], n: Sequence[int]) -> QPoly:
@@ -91,48 +94,118 @@ def qtrinomial_T(L: int, a: int) -> QPoly:
     return out
 
 
-def _packed_sum(summands: list[tuple[int, list[tuple[int, ...]]]],
-                bound: int) -> list[int]:
-    """Dense coefficients of the sum over (s, factors) of q^s times the
-    product of the factors, each factor a dense coefficient tuple.
+# -- the positive-sum kernel -------------------------------------------
+#
+# A term (e2, pairs) stands for q^(e2/2) times the product of the Gaussian
+# polynomials [n, a] over its (n, a) pairs.  Every such product, and so every
+# sum of them, has nonnegative coefficients, none above its value at q = 1.
+# The kernel sizes its slots by that value (a product of math.comb values),
+# which is what makes Kronecker substitution sign-free here.
 
-    Kronecker substitution: q becomes 2^(8w), with w the bytes that hold
-    ``bound``, so each factor is one integer with a w-byte slot per
-    coefficient and each product one integer product.  All coefficients are
-    nonnegative and ``bound`` is at least every coefficient of the sum and of
-    every partial product, so no slot carries into the next.
-    """
+# unsigned array typecodes by itemsize: the slot widths of one machine word
+_WORDS = {array(code).itemsize: code for code in "BHILQ"}
+# Slots count from the least significant end of an integer, so in a native
+# byte string of a big-endian machine they come last first.
+_BIG = sys.byteorder == "big"
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for coefficients up to ``bound``: 1, 2, 4 or 8, or the
+    exact byte count above 8."""
     w = (bound.bit_length() + 7) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _packed(n: int, a: int, w: int) -> int:
+    """[n, a] at q = 2^(8w): one integer with a w-byte slot per coefficient."""
+    c = _gauss(n, a)
+    code = _WORDS.get(w)
+    if code is None:
+        return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
+    return int.from_bytes(array(code, c[::-1] if _BIG else c).tobytes(), sys.byteorder)
+
+
+def _unpacked(total: int, size: int, w: int) -> list[int]:
+    """The ``size`` w-byte slots of ``total``, least significant first."""
+    code = _WORDS.get(w)
+    if code is None:
+        data = total.to_bytes(size * w, "little")
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, size * w, w)]
+    out = memoryview(total.to_bytes(size * w, sys.byteorder)).cast(code).tolist()
+    return out[::-1] if _BIG else out
+
+
+def _positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPoly:
+    """Sum over (e2, pairs) of q^(e2/2) times the product of the Gaussians
+    [n, a], 0 <= a <= n, of ``pairs``; all e2 of one parity.
+
+    Kronecker substitution: q becomes 2^(8w), with w bytes enough for the
+    sum's value at q = 1, which bounds every coefficient of the sum and of
+    each partial product, so no slot carries into the next.  Each Gaussian is
+    one cached integer, each term one big-integer product shifted to its
+    slot, and the sum is unpacked once.
+    """
+    terms = list(terms)
+    if not terms:
+        return QPoly.zero()
+    e0 = min(e2 for e2, _ in terms)
+    w = _slot_bytes(sum(prod([comb(n, a) for n, a in pairs]) for _, pairs in terms))
     total = 0
-    for s, factors in summands:
+    size = 0
+    for e2, pairs in terms:
+        s, odd = divmod(e2 - e0, 2)
+        if odd:
+            raise ValueError("the exponents of one sum must differ by integers")
         p = 1
-        for f in factors:
-            p *= int.from_bytes(b"".join([c.to_bytes(w, "little") for c in f]),
-                                "little")
+        top = s
+        for n, a in pairs:
+            p *= _packed(n, a, w)
+            top += a * (n - a)  # the degree of [n, a]
         total += p << (8 * w * s)
-    data = total.to_bytes(-(-total.bit_length() // (8 * w)) * w, "little")
-    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+        size = max(size, top + 1)
+    start = e0 // 2 if e0 % 2 == 0 else Fraction(e0, 2)
+    return QPoly.from_coeffs(_unpacked(total, size, w), start)
+
+
+def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
+    """The defining sum of refined_T(L, M, a, b) as kernel terms: for n from
+    0 to min(L-|a|, M) with n+a+L even, q^{n^2/2} [M, n]
+    [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b]; none when |b| > M."""
+    if abs(b) > M:
+        return []
+    return [(n * n, ((M, n), (M + b + (L - a - n) // 2, M + b),
+                     (M - b + (L + a - n) // 2, M - b)))
+            for n in range((L + a) % 2, min(L - abs(a), M) + 1, 2)]
 
 
 @lru_cache(maxsize=None)
 def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
-    """The refined q-trinomial coefficient with bounds L, M and charges a, b.
+    """The refined q-trinomial coefficient with bounds L, M and charges a, b,
+    evaluated from its defining sum (_refined_terms) by the positive-sum
+    kernel; zero outside its support."""
+    if L < 0 or M < 0:
+        raise ValueError("L and M must be nonnegative")
+    return _positive_sum(_refined_terms(L, M, a, b))
 
-    Defining sum: over n from 0 to min(L-|a|, M) with n+a+L even, of
-    q^{n^2/2} [M, n] [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b].  Every
-    summand has nonnegative coefficients, so the value at q = 1 bounds each
-    coefficient and the sum is one packed-integer evaluation (_packed_sum)
-    in slots counted from q^{n0^2/2}.
-    """
-    n0 = (L + a) % 2  # the least n of the sum
-    hi = min(L - abs(a), M)
-    if hi < n0 or abs(b) > M:
-        return QPoly.zero()
-    summands = []
-    at_1 = 0
-    for n in range(n0, hi + 1, 2):
-        gs = ((M, n), (M + b + (L - a - n) // 2, M + b),
-              (M - b + (L + a - n) // 2, M - b))
-        at_1 += prod(comb(*g) for g in gs)
-        summands.append(((n * n - n0 * n0) // 2, [_gauss(*g) for g in gs]))
-    return QPoly(enumerate(_packed_sum(summands, at_1))).shift(Fraction(n0 * n0, 2))
+
+def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
+    """Left side of T-invariance (Theorem 1): the sum over i from |b| to
+    min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), each
+    refined_T expanded into its defining sum, as one kernel call."""
+    return _positive_sum(
+        (i * i + e2, ((L + M - i, L),) + pairs)
+        for i in range(abs(b), min(L - abs(a), M) + 1)
+        for e2, pairs in _refined_terms(L - i, i, a, b))
+
+
+def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:
+    """T(L, a) as a sum of refinements: over i from |b| to L-|a-b| of
+    q^{(i^2-b^2)/2} refined_T(L-i, i, a-b, b).  With ``swap`` each refinement
+    is refined_T(i, L-i, b, a-b) and the sum is the round-bracket trinomial
+    (L, a) instead.  One kernel call."""
+    return _positive_sum(
+        (i * i - b * b + e2, pairs)
+        for i in range(abs(b), L - abs(a - b) + 1)
+        for e2, pairs in _refined_terms(
+            *((i, L - i, b, a - b) if swap else (L - i, i, a - b, b))))

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 from typing import Union
 
@@ -97,6 +98,16 @@ def _clean(terms: Terms, cut: Fraction | None = None) -> TermMap:
         if bound is None or k < bound:
             m[k] = m.get(k, 0) + c
     return _reduced(d, {k: c for k, c in m.items() if c})
+
+
+def _dense(coeffs: Iterable[int], start: Exponent) -> TermMap:
+    """Term map of coefficient i at q^(start + i), zeros dropped.  The keys
+    step by the denominator of ``start`` and share no factor with it."""
+    if not isinstance(start, (int, Fraction)):
+        start = Fraction(start)
+    d = start.denominator
+    m = {k: c for k, c in zip(count(start.numerator, d), coeffs) if c}
+    return (d, m) if m else (1, m)
 
 
 def _below(d: int, m: dict, cut: Fraction) -> TermMap:
@@ -197,6 +208,11 @@ class QPoly:
     @staticmethod
     def q_power(e: Exponent, coeff: int = 1) -> "QPoly":
         return QPoly([(e, coeff)])
+
+    @staticmethod
+    def from_coeffs(coeffs: Iterable[int], start: Exponent = 0) -> "QPoly":
+        """Dense constructor: coefficient i belongs to q^(start + i)."""
+        return QPoly._of(*_dense(coeffs, start))
 
     # -- ring operations ----------------------------------------------
 

@@ -16,7 +16,8 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import bosonic, fermionic
-from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
+from .qcomb import (invariance_sum, qbinomial, qtrinomial2, qtrinomial_T,
+                    refined_T, refinement_sum)
 from .qpoly import QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi
 
 
@@ -143,25 +144,15 @@ def _ev_mT(swap: bool):
     # refinement the sum is the round-bracket trinomial instead.
     def ev(p: Params, order) -> SidePair:
         L, a, b = p["L"], p["a"], p["b"]
-        lhs = QPoly.zero()
-        for i in range(abs(b), L - abs(a - b) + 1):
-            args = (i, L - i, b, a - b) if swap else (L - i, i, a - b, b)
-            t = refined_T(*args)
-            if t:
-                lhs = lhs + t.shift(Fraction(i * i - b * b, 2))
-        return lhs, (qtrinomial2 if swap else qtrinomial_T)(L, a)
+        return (refinement_sum(L, a, b, swap),
+                (qtrinomial2 if swap else qtrinomial_T)(L, a))
     return ev
 
 
 def _ev_thm1(p: Params, order) -> SidePair:
     L, M, a, b = p["L"], p["M"], p["s"] * p["a"], p["s"] * p["b"]
-    lhs = QPoly.zero()
-    for i in range(abs(b), min(L - abs(a), M) + 1):
-        t = refined_T(L - i, i, a, b)
-        if t:
-            lhs = lhs + (qbinomial(L + M - i, L) * t).shift(Fraction(i * i, 2))
-    rhs = refined_T(L, M, a + b, b).shift(Fraction(b * b, 2))
-    return lhs, rhs
+    return (invariance_sum(L, M, a, b),
+            refined_T(L, M, a + b, b).shift(Fraction(b * b, 2)))
 
 
 def _ev_con(p: Params, order) -> SidePair:

@@ -1,6 +1,7 @@
-"""Reference refined q-trinomial: the defining sum evaluated term by term
-with QPoly products and sums, as a differential oracle for
-``qtrin.qcomb.refined_T``'s packed-integer kernel."""
+"""Reference refined q-trinomial and its sums: the defining sums evaluated
+term by term with QPoly products and sums, as differential oracles for
+``qtrin.qcomb``'s positive-sum kernel (``refined_T``, ``invariance_sum`` and
+``refinement_sum``)."""
 
 from fractions import Fraction
 
@@ -20,4 +21,27 @@ def refined_T_reference(L: int, M: int, a: int, b: int) -> QPoly:
         t = qbinomial(M, n) * qbinomial(M + b + u, M + b) * qbinomial(M - b + v, M - b)
         if t:
             out = out + t.shift(Fraction(n * n, 2))
+    return out
+
+
+def invariance_sum_reference(L: int, M: int, a: int, b: int) -> QPoly:
+    """Sum over i from |b| to min(L-|a|, M) of
+    q^{i^2/2} [L+M-i, L] T(L-i, i, a, b)."""
+    out = QPoly.zero()
+    for i in range(abs(b), min(L - abs(a), M) + 1):
+        t = refined_T_reference(L - i, i, a, b)
+        if t:
+            out = out + (qbinomial(L + M - i, L) * t).shift(Fraction(i * i, 2))
+    return out
+
+
+def refinement_sum_reference(L: int, a: int, b: int, swap: bool) -> QPoly:
+    """Sum over i from |b| to L-|a-b| of q^{(i^2-b^2)/2} T(L-i, i, a-b, b),
+    or of q^{(i^2-b^2)/2} T(i, L-i, b, a-b) with ``swap``."""
+    out = QPoly.zero()
+    for i in range(abs(b), L - abs(a - b) + 1):
+        args = (i, L - i, b, a - b) if swap else (L - i, i, a - b, b)
+        t = refined_T_reference(*args)
+        if t:
+            out = out + t.shift(Fraction(i * i - b * b, 2))
     return out

@@ -149,6 +149,12 @@ def test_compute_F_negative_M_names_M(capsys):
     assert err == "error: M must be nonnegative\n"
 
 
+@pytest.mark.parametrize("bounds", [("-1", "2"), ("2", "-1")])
+def test_compute_rT_negative_bound_is_a_usage_error(capsys, bounds):
+    code, out, err = _capture(capsys, ["compute", "rT", *bounds, "0", "0"])
+    assert (code, out, err) == (2, "", "error: L and M must be nonnegative\n")
+
+
 def test_compute_lhs_rhs_agree(capsys):
     code, lhs, _ = _capture(capsys, ["compute", "lhs", "conj1",
                                      "--L", "3", "--M", "3"])

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
-from qcomb_reference import refined_T_reference
+from qcomb_reference import (invariance_sum_reference, refined_T_reference,
+                             refinement_sum_reference)
+from qtrin import verify
 from qtrin.qpoly import QPoly, pochhammer
-from qtrin.qcomb import _packed_sum, qbinomial, qtrinomial2, qtrinomial_T, refined_T
+from qtrin.qcomb import (_positive_sum, _slot_bytes, invariance_sum, qbinomial,
+                         qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
 
 
 def _qbin_oracle(n, a):
@@ -208,12 +211,93 @@ def _dense_sum(summands):
 
 @pytest.mark.parametrize("x, y", [(15, 17), (16, 16), (255, 257), (256, 256)])
 def test_packed_sum_slot_width_boundaries(x, y):
-    # (x + q)(y + q) + q(1 + q + q^2): the largest coefficient is x*y, which
-    # is 2^8 - 1, 2^8, 2^16 - 1 or 2^16, and the bound is exactly that value
-    summands = [(0, [(x, 1), (y, 1)]), (1, [(1, 1, 1)])]
-    expect = _dense_sum(summands)
+    # The kernel sizes its slots by the sum's value at q = 1, here x*y:
+    # 2^8 - 1, 2^8, 2^16 - 1 or 2^16.  [x, 1][y, 1] spreads that value over
+    # x + y - 1 slots; x*y copies of q^(1/2) [1, 1] put all of it in one.
+    spread = [(0, ((x, 1), (y, 1)))]
+    expect = _dense_sum([(0, [(1,) * x, (1,) * y])])
+    assert sum(expect) == x * y and max(expect) == min(x, y)
+    assert _positive_sum(spread) == QPoly.from_coeffs(expect)
+    heap = [(1, ((1, 1),))] * (x * y)
+    expect = _dense_sum([(0, [(1,)])] * (x * y))
     assert max(expect) == x * y
-    assert _packed_sum(summands, x * y) == expect
+    assert _positive_sum(heap) == QPoly.from_coeffs(expect, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("args, width", [
+    ((3, 3), 1), ((3, 6), 2), ((6, 21), 4), ((15, 33), 8), ((26, 26), 10)])
+def test_refined_at_each_slot_width_against_reference(args, width):
+    t = refined_T(*args, 0, 0)
+    assert _slot_bytes(t.eval_q1()) == width
+    assert t == refined_T_reference(*args, 0, 0)
+
+
+def test_refined_rejects_negative_bounds():
+    for args in ((-1, 2, 0, 0), (2, -1, 0, 0), (-3, -3, 1, 1)):
+        with pytest.raises(ValueError, match="L and M must be nonnegative"):
+            refined_T(*args)
+
+
+def test_positive_sum_edge_cases():
+    assert _positive_sum([]) == QPoly.zero()
+    assert _positive_sum([(-3, ())]) == QPoly.q_power(Fraction(-3, 2))
+    with pytest.raises(ValueError, match="differ by integers"):
+        _positive_sum([(0, ()), (1, ())])
+
+
+@st.composite
+def _sum_args(draw):
+    L = draw(st.integers(0, 10))
+    M = draw(st.integers(0, 10))
+    charge = st.integers(0, L + 2)
+    return L, M, draw(charge), draw(charge), draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_args())
+def test_invariance_sum_against_reference(args):
+    L, M, a, b, s = args
+    assert invariance_sum(L, M, s * a, s * b) == invariance_sum_reference(
+        L, M, s * a, s * b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_args(), st.booleans())
+def test_refinement_sum_against_reference(args, swap):
+    L, _, a, b, s = args
+    assert refinement_sum(L, s * a, s * b, swap) == refinement_sum_reference(
+        L, s * a, s * b, swap)
+
+
+def test_sums_with_wide_coefficients():
+    # coefficients above 64 bits take the byte-slice path of the kernel
+    t = invariance_sum(25, 25, 1, 0)
+    assert max(t.terms.values()).bit_length() == 66
+    assert t == invariance_sum_reference(25, 25, 1, 0)
+    # the refinement sums against the trinomials they add up to, which are
+    # built from qbinomial products alone
+    for swap, trinomial in ((False, qtrinomial_T), (True, qtrinomial2)):
+        t = refinement_sum(48, 2, 1, swap)
+        assert max(t.terms.values()).bit_length() == 65
+        assert t == trinomial(48, 2)
+
+
+def test_invariance_sums_output_digest():
+    # sha256 of str(lhs) for thm1, mTtoT and mTtot over their full registry
+    # grids, one line per point in grid order; computed with the term-by-term
+    # QPoly-sum evaluation the kernel replaced
+    expect = {
+        "thm1": "70d16323c9e1655896be49dcafaf9e790343e56fff599d2522e02bea5f11b732",
+        "mTtoT": "8664aaf399395e2debe93e047603ac6a65d3591c7213d0609823f03cca030456",
+        "mTtot": "6e66ad098b4add62f1dd0483eabf52c0f63aa542f1e50fd8ef150b616dd71f38",
+    }
+    for name, digest in expect.items():
+        d = verify.REGISTRY[name]
+        h = hashlib.sha256()
+        for p in verify._grid_points(d.grid):
+            if d.point_filter is None or d.point_filter(p):
+                h.update(f"{d.evaluate(p, None)[0]}\n".encode())
+        assert h.hexdigest() == digest, name
 
 
 def test_refined_T_output_digest():
