@@ -312,8 +312,7 @@ def run(argv: list[str] | None = None) -> int:
     except verify.UnknownIdentity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError,
-            bosonic.InvalidCharLabel,
+    except (ValueError, bosonic.InvalidCharLabel,
             bosonic.InvalidBranchLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,10 +94,8 @@ def conj_rhs(which: int, L: int, M: int) -> QPoly:
     g = algebra(_FAMILIES[which].small)
     out = QPoly.zero()
     for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, L)):
-        mp = sol.m[g.p - 1]
-        # the parity restriction forces L+M+m_p even
-        assert (L + M + mp) % 2 == 0
-        pre = qbinomial((L + M + mp) // 2, 2 * M)
+        # the parity restriction makes L+M+m_p even (checked in the tests)
+        pre = qbinomial((L + M + sol.m[g.p - 1]) // 2, 2 * M)
         if not pre:
             continue
         term = pre * qbinomial_vector(sol.m, sol.n)
@@ -290,9 +288,8 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
         for sol in solve_mn(g, rk1, f.vertex):
             if not m_ok(sol.m, rk1):
                 continue
-            md = sol.m[f.vertex - 1]
-            assert md % 2 == 0  # parity restriction forces this
-            rk = rk1 - md // 2
+            # m_ok makes m_v even: the vertex is not in x_odd (checked in the tests)
+            rk = rk1 - sol.m[f.vertex - 1] // 2
             e = base + Fraction(g.quad_form_cartan(sol.m), 4)
             if e >= order:
                 continue

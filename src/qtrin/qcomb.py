@@ -1,8 +1,9 @@
 """q-binomials, q-trinomial coefficients T and their four-parameter refinement.
 
-All results are exact QPoly values.  The refined coefficient, and the sums
-of refinements that the paper's invariance identities take, are evaluated
-straight from their defining sums on one positive-sum kernel; no recurrences.
+All results are exact QPoly values.  The q-trinomials, the refined
+coefficient and the sums of refinements that the paper's invariance
+identities take are evaluated straight from their defining sums on one
+positive-sum kernel; no recurrences.
 """
 
 from __future__ import annotations
@@ -62,16 +63,12 @@ def qbinomial_vector(m: Sequence[int], n: Sequence[int]) -> QPoly:
 
 @lru_cache(maxsize=None)
 def qtrinomial2(L: int, a: int) -> QPoly:
-    """Round-bracket q-trinomial: sum_k q^{k(k+a)} [L, k] [L-k, k+a]."""
+    """Round-bracket q-trinomial: sum_k q^{k(k+a)} [L, k] [L-k, k+a], one
+    kernel call over k from max(0, -a) to (L-a)/2."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    out = QPoly.zero()
-    for k in range(0, L + 1):
-        b1 = qbinomial(L, k)
-        b2 = qbinomial(L - k, k + a)
-        if b1 and b2:
-            out = out + (b1 * b2).shift(k * (k + a))
-    return out
+    return positive_sum((2 * k * (k + a), ((L, k), (L - k, k + a)))
+                        for k in range(max(0, -a), (L - a) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -79,19 +76,13 @@ def qtrinomial_T(L: int, a: int) -> QPoly:
     """The T(L, a) q-trinomial (half-integer exponents in general).
 
     Sum over n with n+a+L even of q^{n^2/2} (q)_L / ((q)_x (q)_y (q)_n),
-    x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is [L,n][L-n,x].
+    x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is [L,n][L-n,x].  One
+    kernel call.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    out = QPoly.zero()
-    for n in range(0, L - abs(a) + 1):
-        if (n + a + L) % 2:
-            continue
-        x = (L - a - n) // 2
-        term = qbinomial(L, n) * qbinomial(L - n, x)
-        if term:
-            out = out + term.shift(Fraction(n * n, 2))
-    return out
+    return positive_sum((n * n, ((L, n), (L - n, (L - a - n) // 2)))
+                        for n in range((L + a) % 2, L - abs(a) + 1, 2))
 
 
 # -- the positive-sum kernel -------------------------------------------
@@ -136,7 +127,7 @@ def _unpacked(total: int, size: int, w: int) -> list[int]:
     return out[::-1] if _BIG else out
 
 
-def _positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPoly:
+def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPoly:
     """Sum over (e2, pairs) of q^(e2/2) times the product of the Gaussians
     [n, a], 0 <= a <= n, of ``pairs``; all e2 of one parity.
 
@@ -186,14 +177,14 @@ def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     kernel; zero outside its support."""
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-    return _positive_sum(_refined_terms(L, M, a, b))
+    return positive_sum(_refined_terms(L, M, a, b))
 
 
 def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
     """Left side of T-invariance (Theorem 1): the sum over i from |b| to
     min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), each
     refined_T expanded into its defining sum, as one kernel call."""
-    return _positive_sum(
+    return positive_sum(
         (i * i + e2, ((L + M - i, L),) + pairs)
         for i in range(abs(b), min(L - abs(a), M) + 1)
         for e2, pairs in _refined_terms(L - i, i, a, b))
@@ -204,8 +195,9 @@ def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:
     q^{(i^2-b^2)/2} refined_T(L-i, i, a-b, b).  With ``swap`` each refinement
     is refined_T(i, L-i, b, a-b) and the sum is the round-bracket trinomial
     (L, a) instead.  One kernel call."""
-    return _positive_sum(
+    return positive_sum(
         (i * i - b * b + e2, pairs)
         for i in range(abs(b), L - abs(a - b) + 1)
         for e2, pairs in _refined_terms(
             *((i, L - i, b, a - b) if swap else (L - i, i, a - b, b))))
+

@@ -131,7 +131,12 @@ def _scale(d: int, m: dict, n: int) -> TermMap:
     return (d, {k: c * n for k, c in m.items()}) if n else (1, {})
 
 
-def _shift(d: int, m: dict, r: Fraction) -> TermMap:
+def _shift(d: int, m: dict, r: Exponent) -> TermMap:
+    if type(r) is int:
+        # gcd(d, k + r*d) == gcd(d, k): the map stays reduced
+        return d, {k + r * d: c for k, c in m.items()}
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     e = lcm(d, r.denominator)
     f, s = e // d, r.numerator * (e // r.denominator)
     return _reduced(e, {k * f + s: c for k, c in m.items()})
@@ -244,7 +249,7 @@ class QPoly:
 
     def shift(self, r: Exponent) -> "QPoly":
         """Multiply by q^r."""
-        return QPoly._of(*_shift(self._d, self._m, Fraction(r)))
+        return QPoly._of(*_shift(self._d, self._m, r))
 
     def eval_q1(self) -> int:
         """Sum of all coefficients (the q -> 1 specialization)."""
@@ -347,7 +352,8 @@ class QSeries:
 
     def shift(self, r: Exponent) -> "QSeries":
         """Multiply by q^r; the truncation order shifts along."""
-        r = Fraction(r)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
         return QSeries._of(*_shift(self._d, self._m, r), self.order + r)
 
     def truncate(self, order: Exponent) -> "QSeries":

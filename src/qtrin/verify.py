@@ -16,8 +16,8 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import bosonic, fermionic
-from .qcomb import (invariance_sum, qbinomial, qtrinomial2, qtrinomial_T,
-                    refined_T, refinement_sum)
+from .qcomb import (invariance_sum, positive_sum, qbinomial, qtrinomial2,
+                    qtrinomial_T, refined_T, refinement_sum)
 from .qpoly import QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi
 
 
@@ -156,12 +156,12 @@ def _ev_thm1(p: Params, order) -> SidePair:
 
 
 def _ev_con(p: Params, order) -> SidePair:
+    # sum_i q^{i^2/2} [L, i] T(i, b), each T(i, b) expanded into its
+    # defining sum, as one kernel call
     L, b = p["L"], p["b"]
-    lhs = QPoly.zero()
-    for i in range(0, L + 1):
-        f = qbinomial(L, i) * qtrinomial_T(i, b)
-        if f:
-            lhs = lhs + f.shift(Fraction(i * i, 2))
+    lhs = positive_sum(
+        (i * i + n * n, ((L, i), (i, n), (i - n, (i - b - n) // 2)))
+        for i in range(L + 1) for n in range((i + b) % 2, i - abs(b) + 1, 2))
     return lhs, qbinomial(2 * L, L - b).shift(Fraction(b * b, 2))
 
 
@@ -320,7 +320,8 @@ def _ev_limit_tlim(p: Params, order: Fraction) -> SidePair:
 
 def _ev_limit_Tlim(p: Params, order: Fraction) -> SidePair:
     a, sigma = p["a"], p["sigma"]
-    L = 2 * int(order) + ((a + sigma) % 2)
+    # L - |a| >= 2 * order, as in limit-tlim, and L + a + sigma even
+    L = 2 * int(order) + abs(a) + sigma
     lhs = qtrinomial_T(L, a).to_series(order)
     if p["form"] == 0:
         rhs = qtrinomial_T(L + 2, a).to_series(order)
@@ -460,9 +461,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "limit-mTlim", "series-truncated", "proved-in-paper",
         {"point": (0, 1, 2), "form": (0, 1)}, _ev_limit_mTlim,
         order=10, quick_order=6))
-    out = {d.name: d for d in reg}
-    assert len(out) == len(reg), "duplicate identity names"
-    return out
+    return {d.name: d for d in reg}
 
 
 REGISTRY = _build_registry()

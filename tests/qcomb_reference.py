@@ -1,7 +1,8 @@
-"""Reference refined q-trinomial and its sums: the defining sums evaluated
-term by term with QPoly products and sums, as differential oracles for
-``qtrin.qcomb``'s positive-sum kernel (``refined_T``, ``invariance_sum`` and
-``refinement_sum``)."""
+"""Reference q-trinomials, refined q-trinomial and their sums: the defining
+sums evaluated term by term with QPoly products and sums, as differential
+oracles for ``qtrin.qcomb``'s positive-sum kernel (``qtrinomial_T``,
+``qtrinomial2``, ``refined_T``, ``invariance_sum``, ``refinement_sum`` and
+con10's left side)."""
 
 from fractions import Fraction
 
@@ -44,4 +45,37 @@ def refinement_sum_reference(L: int, a: int, b: int, swap: bool) -> QPoly:
         t = refined_T_reference(*args)
         if t:
             out = out + t.shift(Fraction(i * i - b * b, 2))
+    return out
+
+
+def qtrinomial2_reference(L: int, a: int) -> QPoly:
+    """Sum over k from 0 to L of q^{k(k+a)} [L, k] [L-k, k+a]."""
+    out = QPoly.zero()
+    for k in range(0, L + 1):
+        t = qbinomial(L, k) * qbinomial(L - k, k + a)
+        if t:
+            out = out + t.shift(k * (k + a))
+    return out
+
+
+def qtrinomial_T_reference(L: int, a: int) -> QPoly:
+    """Sum over n from 0 to L-|a| with n+a+L even of
+    q^{n^2/2} [L, n] [L-n, (L-a-n)/2]."""
+    out = QPoly.zero()
+    for n in range(0, L - abs(a) + 1):
+        if (n + a + L) % 2:
+            continue
+        t = qbinomial(L, n) * qbinomial(L - n, (L - a - n) // 2)
+        if t:
+            out = out + t.shift(Fraction(n * n, 2))
+    return out
+
+
+def con10_lhs_reference(L: int, b: int) -> QPoly:
+    """Sum over i from 0 to L of q^{i^2/2} [L, i] T(i, b)."""
+    out = QPoly.zero()
+    for i in range(0, L + 1):
+        t = qbinomial(L, i) * qtrinomial_T_reference(i, b)
+        if t:
+            out = out + t.shift(Fraction(i * i, 2))
     return out

@@ -101,3 +101,25 @@ def test_family_table_pairs_each_algebra_with_its_cut_diagram():
         keep = [i for i in range(big.rank) if i != f.vertex - 1]
         assert ([[big.incidence[i][j] for j in keep] for i in keep]
                 == [list(row) for row in small.incidence])
+
+
+def test_conj_rhs_prefactor_top_is_integral():
+    # conj_rhs takes [(L+M+m_p)/2, 2M] on the premise that the parity
+    # filter makes L+M+m_p even; its filters depend on L only mod 2
+    from qtrin.liealg import algebra
+    from qtrin.mnsys import solve_mn_filtered
+
+    for f in fermionic._FAMILIES.values():
+        g = algebra(f.small)
+        for L in range(9):
+            cone = fermionic._filters(g.name, L)
+            for M in range(9):
+                for sol in solve_mn_filtered(g, 2 * M, g.p, *cone):
+                    assert (L + M + sol.m[g.p - 1]) % 2 == 0, (f.small, L, M, sol.m)
+
+
+def test_chain_sums_keep_the_vertex_coordinate_even():
+    # x_series_lhs halves m_v; its parity restriction makes m_v even only
+    # because the source vertex is not among the primed coordinates
+    for f in fermionic._FAMILIES.values():
+        assert f.vertex not in f.x_odd, f.name

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
-from qcomb_reference import (invariance_sum_reference, refined_T_reference,
-                             refinement_sum_reference)
+from qcomb_reference import (con10_lhs_reference, invariance_sum_reference,
+                             qtrinomial2_reference, qtrinomial_T_reference,
+                             refined_T_reference, refinement_sum_reference)
 from qtrin import verify
 from qtrin.qpoly import QPoly, pochhammer
-from qtrin.qcomb import (_positive_sum, _slot_bytes, invariance_sum, qbinomial,
+from qtrin.qcomb import (_slot_bytes, invariance_sum, positive_sum, qbinomial,
                          qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
 
 
@@ -217,11 +218,11 @@ def test_packed_sum_slot_width_boundaries(x, y):
     spread = [(0, ((x, 1), (y, 1)))]
     expect = _dense_sum([(0, [(1,) * x, (1,) * y])])
     assert sum(expect) == x * y and max(expect) == min(x, y)
-    assert _positive_sum(spread) == QPoly.from_coeffs(expect)
+    assert positive_sum(spread) == QPoly.from_coeffs(expect)
     heap = [(1, ((1, 1),))] * (x * y)
     expect = _dense_sum([(0, [(1,)])] * (x * y))
     assert max(expect) == x * y
-    assert _positive_sum(heap) == QPoly.from_coeffs(expect, Fraction(1, 2))
+    assert positive_sum(heap) == QPoly.from_coeffs(expect, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("args, width", [
@@ -239,10 +240,10 @@ def test_refined_rejects_negative_bounds():
 
 
 def test_positive_sum_edge_cases():
-    assert _positive_sum([]) == QPoly.zero()
-    assert _positive_sum([(-3, ())]) == QPoly.q_power(Fraction(-3, 2))
+    assert positive_sum([]) == QPoly.zero()
+    assert positive_sum([(-3, ())]) == QPoly.q_power(Fraction(-3, 2))
     with pytest.raises(ValueError, match="differ by integers"):
-        _positive_sum([(0, ()), (1, ())])
+        positive_sum([(0, ()), (1, ())])
 
 
 @st.composite
@@ -269,17 +270,58 @@ def test_refinement_sum_against_reference(args, swap):
         L, s * a, s * b, swap)
 
 
+@st.composite
+def _bound_and_charge(draw, top):
+    L = draw(st.integers(0, top))
+    return L, draw(st.integers(-L - 2, L + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_and_charge(30))
+def test_trinomials_against_reference(args):
+    L, a = args
+    assert qtrinomial_T(L, a) == qtrinomial_T_reference(L, a)
+    assert qtrinomial2(L, a) == qtrinomial2_reference(L, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bound_and_charge(14))
+def test_con10_lhs_against_reference(args):
+    L, b = args
+    lhs, _ = verify.REGISTRY["con10"].evaluate({"L": L, "b": b}, None)
+    assert lhs == con10_lhs_reference(L, b)
+
+
+def test_trinomials_output_digest():
+    # sha256 of str() of each trinomial for L <= 30 and |a| <= L+2, one line
+    # each, in loop order; computed with the QPoly product loops the kernel
+    # replaced
+    expect = {
+        qtrinomial_T: "41e459620e617a0ab2e9f219d6f2b8b93bb6c9a5511ec5d8b688944b0a5ad7e4",
+        qtrinomial2: "d91df9aa8df1b03dad000ac6102d05c4054da301c5f41391aeebe2813e3de85e",
+    }
+    for trinomial, digest in expect.items():
+        h = hashlib.sha256()
+        for L in range(31):
+            for a in range(-L - 2, L + 3):
+                h.update(f"{trinomial(L, a)}\n".encode())
+        assert h.hexdigest() == digest, trinomial.__name__
+
+
 def test_sums_with_wide_coefficients():
     # coefficients above 64 bits take the byte-slice path of the kernel
     t = invariance_sum(25, 25, 1, 0)
     assert max(t.terms.values()).bit_length() == 66
     assert t == invariance_sum_reference(25, 25, 1, 0)
-    # the refinement sums against the trinomials they add up to, which are
-    # built from qbinomial products alone
-    for swap, trinomial in ((False, qtrinomial_T), (True, qtrinomial2)):
+    # the refinement sums against the trinomials they add up to, and the
+    # trinomials, a second kernel sum each, against their term-by-term
+    # references
+    for swap, trinomial, reference in ((False, qtrinomial_T, qtrinomial_T_reference),
+                                       (True, qtrinomial2, qtrinomial2_reference)):
         t = refinement_sum(48, 2, 1, swap)
         assert max(t.terms.values()).bit_length() == 65
         assert t == trinomial(48, 2)
+        assert trinomial(48, 2) == reference(48, 2)
 
 
 def test_invariance_sums_output_digest():

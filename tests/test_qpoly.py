@@ -64,6 +64,17 @@ def test_shift_is_multiplication_by_power(p, e):
     assert p.shift(e) == p * QPoly.q_power(e)
 
 
+@given(polys, orders, st.integers(-9, 9))
+def test_integer_shift_matches_fraction_shift(p, order, n):
+    # an int shift skips the Fraction path; equality compares the stored
+    # denominator and map, so the result must also be reduced
+    assert p.shift(n) == p.shift(Fraction(n))
+    assert hash(p.shift(n)) == hash(p.shift(Fraction(n)))
+    s = p.to_series(order)
+    assert s.shift(n) == s.shift(Fraction(n))
+    assert s.shift(n).order == order + n
+
+
 @given(polys, polys)
 def test_eval_q1_is_ring_hom(a, b):
     assert (a * b).eval_q1() == a.eval_q1() * b.eval_q1()

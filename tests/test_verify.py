@@ -23,6 +23,19 @@ def test_registry_is_exactly_the_fixed_list():
     assert len(verify.REGISTRY) == 41
 
 
+def test_registry_names_are_unique(monkeypatch):
+    # a repeated name would silently replace an entry of the registry dict
+    real, built = verify.IdentityDescriptor, []
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "IdentityDescriptor", record)
+    verify._build_registry()
+    assert len(built) == len({d.name for d in built}) == 41
+
+
 def test_registry_metadata_well_formed():
     for d in verify.REGISTRY.values():
         assert d.kind in ("polynomial-exact", "series-truncated")
@@ -160,3 +173,13 @@ def test_clear_caches_empties_every_cache():
     assert {n for n, f in caches.items() if f.cache_info().currsize == 0} == set()
     qtrin.clear_caches()
     assert {n for n, f in caches.items() if f.cache_info().currsize} == set()
+
+
+def test_limit_Tlim_holds_for_every_charge():
+    # the string-function limit needs L - |a| >= 2 * order; an L that
+    # ignored |a| failed for every |a| >= 3 (at a = 3, sigma = 1, order 10:
+    # 129 against 130 at q^(19/2))
+    for order in (2, 10):
+        r = verify.verify_identity("limit-Tlim", grid={"a": range(-8, 9)}, order=order)
+        assert r.points == 17 * 4
+        assert r.passed, r.failures[:1]
