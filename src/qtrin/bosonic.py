@@ -45,8 +45,10 @@ def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
     for j in _jrange(L, M):
         for sign, a0, b0, c, d in rows:
             a, b = A * j + a0, P * j + b0
-            t = refined_T(L, M, a, b).shift(Fraction(a * b, 2) + c * j + d)
-            out = out + t if sign > 0 else out - t
+            t = refined_T(L, M, a, b)
+            if t:
+                t = t.shift(Fraction(a * b, 2) + c * j + d)
+                out = out + t if sign > 0 else out - t
     return out
 
 

@@ -7,6 +7,7 @@ All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -155,6 +156,9 @@ def _parse_grid(spec: str) -> dict[str, tuple[int, ...]]:
         if "=" not in part or ".." not in part:
             raise UsageError(f"bad grid component {part!r}, want var=lo..hi")
         var, rng = part.split("=", 1)
+        var = var.strip()
+        if var in grid:
+            raise UsageError(f"grid variable {var!r} given twice in {spec!r}")
         lo_s, hi_s = rng.split("..", 1)
         try:
             lo, hi = int(lo_s), int(hi_s)
@@ -162,7 +166,7 @@ def _parse_grid(spec: str) -> dict[str, tuple[int, ...]]:
             raise UsageError(f"bad grid bounds in {part!r}") from None
         if hi < lo:
             raise UsageError(f"empty grid range in {part!r}")
-        grid[var.strip()] = tuple(range(lo, hi + 1))
+        grid[var] = tuple(range(lo, hi + 1))
     return grid
 
 
@@ -206,9 +210,19 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
+    if args.name == "all" and grid is not None:
+        raise UsageError("--grid applies to a single identity, not 'all'")
+    if args.json_path and args.json_path != "-":
+        # fail before the run if the report cannot be written, and leave the
+        # file system as it was: mode "a" keeps an existing file's content
+        existed = os.path.exists(args.json_path)
+        try:
+            open(args.json_path, "a").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json_path}: {exc.strerror}") from None
+        if not existed:
+            os.remove(args.json_path)
     if args.name == "all":
-        if grid is not None:
-            raise UsageError("--grid applies to a single identity, not 'all'")
         reports = verify.verify_all(level=args.level)
     else:
         reports = [verify.verify_identity(

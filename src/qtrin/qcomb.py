@@ -162,9 +162,8 @@ def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPol
 def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
     """The defining sum of refined_T(L, M, a, b) as kernel terms: for n from
     0 to min(L-|a|, M) with n+a+L even, q^{n^2/2} [M, n]
-    [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b]; none when |b| > M."""
-    if abs(b) > M:
-        return []
+    [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b].  Every caller keeps
+    (a, b) inside the support |a| <= L, |b| <= M."""
     return [(n * n, ((M, n), (M + b + (L - a - n) // 2, M + b),
                      (M - b + (L + a - n) // 2, M - b)))
             for n in range((L + a) % 2, min(L - abs(a), M) + 1, 2)]
@@ -174,9 +173,12 @@ def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
 def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     """The refined q-trinomial coefficient with bounds L, M and charges a, b,
     evaluated from its defining sum (_refined_terms) by the positive-sum
-    kernel; zero outside its support."""
+    kernel.  It vanishes outside its support |a| <= L, |b| <= M, and there
+    the zero polynomial is returned without a kernel call."""
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
+    if abs(a) > L or abs(b) > M:
+        return QPoly.zero()
     return positive_sum(_refined_terms(L, M, a, b))
 
 

@@ -132,11 +132,12 @@ def _scale(d: int, m: dict, n: int) -> TermMap:
 
 
 def _shift(d: int, m: dict, r: Exponent) -> TermMap:
-    if type(r) is int:
-        # gcd(d, k + r*d) == gcd(d, k): the map stays reduced
-        return d, {k + r * d: c for k, c in m.items()}
-    if not isinstance(r, Fraction):
+    if not isinstance(r, (int, Fraction)):
         r = Fraction(r)
+    if r.denominator == 1:
+        # gcd(d, k + r*d) == gcd(d, k): the map stays reduced
+        s = r.numerator * d
+        return d, {k + s: c for k, c in m.items()}
     e = lcm(d, r.denominator)
     f, s = e // d, r.numerator * (e // r.denominator)
     return _reduced(e, {k * f + s: c for k, c in m.items()})
@@ -204,7 +205,9 @@ class QPoly:
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly._of(1, {})
+        """The zero polynomial: one shared instance, as nothing mutates a
+        term map in place."""
+        return _ZERO
 
     @staticmethod
     def one() -> "QPoly":
@@ -284,6 +287,9 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
+
+
+_ZERO = QPoly._of(1, {})
 
 
 class QSeries:

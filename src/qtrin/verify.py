@@ -107,9 +107,8 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
 
     Series are compared coefficientwise up to the smaller truncation order.
     """
-    orders = [s.order for s in (lhs, rhs) if isinstance(s, QSeries)]
-    if orders:
-        cut = min(orders)
+    if isinstance(lhs, QSeries) or isinstance(rhs, QSeries):
+        cut = min(s.order for s in (lhs, rhs) if isinstance(s, QSeries))
         lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
                     for s in (lhs, rhs))
     if len(lhs) > TERM_CEILING or len(rhs) > TERM_CEILING:

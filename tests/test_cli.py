@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qtrin import verify
 from qtrin.cli import run
 from qtrin.verify import REGISTRY
 
@@ -75,6 +76,44 @@ def test_verify_grid_override_and_json(tmp_path, capsys):
     assert doc[0]["grid"]["L"] == [0, 1, 2]
     assert set(doc[0]) >= {"identity", "status", "kind", "grid",
                            "points", "failures", "millis"}
+
+
+def _no_evaluation(monkeypatch):
+    # a usage error must be caught before any identity is evaluated
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity was evaluated")
+    monkeypatch.setattr(verify, "verify_identity", refuse)
+    monkeypatch.setattr(verify, "verify_all", refuse)
+
+
+def test_verify_json_path_that_cannot_be_written(tmp_path, monkeypatch, capsys):
+    _no_evaluation(monkeypatch)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        for name in ("vanish", "all"):
+            code, out, err = _capture(capsys, ["verify", name, "--json", str(path)])
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert str(path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_usage_error_leaves_the_report_path_alone(tmp_path, capsys):
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("kept\n")
+    for argv in (["no-such-identity"], ["dual", "--grid", "x=0..1"],
+                 ["dual", "--order", "0"]):
+        for path in (kept, absent):
+            code, _, _ = _capture(capsys, ["verify", *argv, "--json", str(path)])
+            assert code == 2
+    assert kept.read_text() == "kept\n" and not absent.exists()
+
+
+def test_verify_grid_variable_given_twice_is_a_usage_error(monkeypatch, capsys):
+    _no_evaluation(monkeypatch)
+    for spec in ("L=1..2,L=3..3", "L=0..1,M=0..1, L=2..2"):
+        code, out, err = _capture(capsys, ["verify", "dual", "--grid", spec])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'L' given twice" in err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from sympy import Poly, symbols
 from qcomb_reference import (con10_lhs_reference, invariance_sum_reference,
                              qtrinomial2_reference, qtrinomial_T_reference,
                              refined_T_reference, refinement_sum_reference)
-from qtrin import verify
+from qtrin import qcomb, verify
 from qtrin.qpoly import QPoly, pochhammer
 from qtrin.qcomb import (_slot_bytes, invariance_sum, positive_sum, qbinomial,
                          qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
@@ -157,6 +157,23 @@ def test_refined_small_values():
     assert refined_T(0, 0, 0, 0) == QPoly.one()
     assert str(refined_T(2, 2, 0, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
     assert str(refined_T(3, 1, 2, 0).shift(Fraction(-1, 2))) == "1 + q + q^2"
+
+
+def test_refined_at_the_support_edge_against_reference(monkeypatch):
+    # |a| = L, |b| = M is the last point of the support, one past it the
+    # refinement is zero, and there the kernel is never called
+    pairs = [(L, M) for L in range(11) for M in range(11)]
+    edge = [(L, M, sa * x, sb * y) for L, M in pairs
+            for x in (L, L + 1) for y in (M, M + 1) for sa in (1, -1) for sb in (1, -1)]
+    for args in edge:
+        assert refined_T(*args) == refined_T_reference(*args)
+
+    def refuse(terms):
+        raise AssertionError("kernel called outside the support")
+    monkeypatch.setattr(qcomb, "positive_sum", refuse)
+    for L, M, a, b in edge:
+        if abs(a) > L or abs(b) > M:
+            assert refined_T.__wrapped__(L, M, a, b) == QPoly.zero()
 
 
 @st.composite

@@ -66,13 +66,31 @@ def test_shift_is_multiplication_by_power(p, e):
 
 @given(polys, orders, st.integers(-9, 9))
 def test_integer_shift_matches_fraction_shift(p, order, n):
-    # an int shift skips the Fraction path; equality compares the stored
-    # denominator and map, so the result must also be reduced
-    assert p.shift(n) == p.shift(Fraction(n))
-    assert hash(p.shift(n)) == hash(p.shift(Fraction(n)))
-    s = p.to_series(order)
-    assert s.shift(n) == s.shift(Fraction(n))
-    assert s.shift(n).order == order + n
+    # an int shift, or a Fraction one with denominator 1, skips the lcm
+    # path; equality compares the stored denominator and map, so the result
+    # must also be reduced
+    for r in (Fraction(n), Fraction(2 * n, 2)):
+        assert p.shift(n) == p.shift(r)
+        assert hash(p.shift(n)) == hash(p.shift(r))
+        s = p.to_series(order)
+        assert s.shift(n) == s.shift(r)
+        assert s.shift(r).order == s.shift(n).order == order + n
+
+
+def test_shared_zero_stays_zero():
+    zero = QPoly.zero()
+    assert zero is QPoly.zero()
+    p = QPoly({0: 1, Fraction(1, 2): -3, Fraction(7, 3): 2})
+    assert zero + p == p + zero == p
+    assert zero - p == -p and p - zero == p and zero - zero == zero
+    assert zero * p == p * zero == zero * 5 == -zero == zero
+    assert zero.shift(3) == zero.shift(Fraction(-5, 6)) == zero
+    assert zero.substitute_qinv() == zero
+    assert zero.to_series(4) == QSeries.zero(4)
+    assert p.to_series(4) * zero == QSeries.zero(4)
+    # serving as an operand left the shared zero as it was
+    assert zero == QPoly() and hash(zero) == hash(QPoly())
+    assert str(zero) == "0" and len(zero) == 0 and zero.min_exponent() is None
 
 
 @given(polys, polys)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -183,3 +185,37 @@ def test_limit_Tlim_holds_for_every_charge():
         r = verify.verify_identity("limit-Tlim", grid={"a": range(-8, 9)}, order=order)
         assert r.points == 17 * 4
         assert r.passed, r.failures[:1]
+
+
+def test_term_ceiling_stops_runaway_sides(monkeypatch):
+    monkeypatch.setattr(verify, "TERM_CEILING", 3)
+    big = QPoly.from_coeffs([1, 1, 1, 1])
+    small = QPoly.from_coeffs([1, 1])
+    # polynomial sides, equal ones included, and series sides after the cut
+    for lhs, rhs in ((big, big), (big, small), (small, big),
+                     (big.to_series(10), big.to_series(10)), (big.to_series(10), big),
+                     (small, big.to_series(10))):
+        with pytest.raises(verify.RunawayComputation):
+            verify.compare_sides(lhs, rhs)
+    assert verify.compare_sides(small, small) is None
+    # cut at q^3, each side keeps three terms
+    assert verify.compare_sides(big.to_series(3), big) is None
+
+
+def test_full_level_points_are_pinned(monkeypatch):
+    # every point the engine counts is evaluated, so a speed-up cannot come
+    # from evaluating fewer points
+    calls = Counter()
+    for name, d in list(verify.REGISTRY.items()):
+        def counted(params, order, name=name, evaluate=d.evaluate):
+            calls[name] += 1
+            return evaluate(params, order)
+        monkeypatch.setitem(verify.REGISTRY, name,
+                            dataclasses.replace(d, evaluate=counted))
+    reports = verify.verify_all(level="full")
+    assert all(r.passed for r in reports)
+    points = {r.identity: r.points for r in reports}
+    assert points == calls
+    assert sum(points.values()) == 61_916
+    assert (points["vanish"], points["dual"], points["symmetry"],
+            points["thm1"]) == (44_064, 6_561, 6_561, 4_050)
