@@ -1,6 +1,7 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+computation past the term-count ceiling (verify.TERM_CEILING).
 All output is deterministic.
 """
 
@@ -326,7 +327,7 @@ def run(argv: list[str] | None = None) -> int:
     except verify.UnknownIdentity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, bosonic.InvalidCharLabel,
+    except (ValueError, verify.RunawayComputation, bosonic.InvalidCharLabel,
             bosonic.InvalidBranchLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,10 @@ k-series sums, and the fermionic character series.
 
 Every sum here is manifestly positive: q-powers times products of Gaussian
 polynomials, indexed by (m,n)-system solutions or by free nonnegative vectors
-cut off at the truncation order.
+cut off at the truncation order.  The polynomial sums, and x_series_lhs's
+weight of each solution, are each one call to qtrin.qcomb.positive_sum, with
+exponents over the inverse Cartan denominator (n.C^{-1}.n) or over 4 (m.C.m/4
+and the k-series chain's squares over 2).
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra, algebra
-from .mnsys import mod3_filter, parity_filter, solve_mn, solve_mn_filtered
-from .qcomb import qbinomial, qbinomial_vector
+from .mnsys import MNSolution, mod3_filter, parity_filter, solve_mn, solve_mn_filtered
+from .qcomb import positive_sum
 from .qpoly import QPoly, QSeries, euler_inverse
 
 
@@ -65,10 +68,21 @@ def _filters(name: str, sigma: int = 0) -> tuple:
     raise ValueError(f"no cone filters for {name}")
 
 
+def _pairs(sol: MNSolution) -> tuple[tuple[int, int], ...]:
+    """[m+n choose n] = prod_j [m_j + n_j, n_j] as kernel pairs."""
+    return tuple((mj + nj, nj) for mj, nj in zip(sol.m, sol.n))
+
+
+def _term(g: LieAlgebra, sol: MNSolution, *pre: tuple[int, int]) -> tuple:
+    """q^{n.C^{-1}.n} [pre] [m+n choose n] as a kernel term over the
+    denominator g.invcartan_den."""
+    return int(g.quad_form_invcartan(sol.n) * g.invcartan_den), pre + _pairs(sol)
+
+
 @lru_cache(maxsize=None)
 def f_poly(name: str, M: int, sigma: int) -> QPoly:
     """F polynomial of A5, D6 or E7: sum over the (m,n)-system with N = 2M at
-    the marked vertex p, of q^{n.C^{-1}.n} [m+n choose n]."""
+    the marked vertex p, of q^{n.C^{-1}.n} [m+n choose n]; one kernel call."""
     if M < 0:
         raise ValueError("M must be nonnegative")
     if sigma not in (0, 1):
@@ -76,52 +90,41 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
     g = algebra(name)
     if g.p is None:
         raise ValueError(f"F-polynomial not defined for {name}")
-    out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, sigma)):
-        term = qbinomial_vector(sol.m, sol.n)
-        if term:
-            out = out + term.shift(g.quad_form_invcartan(sol.n))
-    return out
+    sols = solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, sigma))
+    return positive_sum((_term(g, sol) for sol in sols), g.invcartan_den)
 
 
 def conj_rhs(which: int, L: int, M: int) -> QPoly:
     """Right-hand side of conjecture 1, 2 or 3: the F-type sum with the extra
-    Gaussian prefactor [(L+M+m_p)/2 choose 2M]."""
+    Gaussian prefactor [(L+M+m_p)/2 choose 2M]; one kernel call."""
     if which not in _FAMILIES:
         raise ValueError("conjecture index must be 1, 2 or 3")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
     g = algebra(_FAMILIES[which].small)
-    out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, L)):
-        # the parity restriction makes L+M+m_p even (checked in the tests)
-        pre = qbinomial((L + M + sol.m[g.p - 1]) // 2, 2 * M)
-        if not pre:
-            continue
-        term = pre * qbinomial_vector(sol.m, sol.n)
-        if term:
-            out = out + term.shift(g.quad_form_invcartan(sol.n))
-    return out
+    # the parity restriction makes L+M+m_p even (checked in the tests); the
+    # prefactor vanishes unless (L+M+m_p)/2 >= 2M
+    return positive_sum(
+        (_term(g, sol, ((L + M + sol.m[g.p - 1]) // 2, 2 * M))
+         for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, L))
+         if L + M + sol.m[g.p - 1] >= 4 * M),
+        g.invcartan_den)
 
 
 @lru_cache(maxsize=None)
-def _inner_algebra_sum(family: int, top: int, bound: int) -> QPoly:
-    """Sum over the large algebra's (m,n)-system at N=bound of
-    q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source vertex."""
+def _inner_terms(family: int, top: int, bound: int) -> tuple:
+    """The sum over the large algebra's (m,n)-system at N = bound of
+    q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source
+    vertex, as kernel terms over the denominator 4.  A solution with m_v odd
+    (a half-integer top index) or top - m_v/2 < bound contributes nothing."""
     f = _FAMILIES[family]
     g = algebra(f.large)
-    out = QPoly.zero()
+    out = []
     for sol in solve_mn_filtered(g, bound, f.vertex, *_filters(f.large)):
         md = sol.m[f.vertex - 1]
-        if md % 2:
-            continue  # half-integer top index: no such term contributes
-        pre = qbinomial(top - md // 2, bound)
-        if not pre:
-            continue
-        term = pre * qbinomial_vector(sol.m, sol.n)
-        if term:
-            out = out + term.shift(Fraction(g.quad_form_cartan(sol.m), 4))
-    return out
+        if md % 2 == 0 and top - md // 2 >= bound:
+            out.append((g.quad_form_cartan(sol.m), ((top - md // 2, bound),) + _pairs(sol)))
+    return tuple(out)
 
 
 def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
@@ -129,34 +132,29 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
 
     Nested sum over r in Z_+^{k-1} with r_0 = L, r_{-1} = L+M, of the chain of
     q^{(r_a - r_{a+1})^2/2} [r_{a-1}-r_a+r_{a+1} choose r_a] factors times the
-    inner algebra sum bounded by r_{k-1}.
+    inner algebra sum with top r_{k-2} and bound r_{k-1}: one kernel call
+    over chains times inner terms, exponents over the denominator 4.
     """
     w = _kfamily(family)
     if k < 1:
         raise ValueError("k must be >= 1")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-    out = QPoly.zero()
 
     # r[-1] = L+M, r[0] = L, then r[1..k-1]; the chain binomials force
     # r monotonically nonincreasing, so each r_a ranges over 0..r_{a-1}.
-    def rec(r: list[int], prefix: QPoly) -> None:
-        nonlocal out
-        a = len(r) - 2  # index of the last fixed r entry
-        if a == k - 1:
-            inner = _inner_algebra_sum(w, top=r[-2], bound=r[-1])
-            if inner:
-                out = out + prefix * inner
+    def terms(r: list[int], e: int, pairs: tuple):
+        if len(r) == k + 1:
+            for ei, inner in _inner_terms(w, r[-2], r[-1]):
+                yield e + ei, pairs + inner
             return
         for nxt in range(0, r[-1] + 1):
-            fac = qbinomial(r[-2] - r[-1] + nxt, r[-1])
-            if not fac:
-                continue
-            step = (fac * prefix).shift(Fraction((r[-1] - nxt) ** 2, 2))
-            rec(r + [nxt], step)
+            top = r[-2] - r[-1] + nxt
+            if top >= r[-1]:
+                yield from terms(r + [nxt], e + 2 * (r[-1] - nxt) ** 2,
+                                 pairs + ((top, r[-1]),))
 
-    rec([L + M, L], QPoly.one())
-    return out
+    return positive_sum(terms([L + M, L], 0, ()), 4)
 
 
 def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
@@ -168,8 +166,6 @@ def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
     n = [0] * r
 
     def rec(k: int):
-        if g.quad_form_invcartan(n) >= order:
-            return
         if k == r:
             yield tuple(n)
             return
@@ -182,8 +178,6 @@ def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
             yield from rec(k + 1)
             v += 1
 
-    # note: rec checks the prefix (suffix zeros) only; monotonicity makes
-    # the cutoff sound.
     yield from rec(0)
 
 
@@ -201,10 +195,7 @@ def fermionic_char_sum(
     for n in _enumerate_small_qform(g, order):
         if not all(p(n) for p in preds):
             continue
-        e = g.quad_form_invcartan(n)
-        if e >= order:
-            continue
-        term = QSeries([(e, 1)], order)
+        term = QSeries([(g.quad_form_invcartan(n), 1)], order)
         for nj in n:
             if nj:
                 term = term * euler_inverse(order, nj)
@@ -293,17 +284,13 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
             e = base + Fraction(g.quad_form_cartan(sol.m), 4)
             if e >= order:
                 continue
-            chain = QPoly.one()
             rfull = r + [rk]
-            for a in range(2, k):
-                chain = chain * qbinomial(rfull[a - 1] - rfull[a] + rfull[a + 1],
-                                          rfull[a])
-                if not chain:
-                    break
-            if not chain:
-                continue
-            term = chain * qbinomial_vector(sol.m, sol.n)
-            ser = term.to_series(order - e) * euler_inverse(order - e, r[1])
+            chain = tuple((rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])
+                          for a in range(2, k))
+            if any(top < bottom for top, bottom in chain):
+                continue  # a chain Gaussian vanishes
+            weight = positive_sum([(0, chain + _pairs(sol))], 1)
+            ser = weight.to_series(order - e) * euler_inverse(order - e, r[1])
             out = out + ser.shift(e)
 
     def rec(r: list[int]) -> None:

@@ -3,7 +3,8 @@
 All results are exact QPoly values.  The q-trinomials, the refined
 coefficient and the sums of refinements that the paper's invariance
 identities take are evaluated straight from their defining sums on one
-positive-sum kernel; no recurrences.
+positive-sum kernel, ``positive_sum``, which also evaluates the polynomial
+fermionic sides of qtrin.fermionic; no recurrences.
 """
 
 from __future__ import annotations
@@ -48,27 +49,14 @@ def qbinomial(n: int, a: int) -> QPoly:
     return QPoly.from_coeffs(_gauss(n, a))
 
 
-def qbinomial_vector(m: Sequence[int], n: Sequence[int]) -> QPoly:
-    """Product over components of [m_j + n_j, n_j]."""
-    if len(m) != len(n):
-        raise ValueError("m and n must have the same length")
-    out = QPoly.one()
-    for mj, nj in zip(m, n):
-        factor = qbinomial(mj + nj, nj)
-        if not factor:
-            return QPoly.zero()
-        out = out * factor
-    return out
-
-
 @lru_cache(maxsize=None)
 def qtrinomial2(L: int, a: int) -> QPoly:
     """Round-bracket q-trinomial: sum_k q^{k(k+a)} [L, k] [L-k, k+a], one
     kernel call over k from max(0, -a) to (L-a)/2."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return positive_sum((2 * k * (k + a), ((L, k), (L - k, k + a)))
-                        for k in range(max(0, -a), (L - a) // 2 + 1))
+    return positive_sum(((2 * k * (k + a), ((L, k), (L - k, k + a)))
+                         for k in range(max(0, -a), (L - a) // 2 + 1)), 2)
 
 
 @lru_cache(maxsize=None)
@@ -81,17 +69,18 @@ def qtrinomial_T(L: int, a: int) -> QPoly:
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return positive_sum((n * n, ((L, n), (L - n, (L - a - n) // 2)))
-                        for n in range((L + a) % 2, L - abs(a) + 1, 2))
+    return positive_sum(((n * n, ((L, n), (L - n, (L - a - n) // 2)))
+                         for n in range((L + a) % 2, L - abs(a) + 1, 2)), 2)
 
 
 # -- the positive-sum kernel -------------------------------------------
 #
-# A term (e2, pairs) stands for q^(e2/2) times the product of the Gaussian
-# polynomials [n, a] over its (n, a) pairs.  Every such product, and so every
-# sum of them, has nonnegative coefficients, none above its value at q = 1.
-# The kernel sizes its slots by that value (a product of math.comb values),
-# which is what makes Kronecker substitution sign-free here.
+# A term (e, pairs) of a sum over the exponent denominator d stands for
+# q^(e/d) times the product of the Gaussian polynomials [n, a] over its
+# (n, a) pairs.  Every such product, and so every sum of them, has
+# nonnegative coefficients, none above its value at q = 1.  The kernel sizes
+# its slots by that value (a product of math.comb values), which is what
+# makes Kronecker substitution sign-free here.
 
 # unsigned array typecodes by itemsize: the slot widths of one machine word
 _WORDS = {array(code).itemsize: code for code in "BHILQ"}
@@ -127,9 +116,10 @@ def _unpacked(total: int, size: int, w: int) -> list[int]:
     return out[::-1] if _BIG else out
 
 
-def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPoly:
-    """Sum over (e2, pairs) of q^(e2/2) times the product of the Gaussians
-    [n, a], 0 <= a <= n, of ``pairs``; all e2 of one parity.
+def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+                 den: int) -> QPoly:
+    """Sum over (e, pairs) of q^(e/den) times the product of the Gaussians
+    [n, a], 0 <= a <= n, of ``pairs``; all e of one call congruent mod den.
 
     Kronecker substitution: q becomes 2^(8w), with w bytes enough for the
     sum's value at q = 1, which bounds every coefficient of the sum and of
@@ -140,13 +130,13 @@ def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPol
     terms = list(terms)
     if not terms:
         return QPoly.zero()
-    e0 = min(e2 for e2, _ in terms)
+    e0 = min(e for e, _ in terms)
     w = _slot_bytes(sum(prod([comb(n, a) for n, a in pairs]) for _, pairs in terms))
     total = 0
     size = 0
-    for e2, pairs in terms:
-        s, odd = divmod(e2 - e0, 2)
-        if odd:
+    for e, pairs in terms:
+        s, part = divmod(e - e0, den)
+        if part:
             raise ValueError("the exponents of one sum must differ by integers")
         p = 1
         top = s
@@ -155,7 +145,7 @@ def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPol
             top += a * (n - a)  # the degree of [n, a]
         total += p << (8 * w * s)
         size = max(size, top + 1)
-    start = e0 // 2 if e0 % 2 == 0 else Fraction(e0, 2)
+    start = e0 // den if e0 % den == 0 else Fraction(e0, den)
     return QPoly.from_coeffs(_unpacked(total, size, w), start)
 
 
@@ -179,7 +169,7 @@ def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
         raise ValueError("L and M must be nonnegative")
     if abs(a) > L or abs(b) > M:
         return QPoly.zero()
-    return positive_sum(_refined_terms(L, M, a, b))
+    return positive_sum(_refined_terms(L, M, a, b), 2)
 
 
 def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
@@ -187,9 +177,9 @@ def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
     min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), each
     refined_T expanded into its defining sum, as one kernel call."""
     return positive_sum(
-        (i * i + e2, ((L + M - i, L),) + pairs)
-        for i in range(abs(b), min(L - abs(a), M) + 1)
-        for e2, pairs in _refined_terms(L - i, i, a, b))
+        ((i * i + e2, ((L + M - i, L),) + pairs)
+         for i in range(abs(b), min(L - abs(a), M) + 1)
+         for e2, pairs in _refined_terms(L - i, i, a, b)), 2)
 
 
 def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:
@@ -198,8 +188,8 @@ def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:
     is refined_T(i, L-i, b, a-b) and the sum is the round-bracket trinomial
     (L, a) instead.  One kernel call."""
     return positive_sum(
-        (i * i - b * b + e2, pairs)
-        for i in range(abs(b), L - abs(a - b) + 1)
-        for e2, pairs in _refined_terms(
-            *((i, L - i, b, a - b) if swap else (L - i, i, a - b, b))))
+        ((i * i - b * b + e2, pairs)
+         for i in range(abs(b), L - abs(a - b) + 1)
+         for e2, pairs in _refined_terms(
+             *((i, L - i, b, a - b) if swap else (L - i, i, a - b, b)))), 2)
 

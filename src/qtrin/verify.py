@@ -112,7 +112,7 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
         lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
                     for s in (lhs, rhs))
     if len(lhs) > TERM_CEILING or len(rhs) > TERM_CEILING:
-        raise RunawayComputation("term-count ceiling exceeded")
+        raise RunawayComputation(f"term-count ceiling {TERM_CEILING} exceeded")
     if lhs == rhs:
         return None
     e = (lhs - rhs).min_exponent()
@@ -159,8 +159,8 @@ def _ev_con(p: Params, order) -> SidePair:
     # defining sum, as one kernel call
     L, b = p["L"], p["b"]
     lhs = positive_sum(
-        (i * i + n * n, ((L, i), (i, n), (i - n, (i - b - n) // 2)))
-        for i in range(L + 1) for n in range((i + b) % 2, i - abs(b) + 1, 2))
+        ((i * i + n * n, ((L, i), (i, n), (i - n, (i - b - n) // 2)))
+         for i in range(L + 1) for n in range((i + b) % 2, i - abs(b) + 1, 2)), 2)
     return lhs, qbinomial(2 * L, L - b).shift(Fraction(b * b, 2))
 
 

@@ -1,11 +1,17 @@
-"""Reference q-trinomials, refined q-trinomial and their sums: the defining
-sums evaluated term by term with QPoly products and sums, as differential
-oracles for ``qtrin.qcomb``'s positive-sum kernel (``qtrinomial_T``,
-``qtrinomial2``, ``refined_T``, ``invariance_sum``, ``refinement_sum`` and
-con10's left side)."""
+"""Reference q-trinomials, refined q-trinomial, their sums and the fermionic
+polynomial sides: the defining sums evaluated term by term with QPoly
+products and sums, as differential oracles for ``qtrin.qcomb``'s positive-sum
+kernel and its callers (``qtrinomial_T``, ``qtrinomial2``, ``refined_T``,
+``invariance_sum``, ``refinement_sum``, con10's left side, and
+``qtrin.fermionic``'s ``f_poly``, ``conj_rhs`` and ``kseries_rhs``).  The
+fermionic references take their (m,n)-system solutions and cone filters from
+the package; only the summation is theirs."""
 
 from fractions import Fraction
 
+from qtrin import fermionic
+from qtrin.liealg import algebra
+from qtrin.mnsys import solve_mn_filtered
 from qtrin.qcomb import qbinomial
 from qtrin.qpoly import QPoly
 
@@ -78,4 +84,75 @@ def con10_lhs_reference(L: int, b: int) -> QPoly:
         t = qbinomial(L, i) * qtrinomial_T_reference(i, b)
         if t:
             out = out + t.shift(Fraction(i * i, 2))
+    return out
+
+
+def _qbinomial_vector(m, n) -> QPoly:
+    """Product over components of [m_j + n_j, n_j]."""
+    out = QPoly.one()
+    for mj, nj in zip(m, n):
+        out = out * qbinomial(mj + nj, nj)
+    return out
+
+
+def f_poly_reference(name: str, M: int, sigma: int) -> QPoly:
+    """Sum over the filtered (m,n)-system with N = 2M at the marked vertex p
+    of q^{n.C^{-1}.n} [m+n choose n]."""
+    g = algebra(name)
+    out = QPoly.zero()
+    for sol in solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(g.name, sigma)):
+        term = _qbinomial_vector(sol.m, sol.n)
+        if term:
+            out = out + term.shift(g.quad_form_invcartan(sol.n))
+    return out
+
+
+def conj_rhs_reference(which: int, L: int, M: int) -> QPoly:
+    """The F-type sum with the prefactor [(L+M+m_p)/2 choose 2M]."""
+    g = algebra(fermionic._FAMILIES[which].small)
+    out = QPoly.zero()
+    for sol in solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(g.name, L)):
+        pre = qbinomial((L + M + sol.m[g.p - 1]) // 2, 2 * M)
+        term = pre * _qbinomial_vector(sol.m, sol.n)
+        if term:
+            out = out + term.shift(g.quad_form_invcartan(sol.n))
+    return out
+
+
+def inner_algebra_sum_reference(family: int, top: int, bound: int) -> QPoly:
+    """Sum over the large algebra's (m,n)-system at N = bound of
+    q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source
+    vertex; a solution with m_v odd contributes nothing."""
+    f = fermionic._FAMILIES[family]
+    g = algebra(f.large)
+    out = QPoly.zero()
+    for sol in solve_mn_filtered(g, bound, f.vertex, *fermionic._filters(f.large)):
+        md = sol.m[f.vertex - 1]
+        if md % 2:
+            continue
+        term = qbinomial(top - md // 2, bound) * _qbinomial_vector(sol.m, sol.n)
+        if term:
+            out = out + term.shift(Fraction(g.quad_form_cartan(sol.m), 4))
+    return out
+
+
+def kseries_rhs_reference(family: str, k: int, L: int, M: int) -> QPoly:
+    """Nested sum over r_1..r_{k-1} >= 0 with r_{-1} = L+M, r_0 = L of
+    prod_a q^{(r_a - r_{a+1})^2/2} [r_{a-1}-r_a+r_{a+1} choose r_a] times the
+    inner algebra sum with top r_{k-2} and bound r_{k-1}, each partial chain
+    a QPoly product."""
+    w = fermionic._kfamily(family)
+    out = QPoly.zero()
+
+    def rec(r: list, prefix: QPoly) -> None:
+        nonlocal out
+        if len(r) == k + 1:
+            out = out + prefix * inner_algebra_sum_reference(w, r[-2], r[-1])
+            return
+        for nxt in range(0, r[-1] + 1):
+            fac = qbinomial(r[-2] - r[-1] + nxt, r[-1])
+            if fac:
+                rec(r + [nxt], (fac * prefix).shift(Fraction((r[-1] - nxt) ** 2, 2)))
+
+    rec([L + M, L], QPoly.one())
     return out

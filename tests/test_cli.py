@@ -135,6 +135,19 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "mismatch" in out
 
 
+def test_verify_past_the_term_ceiling_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # a runaway side stops the run with exit 2, not a traceback or the
+    # exit 1 of a failed identity, and leaves no report behind
+    monkeypatch.setattr(verify, "TERM_CEILING", 3)
+    report = tmp_path / "report.json"
+    for extra in ([], ["--json", str(report)]):
+        code, out, err = _capture(capsys, ["verify", "mTtoT", "--level", "quick", *extra])
+        assert code == 2 and out == ""
+        assert err == "error: term-count ceiling 3 exceeded\n"
+        assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_no_strict_conjectures_softens_failures(monkeypatch, capsys):
     import dataclasses
     from fractions import Fraction

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 
+from qcomb_reference import conj_rhs_reference, f_poly_reference, kseries_rhs_reference
+from qtrin.liealg import algebra
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
 from qtrin import fermionic
@@ -123,3 +127,44 @@ def test_chain_sums_keep_the_vertex_coordinate_even():
     # because the source vertex is not among the primed coordinates
     for f in fermionic._FAMILIES.values():
         assert f.vertex not in f.x_odd, f.name
+
+
+# -- the kernel sums against term-by-term QPoly references ---------------
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E7"])
+def test_f_poly_against_reference(name):
+    for M in range(7):
+        for sigma in (0, 1):
+            assert fermionic.f_poly(name, M, sigma) == f_poly_reference(name, M, sigma)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_conj_rhs_against_reference(which):
+    for L in range(9):
+        for M in range(9):
+            assert fermionic.conj_rhs(which, L, M) == conj_rhs_reference(which, L, M)
+
+
+@pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
+def test_kseries_rhs_against_reference(family):
+    for k in (1, 2, 3):
+        for L in range(7):
+            for M in range(5):
+                assert (fermionic.kseries_rhs(family, k, L, M)
+                        == kseries_rhs_reference(family, k, L, M)), (k, L, M)
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])
+def test_cone_enumeration_against_box_filter(name):
+    # n.C^{-1}.n >= (C^{-1})_jj n_j^2 on the nonnegative orthant, as every
+    # entry of C^{-1} is positive, so the box n_j <= sqrt(order / (C^{-1})_jj)
+    # holds every vector below the order
+    g = algebra(name)
+    inv = g.inverse_cartan
+    for order in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(9)):
+        box = [range(isqrt(int(order / inv[j][j])) + 1) for j in range(g.rank)]
+        expect = [n for n in product(*box)
+                  if sum(inv[i][j] * n[i] * n[j]
+                         for i in range(g.rank) for j in range(g.rank)) < order]
+        assert list(fermionic._enumerate_small_qform(g, order)) == expect, order

@@ -235,11 +235,11 @@ def test_packed_sum_slot_width_boundaries(x, y):
     spread = [(0, ((x, 1), (y, 1)))]
     expect = _dense_sum([(0, [(1,) * x, (1,) * y])])
     assert sum(expect) == x * y and max(expect) == min(x, y)
-    assert positive_sum(spread) == QPoly.from_coeffs(expect)
+    assert positive_sum(spread, 2) == QPoly.from_coeffs(expect)
     heap = [(1, ((1, 1),))] * (x * y)
     expect = _dense_sum([(0, [(1,)])] * (x * y))
     assert max(expect) == x * y
-    assert positive_sum(heap) == QPoly.from_coeffs(expect, Fraction(1, 2))
+    assert positive_sum(heap, 2) == QPoly.from_coeffs(expect, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("args, width", [
@@ -257,10 +257,24 @@ def test_refined_rejects_negative_bounds():
 
 
 def test_positive_sum_edge_cases():
-    assert positive_sum([]) == QPoly.zero()
-    assert positive_sum([(-3, ())]) == QPoly.q_power(Fraction(-3, 2))
+    assert positive_sum([], 2) == QPoly.zero()
+    assert positive_sum([(-3, ())], 2) == QPoly.q_power(Fraction(-3, 2))
     with pytest.raises(ValueError, match="differ by integers"):
-        positive_sum([(0, ()), (1, ())])
+        positive_sum([(0, ()), (1, ())], 2)
+    # over the denominator 6 the start 4/6 is kept in lowest terms
+    sixths = positive_sum([(4, ((2, 1),)), (10, ())], 6)
+    assert sixths.min_exponent() == Fraction(2, 3)
+    assert str(sixths) == "q^(2/3) + 2*q^(5/3)"
+    assert sixths == QPoly.from_coeffs([1, 2], Fraction(2, 3))
+    # over the denominator 4, against the same sum built by hand
+    quarters = positive_sum([(3, ((3, 1), (2, 1))), (7, ((4, 2),)), (-1, ())], 4)
+    by_hand = (qbinomial(3, 1) * qbinomial(2, 1)).shift(Fraction(3, 4)) \
+        + qbinomial(4, 2).shift(Fraction(7, 4)) + QPoly.q_power(Fraction(-1, 4))
+    assert quarters == by_hand
+    assert str(quarters) == str(by_hand)
+    # q^(1/6) and q^(1/3) differ by q^(1/6): no one slot grid holds both
+    with pytest.raises(ValueError, match="differ by integers"):
+        positive_sum([(1, ()), (2, ((1, 1),))], 6)
 
 
 @st.composite

@@ -203,6 +203,17 @@ def test_term_map_stays_inside_qpoly():
             or node.attr in ("_d", "_m", "_of") and path.name != "qpoly.py")
     ]
     assert leaks == []
+    # Sums of q-powers times Gaussian products go through qcomb's
+    # positive-sum kernel; the QPoly product of a Gaussian vector, a second
+    # evaluator of those sums, stays deleted.
+    second_path = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "qbinomial_vector" in (getattr(node, key, None)
+                                  for key in ("name", "id", "attr", "asname"))
+    ]
+    assert second_path == []
 
 
 # -- differential tests against the Fraction-keyed reference ------------
