@@ -80,6 +80,15 @@ def _term(g: LieAlgebra, sol: MNSolution, *pre: tuple[int, int]) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _cone(name: str, M: int, sigma: int) -> tuple[MNSolution, ...]:
+    """The solutions of the algebra's (m,n)-system with N = 2M at its marked
+    vertex p whose n passes the cone filters; the filters depend on sigma
+    only mod 2, so callers pass sigma mod 2."""
+    g = algebra(name)
+    return tuple(solve_mn_filtered(g, 2 * M, g.p, *_filters(name, sigma)))
+
+
+@lru_cache(maxsize=None)
 def f_poly(name: str, M: int, sigma: int) -> QPoly:
     """F polynomial of A5, D6 or E7: sum over the (m,n)-system with N = 2M at
     the marked vertex p, of q^{n.C^{-1}.n} [m+n choose n]; one kernel call."""
@@ -90,8 +99,8 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
     g = algebra(name)
     if g.p is None:
         raise ValueError(f"F-polynomial not defined for {name}")
-    sols = solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, sigma))
-    return positive_sum((_term(g, sol) for sol in sols), g.invcartan_den)
+    return positive_sum((_term(g, sol) for sol in _cone(g.name, M, sigma)),
+                        g.invcartan_den)
 
 
 def conj_rhs(which: int, L: int, M: int) -> QPoly:
@@ -106,7 +115,7 @@ def conj_rhs(which: int, L: int, M: int) -> QPoly:
     # prefactor vanishes unless (L+M+m_p)/2 >= 2M
     return positive_sum(
         (_term(g, sol, ((L + M + sol.m[g.p - 1]) // 2, 2 * M))
-         for sol in solve_mn_filtered(g, 2 * M, g.p, *_filters(g.name, L))
+         for sol in _cone(g.name, M, L % 2)
          if L + M + sol.m[g.p - 1] >= 4 * M),
         g.invcartan_den)
 

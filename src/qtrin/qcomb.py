@@ -159,16 +159,22 @@ def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
             for n in range((L + a) % 2, min(L - abs(a), M) + 1, 2)]
 
 
-@lru_cache(maxsize=None)
 def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     """The refined q-trinomial coefficient with bounds L, M and charges a, b,
     evaluated from its defining sum (_refined_terms) by the positive-sum
     kernel.  It vanishes outside its support |a| <= L, |b| <= M, and there
-    the zero polynomial is returned without a kernel call."""
+    the shared zero polynomial is returned before the cache: the cache holds
+    only in-support values, and the kernel is never called outside."""
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
     if abs(a) > L or abs(b) > M:
         return QPoly.zero()
+    return _refined(L, M, a, b)
+
+
+@lru_cache(maxsize=None)
+def _refined(L: int, M: int, a: int, b: int) -> QPoly:
+    """refined_T inside its support, one kernel call, cached."""
     return positive_sum(_refined_terms(L, M, a, b), 2)
 
 

@@ -248,10 +248,14 @@ class QPoly:
 
     def substitute_qinv(self) -> "QPoly":
         """Replace q by 1/q: every exponent e becomes -e."""
+        if not self._m:
+            return self
         return QPoly._of(self._d, {-k: c for k, c in self._m.items()})
 
     def shift(self, r: Exponent) -> "QPoly":
         """Multiply by q^r."""
+        if not self._m:
+            return self
         return QPoly._of(*_shift(self._d, self._m, r))
 
     def eval_q1(self) -> int:

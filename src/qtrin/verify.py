@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import bosonic, fermionic
 from .qcomb import (invariance_sum, positive_sum, qbinomial, qtrinomial2,
@@ -111,9 +111,11 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
         cut = min(s.order for s in (lhs, rhs) if isinstance(s, QSeries))
         lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
                     for s in (lhs, rhs))
-    if len(lhs) > TERM_CEILING or len(rhs) > TERM_CEILING:
+    # equal sides have equal lengths, so one of them is checked
+    same = lhs == rhs
+    if len(lhs) > TERM_CEILING or not same and len(rhs) > TERM_CEILING:
         raise RunawayComputation(f"term-count ceiling {TERM_CEILING} exceeded")
-    if lhs == rhs:
+    if same:
         return None
     e = (lhs - rhs).min_exponent()
     return e, lhs.coeff(e), rhs.coeff(e)
@@ -466,12 +468,6 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
 REGISTRY = _build_registry()
 
 
-def _grid_points(grid: Mapping[str, Sequence[int]]) -> Iterator[Params]:
-    """Every point of the grid, the last parameter varying fastest."""
-    for values in product(*grid.values()):
-        yield dict(zip(grid, values))
-
-
 def verify_identity(
     name: str,
     grid: Mapping[str, Sequence[int]] | None = None,
@@ -509,15 +505,17 @@ def verify_identity(
     start = time.perf_counter()
     points = 0
     failures: list[Failure] = []
-    for params in _grid_points(use_grid):
-        if d.point_filter is not None and not d.point_filter(params):
+    keep, evaluate, keys = d.point_filter, d.evaluate, tuple(use_grid)
+    # every point of the grid, the last parameter varying fastest
+    for values in product(*use_grid.values()):
+        params = dict(zip(keys, values))
+        if keep is not None and not keep(params):
             continue
         points += 1
-        lhs, rhs = d.evaluate(params, use_order)
-        diff = compare_sides(lhs, rhs)
+        diff = compare_sides(*evaluate(params, use_order))
         if diff is not None:
             e, cl, cr = diff
-            failures.append(Failure(dict(params), str(e), cl, cr))
+            failures.append(Failure(params, str(e), cl, cr))
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         identity=name,

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -140,10 +141,21 @@ def test_f_poly_against_reference(name):
 
 
 @pytest.mark.parametrize("which", [1, 2, 3])
-def test_conj_rhs_against_reference(which):
+def test_conj_rhs_against_reference(which, monkeypatch):
+    # the cone filters run once per (M, L mod 2), not once per point
+    filtered = Counter()
+    solve = fermionic.solve_mn_filtered
+
+    def counted(g, N, i, *predicates):
+        filtered[g.name, N] += 1
+        return solve(g, N, i, *predicates)
+    monkeypatch.setattr(fermionic, "solve_mn_filtered", counted)
+    fermionic._cone.cache_clear()
     for L in range(9):
         for M in range(9):
             assert fermionic.conj_rhs(which, L, M) == conj_rhs_reference(which, L, M)
+    small = fermionic._FAMILIES[which].small
+    assert filtered == {(small, 2 * M): 2 for M in range(9)}
 
 
 @pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])

@@ -86,6 +86,8 @@ def test_shared_zero_stays_zero():
     assert zero * p == p * zero == zero * 5 == -zero == zero
     assert zero.shift(3) == zero.shift(Fraction(-5, 6)) == zero
     assert zero.substitute_qinv() == zero
+    # the zero fast paths hand back the shared instance, built nowhere
+    assert zero.shift(Fraction(1, 2)) is zero and zero.substitute_qinv() is zero
     assert zero.to_series(4) == QSeries.zero(4)
     assert p.to_series(4) * zero == QSeries.zero(4)
     # serving as an operand left the shared zero as it was

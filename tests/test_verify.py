@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -200,6 +201,30 @@ def test_term_ceiling_stops_runaway_sides(monkeypatch):
     assert verify.compare_sides(small, small) is None
     # cut at q^3, each side keeps three terms
     assert verify.compare_sides(big.to_series(3), big) is None
+
+
+def test_compare_sides_at_the_ceiling(monkeypatch):
+    # equal sides are told apart from unequal ones before the lengths are
+    # checked; the ceiling holds either way
+    monkeypatch.setattr(verify, "TERM_CEILING", 3)
+    at = QPoly.from_coeffs([1, 2, 3])
+    over = QPoly.from_coeffs([1, 2, 3, 4])
+    assert verify.compare_sides(at, QPoly.from_coeffs([1, 2, 3])) is None
+    with pytest.raises(verify.RunawayComputation):
+        verify.compare_sides(over, QPoly.from_coeffs([1, 2, 3, 4]))
+    assert verify.compare_sides(at, QPoly.from_coeffs([1, 5, 3])) == (1, 2, 5)
+    assert verify.compare_sides(at, at.shift(Fraction(1, 2))) == (0, 1, 0)
+
+
+def test_full_level_report_is_pinned():
+    # sha256 of the full-level JSON report with every millis set to 0,
+    # computed before the grid loop and refined_T's cache were reworked; a
+    # speed-up must leave every byte of it as it is
+    reports = verify.verify_all(level="full")
+    for r in reports:
+        r.millis = 0
+    digest = hashlib.sha256(verify.reports_to_json(reports).encode()).hexdigest()
+    assert digest == "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064"
 
 
 def test_full_level_points_are_pinned(monkeypatch):
