@@ -211,8 +211,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
-    if args.name == "all" and grid is not None:
-        raise UsageError("--grid applies to a single identity, not 'all'")
+    if args.name == "all":
+        for flag, value in (("--grid", grid), ("--order", args.order)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to a single identity, not 'all'")
     if args.json_path and args.json_path != "-":
         # fail before the run if the report cannot be written, and leave the
         # file system as it was: mode "a" keeps an existing file's content

@@ -14,7 +14,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 from typing import Iterable, Sequence
 
 from .qpoly import QPoly
@@ -130,8 +130,16 @@ def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]],
     terms = list(terms)
     if not terms:
         return QPoly.zero()
-    e0 = min(e for e, _ in terms)
-    w = _slot_bytes(sum(prod([comb(n, a) for n, a in pairs]) for _, pairs in terms))
+    e0 = terms[0][0]
+    at1 = 0  # the sum's value at q = 1
+    for e, pairs in terms:
+        if e < e0:
+            e0 = e
+        v = 1
+        for n, a in pairs:
+            v *= comb(n, a)
+        at1 += v
+    w = _slot_bytes(at1)
     total = 0
     size = 0
     for e, pairs in terms:
@@ -145,8 +153,14 @@ def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]],
             top += a * (n - a)  # the degree of [n, a]
         total += p << (8 * w * s)
         size = max(size, top + 1)
-    start = e0 // den if e0 % den == 0 else Fraction(e0, den)
-    return QPoly.from_coeffs(_unpacked(total, size, w), start)
+    return QPoly.from_coeffs(_unpacked(total, size, w), _start(e0, den))
+
+
+@lru_cache(maxsize=None)
+def _start(e: int, den: int) -> int | Fraction:
+    """The exponent e/den: an int when den divides e, else one cached
+    Fraction."""
+    return e // den if e % den == 0 else Fraction(e, den)
 
 
 def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:

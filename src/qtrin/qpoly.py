@@ -106,7 +106,9 @@ def _dense(coeffs: Iterable[int], start: Exponent) -> TermMap:
     if not isinstance(start, (int, Fraction)):
         start = Fraction(start)
     d = start.denominator
-    m = {k: c for k, c in zip(count(start.numerator, d), coeffs) if c}
+    m = dict(zip(count(start.numerator, d), coeffs))
+    if 0 in m.values():  # rare for the kernel's sums, so filtered only then
+        m = {k: c for k, c in m.items() if c}
     return (d, m) if m else (1, m)
 
 

@@ -106,7 +106,10 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
     """First differing exponent and the two coefficients, or None if equal.
 
     Series are compared coefficientwise up to the smaller truncation order.
+    One object is equal to itself, within the term-count ceiling.
     """
+    if lhs is rhs and len(lhs) <= TERM_CEILING:
+        return None
     if isinstance(lhs, QSeries) or isinstance(rhs, QSeries):
         cut = min(s.order for s in (lhs, rhs) if isinstance(s, QSeries))
         lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
@@ -505,17 +508,23 @@ def verify_identity(
     start = time.perf_counter()
     points = 0
     failures: list[Failure] = []
-    keep, evaluate, keys = d.point_filter, d.evaluate, tuple(use_grid)
-    # every point of the grid, the last parameter varying fastest
-    for values in product(*use_grid.values()):
-        params = dict(zip(keys, values))
-        if keep is not None and not keep(params):
-            continue
-        points += 1
-        diff = compare_sides(*evaluate(params, use_order))
-        if diff is not None:
-            e, cl, cr = diff
-            failures.append(Failure(params, str(e), cl, cr))
+    keep, evaluate = d.point_filter, d.evaluate
+    *head, last = use_grid
+    # every point of the grid, the last parameter varying fastest: the
+    # parameters of each prefix are built once, and each point gets its own
+    # copy, which the evaluator and a Failure may keep
+    for prefix in product(*[use_grid[k] for k in head]):
+        base = dict(zip(head, prefix))
+        for x in use_grid[last]:
+            params = base.copy()
+            params[last] = x
+            if keep is not None and not keep(params):
+                continue
+            points += 1
+            diff = compare_sides(*evaluate(params, use_order))
+            if diff is not None:
+                e, cl, cr = diff
+                failures.append(Failure(params, str(e), cl, cr))
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         identity=name,

@@ -1,9 +1,10 @@
 """Reference q-trinomials, refined q-trinomial, their sums and the fermionic
 polynomial sides: the defining sums evaluated term by term with QPoly
 products and sums, as differential oracles for ``qtrin.qcomb``'s positive-sum
-kernel and its callers (``qtrinomial_T``, ``qtrinomial2``, ``refined_T``,
-``invariance_sum``, ``refinement_sum``, con10's left side, and
-``qtrin.fermionic``'s ``f_poly``, ``conj_rhs`` and ``kseries_rhs``).  The
+kernel (``positive_sum_reference``) and its callers (``qtrinomial_T``,
+``qtrinomial2``, ``refined_T``, ``invariance_sum``, ``refinement_sum``,
+con10's left side, and ``qtrin.fermionic``'s ``f_poly``, ``conj_rhs`` and
+``kseries_rhs``).  The
 fermionic references take their (m,n)-system solutions and cone filters from
 the package; only the summation is theirs."""
 
@@ -14,6 +15,18 @@ from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn_filtered
 from qtrin.qcomb import qbinomial
 from qtrin.qpoly import QPoly
+
+
+def positive_sum_reference(terms, den: int) -> QPoly:
+    """Sum over (e, pairs) of q^{e/den} times the product of the [n, a] of
+    ``pairs``."""
+    out = QPoly.zero()
+    for e, pairs in terms:
+        t = QPoly.one()
+        for n, a in pairs:
+            t = t * qbinomial(n, a)
+        out = out + t.shift(Fraction(e, den))
+    return out
 
 
 def refined_T_reference(L: int, M: int, a: int, b: int) -> QPoly:

@@ -101,11 +101,20 @@ def test_verify_usage_error_leaves_the_report_path_alone(tmp_path, capsys):
     kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
     kept.write_text("kept\n")
     for argv in (["no-such-identity"], ["dual", "--grid", "x=0..1"],
-                 ["dual", "--order", "0"]):
+                 ["dual", "--order", "0"], ["all", "--order", "3"]):
         for path in (kept, absent):
             code, _, _ = _capture(capsys, ["verify", *argv, "--json", str(path)])
             assert code == 2
     assert kept.read_text() == "kept\n" and not absent.exists()
+
+
+def test_verify_all_takes_no_grid_or_order(monkeypatch, capsys):
+    # both would apply to one identity only; "all" runs each registered one
+    _no_evaluation(monkeypatch)
+    for flag, value in (("--grid", "L=0..1"), ("--order", "3")):
+        code, out, err = _capture(capsys, ["verify", "all", flag, value])
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: {flag} applies to a single identity, not 'all'"
 
 
 def test_verify_grid_variable_given_twice_is_a_usage_error(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import Poly, symbols
 
 from qcomb_reference import (con10_lhs_reference, invariance_sum_reference,
+                             positive_sum_reference,
                              qtrinomial2_reference, qtrinomial_T_reference,
                              refined_T_reference, refinement_sum_reference)
 from qtrin import qcomb, verify
@@ -280,6 +281,27 @@ def test_positive_sum_edge_cases():
     # q^(1/6) and q^(1/3) differ by q^(1/6): no one slot grid holds both
     with pytest.raises(ValueError, match="differ by integers"):
         positive_sum([(1, ()), (2, ((1, 1),))], 6)
+
+
+@st.composite
+def _kernel_terms(draw):
+    # exponents base + den*j with an odd base, so over den 2, 4 or 6 the
+    # sum starts at a fractional power of q
+    den = draw(st.sampled_from((2, 4, 6)))
+    base = 2 * draw(st.integers(-6, 6)) + 1
+    pair = st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    term = st.tuples(st.integers(-3, 3).map(lambda j: base + den * j),
+                     st.lists(pair, max_size=3).map(tuple))
+    return draw(st.lists(term, min_size=1, max_size=5)), den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_terms())
+def test_positive_sum_at_odd_starts_against_reference(args):
+    terms, den = args
+    got, want = positive_sum(terms, den), positive_sum_reference(terms, den)
+    assert got == want and str(got) == str(want)
+    assert got.min_exponent() == Fraction(min(e for e, _ in terms), den)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrin.qpoly import (
@@ -271,6 +271,27 @@ def test_series_inverse_matches_reference(a, c0, order):
     inv = s.inverse()
     assert inv.order == order
     assert inv.terms == ref.inverse(ref.clean(unit.items()), order)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=8),
+       st.one_of(st.integers(-6, 6),
+                 st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))),
+       st.booleans())
+@example([], Fraction(1, 3), False)
+@example([0, 0, 0], Fraction(-5, 6), False)
+@example([0, 0, 0, 0], Fraction(2, 6), True)
+@example([0, 1, 0, 2, 0], Fraction(-1, 2), True)
+def test_from_coeffs_matches_reference(coeffs, start, as_generator):
+    # zeros anywhere, all-zero and empty input, int and Fraction starts
+    # (2/6 arrives reduced, numerators may be negative), lists and
+    # generators.  Equal values store equal denominators, so a zero result
+    # equal to QPoly.zero() has d == 1.
+    want = ref.clean((start + i, c) for i, c in enumerate(coeffs))
+    p = QPoly.from_coeffs((c for c in coeffs) if as_generator else coeffs, start)
+    assert p.terms == want
+    assert p == QPoly(want) and hash(p) == hash(QPoly(want))
+    assert str(p) == ref.fmt(want)
+    assert (p == QPoly.zero()) == (not want)
 
 
 def test_equal_values_through_different_denominators():

@@ -3,6 +3,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -214,6 +215,14 @@ def test_compare_sides_at_the_ceiling(monkeypatch):
         verify.compare_sides(over, QPoly.from_coeffs([1, 2, 3, 4]))
     assert verify.compare_sides(at, QPoly.from_coeffs([1, 5, 3])) == (1, 2, 5)
     assert verify.compare_sides(at, at.shift(Fraction(1, 2))) == (0, 1, 0)
+    # one object compared with itself holds the ceiling too
+    series_at = QSeries({0: 1, 1: 2, 2: 3}, 5)
+    series_over = QSeries({0: 1, 1: 2, 2: 3, 3: 4}, 5)
+    for same in (at, series_at):
+        assert verify.compare_sides(same, same) is None
+    for same in (over, series_over):
+        with pytest.raises(verify.RunawayComputation):
+            verify.compare_sides(same, same)
 
 
 def test_full_level_report_is_pinned():
@@ -244,3 +253,43 @@ def test_full_level_points_are_pinned(monkeypatch):
     assert sum(points.values()) == 61_916
     assert (points["vanish"], points["dual"], points["symmetry"],
             points["thm1"]) == (44_064, 6_561, 6_561, 4_050)
+
+
+@pytest.mark.parametrize("name, level, grid", [
+    ("abp", "quick", None),                            # one key
+    ("vanish", "quick", None),                         # four keys, a filter
+    ("thm1", "full", {"L": (2, 3), "M": (0, 1, 2)}),   # five keys, overridden
+])
+def test_grid_loop_visits_each_point_in_order_with_its_own_dict(
+        monkeypatch, name, level, grid):
+    d = verify.REGISTRY[name]
+    use = (d.quick_grid or d.grid) if level == "quick" else d.grid
+    use = {**use, **(grid or {})}
+    expected = [dict(zip(use, v)) for v in product(*use.values())]
+    if d.point_filter is not None:
+        expected = [p for p in expected if d.point_filter(p)]
+    seen, dicts = [], []
+
+    def record(params, order):
+        sides = d.evaluate(params, order)
+        seen.append(list(params.items()))
+        dicts.append(params)
+        params.clear()  # a later point must not see this
+        params["junk"] = 0
+        return sides
+
+    monkeypatch.setitem(verify.REGISTRY, name, dataclasses.replace(d, evaluate=record))
+    report = verify.verify_identity(name, grid=grid, level=level)
+    assert report.passed and report.points == len(expected)
+    assert seen == [list(p.items()) for p in expected]
+    assert len({id(p) for p in dicts}) == len(dicts)
+
+    def sabotaged(params, order):
+        lhs, rhs = d.evaluate(params, order)
+        one = QPoly.one() if isinstance(rhs, QPoly) else QSeries.one(rhs.order)
+        return lhs, rhs + one
+
+    monkeypatch.setitem(verify.REGISTRY, name, dataclasses.replace(d, evaluate=sabotaged))
+    report = verify.verify_identity(name, grid=grid, level=level)
+    assert [f.params for f in report.failures] == expected
+    assert [list(f.params.items()) for f in report.failures] == seen
