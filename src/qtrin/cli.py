@@ -210,7 +210,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = None if args.grid is None else _parse_grid(args.grid)
     if args.name == "all":
         for flag, value in (("--grid", grid), ("--order", args.order)):
             if value is not None:
@@ -326,11 +326,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except verify.UnknownIdentity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, verify.RunawayComputation, bosonic.InvalidCharLabel,
-            bosonic.InvalidBranchLabel) as exc:
+    except (ValueError, verify.UnknownIdentity, verify.RunawayComputation,
+            bosonic.InvalidCharLabel, bosonic.InvalidBranchLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

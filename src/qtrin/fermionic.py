@@ -150,20 +150,25 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
 
-    # r[-1] = L+M, r[0] = L, then r[1..k-1]; the chain binomials force
+    # r_{-1} = L+M, r_0 = L, then r_1..r_{k-1}; the chain binomials force
     # r monotonically nonincreasing, so each r_a ranges over 0..r_{a-1}.
-    def terms(r: list[int], e: int, pairs: tuple):
-        if len(r) == k + 1:
-            for ei, inner in _inner_terms(w, r[-2], r[-1]):
-                yield e + ei, pairs + inner
-            return
-        for nxt in range(0, r[-1] + 1):
-            top = r[-2] - r[-1] + nxt
-            if top >= r[-1]:
-                yield from terms(r + [nxt], e + 2 * (r[-1] - nxt) ** 2,
-                                 pairs + ((top, r[-1]),))
+    # A stack entry is (a, r_{a-1}, r_a, exponent, pairs); the chains are
+    # walked depth first, each r_{a+1} in increasing order, at any depth k.
+    def terms():
+        stack = [(0, L + M, L, 0, ())]
+        while stack:
+            a, prev, cur, e, pairs = stack.pop()
+            if a == k - 1:
+                for ei, inner in _inner_terms(w, prev, cur):
+                    yield e + ei, pairs + inner
+                continue
+            for nxt in range(cur, -1, -1):
+                top = prev - cur + nxt
+                if top >= cur:
+                    stack.append((a + 1, cur, nxt, e + 2 * (cur - nxt) ** 2,
+                                  pairs + ((top, cur),)))
 
-    return positive_sum(terms([L + M, L], 0, ()), 4)
+    return positive_sum(terms(), 4)
 
 
 def _enumerate_small_qform(g: LieAlgebra, order: Fraction):

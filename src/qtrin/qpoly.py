@@ -3,8 +3,9 @@
 Exponents are exact rationals, coefficients arbitrary-precision integers.
 Exponents are accepted and returned as ``Fraction`` (or int), but each
 object stores them as integers over one denominator: ``d >= 1`` and a map
-from integer ``k`` to the coefficient of q^(k/d).  These two types
-underpin everything else in the package.
+from integer ``k`` to the coefficient of q^(k/d).  One type, ``QPoly``,
+underpins everything else in the package: its ``order`` is None for an
+exact polynomial, and a ``QSeries`` is a ``QPoly`` with a truncation order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _fmt_term(k: int, d: int, coeff: int, first: bool) -> str:
 # for zero, so equal values have equal pairs.  Binary routines first align
 # both maps on lcm(d1, d2); a truncation order ``cut`` becomes the integer
 # bound ceil(cut * d) once per call.  Only this module builds or walks a
-# term map: the classes below wrap one and call these routines, a series
+# term map: the class below wraps one and calls these routines, a series
 # passing its truncation order as ``cut``.
 
 
@@ -177,6 +178,14 @@ def _format(d: int, m: dict) -> str:
     return "".join(_fmt_term(k, d, m[k], i == 0) for i, k in enumerate(sorted(m)))
 
 
+def _meet(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+    """Truncation order of a binary result: the lesser order, None (exact)
+    counting as above every order."""
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
+
+
 class QPoly:
     """Sparse polynomial in q with rational exponents and integer coefficients.
 
@@ -184,16 +193,25 @@ class QPoly:
     coefficients are never stored; the zero polynomial has an empty map.
     The constructor takes a mapping or an iterable of (exponent, coeff)
     pairs; repeated exponents are summed.
+
+    ``order`` is None for an exact polynomial; a ``QSeries`` is the same
+    term map with a truncation order.  A binary operation carries the lesser
+    order of its operands, a polynomial counting as exact.
     """
 
     __slots__ = ("_d", "_m")
+    order: Fraction | None = None
 
     def __init__(self, terms: Terms | None = None):
         self._d, self._m = _clean(terms or ())
 
     @staticmethod
-    def _of(d: int, m: dict[int, int]) -> "QPoly":
-        out = QPoly.__new__(QPoly)
+    def _of(d: int, m: dict[int, int], order: Fraction | None = None) -> "QPoly":
+        if order is None:
+            out = QPoly.__new__(QPoly)
+        else:
+            out = QSeries.__new__(QSeries)
+            out.order = order
         out._d = d
         out._m = m
         return out
@@ -202,6 +220,13 @@ class QPoly:
     def terms(self) -> dict[Fraction, int]:
         """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
         return {Fraction(k, self._d): c for k, c in self._m.items()}
+
+    def _at(self, order: Fraction | None) -> TermMap:
+        """Term map cut at ``order``: None only for a polynomial, otherwise
+        at most a series' own order."""
+        if order == self.order:
+            return self._d, self._m
+        return _below(self._d, self._m, order)
 
     # -- constructors -------------------------------------------------
 
@@ -229,36 +254,48 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly._of(*_add(self._d, self._m, other._d, other._m))
+        order = _meet(self.order, other.order)
+        return QPoly._of(*_add(*self._at(order), *other._at(order)), order)
 
     def __neg__(self) -> "QPoly":
-        return QPoly._of(*_scale(self._d, self._m, -1))
+        return QPoly._of(*_scale(self._d, self._m, -1), self.order)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
-    def __mul__(self, other: "QPoly") -> "QPoly":
+    def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            return QPoly._of(*_scale(self._d, self._m, other))
+            return QPoly._of(*_scale(self._d, self._m, other), self.order)
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly._of(*_mul(self._d, self._m, other._d, other._m))
+        order = _meet(self.order, other.order)
+        # A polynomial factor is cut at the order first.  A series factor is
+        # not: _mul cuts the products, and one below the cut may use a term
+        # at or above it, as q^-1 * q^0 at order 0 does.
+        a = self._at(order) if self.order is None else (self._d, self._m)
+        b = other._at(order) if other.order is None else (other._d, other._m)
+        return QPoly._of(*_mul(*a, *b, order), order)
 
     __rmul__ = __mul__
 
     # -- structural operations ----------------------------------------
 
     def substitute_qinv(self) -> "QPoly":
-        """Replace q by 1/q: every exponent e becomes -e."""
+        """Replace q by 1/q: every exponent e becomes -e.  A polynomial
+        only: a series' unknown terms would land below its known ones."""
+        if self.order is not None:
+            raise ValueError("q -> 1/q needs a polynomial, not a truncated series")
         if not self._m:
             return self
         return QPoly._of(self._d, {-k: c for k, c in self._m.items()})
 
     def shift(self, r: Exponent) -> "QPoly":
-        """Multiply by q^r."""
-        if not self._m:
-            return self
-        return QPoly._of(*_shift(self._d, self._m, r))
+        """Multiply by q^r; a truncation order shifts along."""
+        if self.order is None:
+            return QPoly._of(*_shift(self._d, self._m, r)) if self._m else self
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        return QPoly._of(*_shift(self._d, self._m, r), self.order + r)
 
     def eval_q1(self) -> int:
         """Sum of all coefficients (the q -> 1 specialization)."""
@@ -270,109 +307,60 @@ class QPoly:
     def min_exponent(self) -> Fraction | None:
         return Fraction(min(self._m), self._d) if self._m else None
 
-    def to_series(self, order: Exponent) -> "QSeries":
+    def truncate(self, order: Exponent) -> "QSeries":
+        """The series of this value below ``order``, which may not exceed
+        a series' own order."""
         order = Fraction(order)
-        return QSeries._of(*_below(self._d, self._m, order), order)
+        if self.order is not None and order > self.order:
+            raise ValueError(f"cannot extend truncation order {self.order} to {order}")
+        return QPoly._of(*self._at(order), order)
+
+    to_series = truncate
 
     # -- comparison / display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self._d == other._d and self._m == other._m
+        return (self.order == other.order and self._d == other._d
+                and self._m == other._m)
 
     def __hash__(self) -> int:
         return hash((self._d, frozenset(self._m.items())))
 
     def __len__(self) -> int:
-        """Number of nonzero terms."""
+        """Number of nonzero terms (below the truncation order)."""
         return len(self._m)
 
     def __str__(self) -> str:
-        return _format(self._d, self._m)
+        if self.order is None:
+            return _format(self._d, self._m)
+        return f"{_format(self._d, self._m)} + O(q^{self.order})"
 
     def __repr__(self) -> str:
-        return f"QPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
 _ZERO = QPoly._of(1, {})
 
 
-class QSeries:
-    """Truncated power series: same term map plus a truncation order.
+class QSeries(QPoly):
+    """Truncated power series: a ``QPoly`` whose stored exponents are all
+    strictly below ``order`` (a Fraction)."""
 
-    All stored exponents are strictly below ``order`` (a Fraction).  Binary
-    operations carry order = min of the operand orders.
-    """
-
-    __slots__ = ("_d", "_m", "order")
+    __slots__ = ("order",)
 
     def __init__(self, terms: Terms | None, order: Exponent):
         self.order = Fraction(order)
         self._d, self._m = _clean(terms or (), self.order)
 
     @staticmethod
-    def _of(d: int, m: dict[int, int], order: Fraction) -> "QSeries":
-        out = QSeries.__new__(QSeries)
-        out._d = d
-        out._m = m
-        out.order = order
-        return out
-
-    @property
-    def terms(self) -> dict[Fraction, int]:
-        """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
-        return {Fraction(k, self._d): c for k, c in self._m.items()}
-
-    def _at(self, order: Fraction) -> TermMap:
-        """Term map cut at ``order``, which is at most ``self.order``."""
-        if order == self.order:
-            return self._d, self._m
-        return _below(self._d, self._m, order)
+    def zero(order: Exponent) -> "QSeries":
+        return QPoly._of(1, {}, Fraction(order))
 
     @staticmethod
     def one(order: Exponent) -> "QSeries":
         return QSeries([(0, 1)], order)
-
-    @staticmethod
-    def zero(order: Exponent) -> "QSeries":
-        return QSeries._of(1, {}, Fraction(order))
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return QSeries._of(*_add(*self._at(order), *other._at(order)), order)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries._of(*_scale(self._d, self._m, -1), self.order)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QSeries | QPoly | int") -> "QSeries":
-        if isinstance(other, int):
-            return QSeries._of(*_scale(self._d, self._m, other), self.order)
-        if isinstance(other, QPoly):
-            other = other.to_series(self.order)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return QSeries._of(*_mul(self._d, self._m, other._d, other._m, order), order)
-
-    __rmul__ = __mul__
-
-    def shift(self, r: Exponent) -> "QSeries":
-        """Multiply by q^r; the truncation order shifts along."""
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
-        return QSeries._of(*_shift(self._d, self._m, r), self.order + r)
-
-    def truncate(self, order: Exponent) -> "QSeries":
-        order = Fraction(order)
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return QSeries._of(*self._at(order), order)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
@@ -407,31 +395,6 @@ class QSeries:
             if acc:
                 inv[k] = -acc * c0
         return QSeries._of(*_reduced(d, inv), self.order)
-
-    def coeff(self, e: Exponent) -> int:
-        return _coeff(self._d, self._m, e)
-
-    def min_exponent(self) -> Fraction | None:
-        return Fraction(min(self._m), self._d) if self._m else None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (self.order == other.order and self._d == other._d
-                and self._m == other._m)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self._d, frozenset(self._m.items())))
-
-    def __len__(self) -> int:
-        """Number of nonzero terms below the truncation order."""
-        return len(self._m)
-
-    def __str__(self) -> str:
-        return f"{_format(self._d, self._m)} + O(q^{self.order})"
-
-    def __repr__(self) -> str:
-        return f"QSeries({self})"
 
 
 class DivergentProduct(Exception):

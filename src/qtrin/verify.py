@@ -36,7 +36,7 @@ TERM_CEILING = 500_000
 CHOICE_PARAMS = ("form", "point", "sigma", "s")
 
 Params = dict[str, int]
-SidePair = tuple[QPoly | QSeries, QPoly | QSeries]
+SidePair = tuple[QPoly, QPoly]
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class VerificationReport:
         return d
 
 
-def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
+def compare_sides(lhs: QPoly, rhs: QPoly):
     """First differing exponent and the two coefficients, or None if equal.
 
     Series are compared coefficientwise up to the smaller truncation order.
@@ -110,10 +110,9 @@ def compare_sides(lhs: QPoly | QSeries, rhs: QPoly | QSeries):
     """
     if lhs is rhs and len(lhs) <= TERM_CEILING:
         return None
-    if isinstance(lhs, QSeries) or isinstance(rhs, QSeries):
-        cut = min(s.order for s in (lhs, rhs) if isinstance(s, QSeries))
-        lhs, rhs = (s.truncate(cut) if isinstance(s, QSeries) else s.to_series(cut)
-                    for s in (lhs, rhs))
+    if lhs.order is not None or rhs.order is not None:
+        cut = min(s.order for s in (lhs, rhs) if s.order is not None)
+        lhs, rhs = lhs.truncate(cut), rhs.truncate(cut)
     # equal sides have equal lengths, so one of them is checked
     same = lhs == rhs
     if len(lhs) > TERM_CEILING or not same and len(rhs) > TERM_CEILING:

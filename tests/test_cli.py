@@ -123,6 +123,14 @@ def test_verify_grid_variable_given_twice_is_a_usage_error(monkeypatch, capsys):
         code, out, err = _capture(capsys, ["verify", "dual", "--grid", spec])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "'L' given twice" in err
+    # an empty spec names no variable at all: one error line and the usage,
+    # for a single identity and for "all" alike
+    for argv in (["abp", "--grid=", "--order", "2"], ["all", "--grid", ""]):
+        code, out, err = _capture(capsys, ["verify", *argv])
+        assert code == 2 and out == ""
+        first, usage = err.splitlines()
+        assert first == "error: bad grid component '', want var=lo..hi"
+        assert usage.startswith("usage: ")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

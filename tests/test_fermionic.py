@@ -9,7 +9,7 @@ from qcomb_reference import conj_rhs_reference, f_poly_reference, kseries_rhs_re
 from qtrin.liealg import algebra
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
-from qtrin import fermionic
+from qtrin import bosonic, fermionic
 
 
 def _q(e, c=1):
@@ -165,6 +165,15 @@ def test_kseries_rhs_against_reference(family):
             for M in range(5):
                 assert (fermionic.kseries_rhs(family, k, L, M)
                         == kseries_rhs_reference(family, k, L, M)), (k, L, M)
+
+
+@pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
+def test_kseries_rhs_at_depth_1000(family):
+    # the chains are walked without recursion, so a depth past Python's
+    # recursion limit still gives the theta-sum side
+    assert (fermionic.kseries_rhs(family, 1000, 2, 2)
+            == bosonic.kseries_lhs(family, 1000, 2, 2)
+            == _q(0) + _q(1, 2) + _q(2, 4) + _q(3, 2) + _q(4))
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])

@@ -260,6 +260,21 @@ def test_series_ops_match_reference(a, b, oa, ob, r):
     assert sa.min_exponent() == min(ra, default=None)
     for e in (r, *a, *b):
         assert sa.coeff(e) == ra.get(e, 0)
+    # a polynomial operand on either side: the result has the series' order,
+    # and a polynomial factor is cut at that order before the product
+    pa, pb, rpb = QPoly(a), QPoly(b), ref.clean(b.items())
+    for x in (sa + pb, pb + sa):
+        assert (x.terms, x.order) == (ref.add(ra, rpb, oa), oa)
+    assert ((sa - pb).terms, (sa - pb).order) == (ref.add(ra, ref.neg(rpb), oa), oa)
+    assert ((pb - sa).terms, (pb - sa).order) == (ref.add(rpb, ref.neg(ra), oa), oa)
+    for x in (sa * pb, pb * sa):
+        assert (x.terms, x.order) == (ref.mul(ra, ref.clean(b.items(), oa), oa), oa)
+    # one type: a series is a QPoly with an order, and never equals a polynomial
+    assert isinstance(sa, QPoly) and type(sa) is QSeries and type(pa * pb) is QPoly
+    assert pa != QSeries(a, oa) and QSeries(a, oa) != pa and pa != pa.to_series(oa)
+    assert repr(sa) == f"QSeries({sa})" and repr(pa) == f"QPoly({pa})"
+    with pytest.raises(ValueError):
+        sa.substitute_qinv()
 
 
 @given(term_maps, st.sampled_from([1, -1]),

@@ -236,6 +236,27 @@ def test_full_level_report_is_pinned():
     assert digest == "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064"
 
 
+def test_series_sides_are_pinned():
+    # sha256 of both printed sides at every point of every series
+    # identity's full-level grid, at its registry order, computed while
+    # QSeries was a class of its own.  The report digest above pins only
+    # pass/fail and point counts; this pins every term and every O(q^...).
+    h = hashlib.sha256()
+    points = 0
+    for name, d in sorted(verify.REGISTRY.items()):
+        if d.kind != "series-truncated":
+            continue
+        for values in product(*d.grid.values()):
+            params = dict(zip(d.grid, values))
+            if d.point_filter is None or d.point_filter(params):
+                lhs, rhs = d.evaluate(params, Fraction(d.order))
+                h.update(f"{name} {params} {lhs} | {rhs}\n".encode())
+                points += 1
+    sides = h.hexdigest()
+    assert points == 65
+    assert sides == "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf"
+
+
 def test_full_level_points_are_pinned(monkeypatch):
     # every point the engine counts is evaluated, so a speed-up cannot come
     # from evaluating fewer points
