@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .fermionic import _FAMILIES, _kfamily
-from .qcomb import refined_T
+from .qcomb import _euler_pairs, positive_sum, refined_T
 from .qpoly import QPoly, QSeries, euler_inverse
 
 
@@ -73,7 +73,7 @@ def kseries_lhs(family: str, k: int, L: int, M: int) -> QPoly:
 @lru_cache(maxsize=None)
 def string_function(sigma: int, order: Fraction | int) -> QSeries:
     """Level-1 string function c_sigma: the sum over n = sigma mod 2 of
-    q^{n^2/2}/(q)_n, divided by (q)_inf.
+    q^{n^2/2}/(q)_n, one kernel call, divided by (q)_inf.
 
     This is the large-L limit of T(L,a) with L+a+sigma even.  The tests
     check it against the Pochhammer and product representations.
@@ -81,14 +81,11 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)
-    out = QSeries.zero(order)
-    n = sigma
-    while Fraction(n * n, 2) < order:
-        t = QSeries([(Fraction(n * n, 2), 1)], order)
-        if n:
-            t = t * euler_inverse(order, n)
-        out = out + t
-        n += 2
+    if order <= 0:  # nothing is known, and a product would lower the order
+        return QSeries.zero(order)
+    out = positive_sum(((n * n, _euler_pairs((n,), order))
+                        for n in range(sigma, isqrt(int(2 * order)) + 1, 2)),
+                       2, order)
     return out * euler_inverse(order)
 
 

@@ -2,24 +2,27 @@
 k-series sums, and the fermionic character series.
 
 Every sum here is manifestly positive: q-powers times products of Gaussian
-polynomials, indexed by (m,n)-system solutions or by free nonnegative vectors
-cut off at the truncation order.  The polynomial sums, and x_series_lhs's
-weight of each solution, are each one call to qtrin.qcomb.positive_sum, with
-exponents over the inverse Cartan denominator (n.C^{-1}.n) or over 4 (m.C.m/4
-and the k-series chain's squares over 2).
+polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by free
+nonnegative vectors cut off at the truncation order.  Each is one call to
+qtrin.qcomb.positive_sum, with exponents over the inverse Cartan denominator
+(n.C^{-1}.n), over 4 (m.C.m/4 and the chains' squares over 2) or over
+lcm(2, that denominator).  A series sum passes its truncation order, and each
+1/(q)_n as a Gaussian that equals it below the order.  No QSeries is
+multiplied here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import NamedTuple, Sequence
+from itertools import accumulate, product
+from math import isqrt, lcm
+from typing import NamedTuple
 
 from .liealg import LieAlgebra, algebra
 from .mnsys import MNSolution, mod3_filter, parity_filter, solve_mn, solve_mn_filtered
-from .qcomb import positive_sum
-from .qpoly import QPoly, QSeries, euler_inverse
+from .qcomb import _euler_pairs, positive_sum
+from .qpoly import QPoly, QSeries
 
 
 class _Family(NamedTuple):
@@ -195,34 +198,26 @@ def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
     yield from rec(0)
 
 
-def fermionic_char_sum(
-    family: str, order: Fraction | int, sigma: int = 0
-) -> QSeries:
-    """Truncated sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone."""
+def fermionic_char_sum(family: str, order: Fraction | int, sigma: int = 0) -> QSeries:
+    """Truncated sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone,
+    (q)_n = prod_j (q)_{n_j}; one kernel call."""
     if family not in CHAR_FAMILIES:
         raise ValueError(f"unknown fermionic family {family!r}")
     order = Fraction(order)
     name = family.split("-")[0]
     g = algebra(name)
     preds = _filters(name, sigma)
-    out = QSeries.zero(order)
-    for n in _enumerate_small_qform(g, order):
-        if not all(p(n) for p in preds):
-            continue
-        term = QSeries([(g.quad_form_invcartan(n), 1)], order)
-        for nj in n:
-            if nj:
-                term = term * euler_inverse(order, nj)
-        out = out + term
-    return out
+    return positive_sum(
+        ((int(g.quad_form_invcartan(n) * g.invcartan_den), _euler_pairs(n, order))
+         for n in _enumerate_small_qform(g, order) if all(p(n) for p in preds)),
+        g.invcartan_den, order)
 
 
-def fsum_family_lhs(
-    family: int, k: int, sigma: int, order: Fraction | int
-) -> QSeries:
+def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> QSeries:
     """The iterated fermionic sum over n_1..n_k >= 0 of
     q^{(N_1^2+...+N_k^2)/2} F_{n_k; m_sigma} / ((q)_{n_1}...(q)_{n_{k-1}} (q)_{2 n_k})
     with N_a = n_a + ... + n_k and m_sigma = sigma + sum of odd-indexed n_a mod 2.
+    One kernel call, each F expanded into its terms over its cone.
 
     Family 3 uses the A5 F-polynomial (the source's F^{D5} is taken to mean
     the algebra paired with E6, i.e. A5).
@@ -232,41 +227,29 @@ def fsum_family_lhs(
     if k < 1:
         raise ValueError("k must be >= 1")
     order = Fraction(order)
-    name = _FAMILIES[family].small
-    out = QSeries.zero(order)
-    cap = isqrt(int(2 * order)) + 1
+    g = algebra(_FAMILIES[family].small)
+    den = lcm(2, g.invcartan_den)
+    cap = isqrt(max(int(2 * order), 0)) + 1
 
-    def rec(tup: list[int]):
-        if len(tup) == k:
-            nvec = tup
-            nsum = list(nvec)
-            for a in range(k - 2, -1, -1):
-                nsum[a] += nsum[a + 1]  # N_a
-            e = Fraction(sum(x * x for x in nsum), 2)
-            if e >= order:
-                return
-            msig = (sigma + sum(nvec[a] for a in range(0, k, 2))) % 2
-            term = f_poly(name, nvec[-1], msig).to_series(order - e)
-            if not term:
-                return
-            for na in nvec[:-1]:
-                if na:
-                    term = term * euler_inverse(order - e, na)
-            term = term * euler_inverse(order - e, 2 * nvec[-1])
-            nonlocal out
-            out = out + term.shift(e)
-            return
-        for v in range(cap + 1):
-            rec(tup + [v])
+    def terms():
+        for nvec in product(range(cap + 1), repeat=k):
+            e2 = sum(x * x for x in accumulate(reversed(nvec)))  # sum of N_a^2
+            if e2 >= 2 * order:
+                continue
+            inv = _euler_pairs(nvec[:-1] + (2 * nvec[-1],), order)
+            for sol in _cone(g.name, nvec[-1], (sigma + sum(nvec[::2])) % 2):
+                e, pairs = _term(g, sol)
+                yield e2 * (den // 2) + e * (den // g.invcartan_den), pairs + inv
 
-    rec([])
-    return out
+    return positive_sum(terms(), den, order)
 
 
 def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     """The dual-limit series: sum over r in Z_+^{k-1} and (m,n)-system
     solutions at N = r_{k-1}, with the primed parity restriction on m
-    (listed coordinates congruent to r_{k-1} mod 2, all others even)."""
+    (listed coordinates congruent to r_{k-1} mod 2, all others even), of
+    q^{sum_a (r_a - r_{a-1})^2/2 + m.C.m/4} times the chain Gaussians, [m+n
+    choose n] and 1/(q)_{r_1}; one kernel call over the denominator 4."""
     if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 2:
@@ -274,50 +257,25 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     order = Fraction(order)
     f = _FAMILIES[family]
     g = algebra(f.large)
-    out = QSeries.zero(order)
+    cap = isqrt(max(int(2 * order), 0)) + 1  # no step r_a - r_{a-1} reaches it
 
-    def m_ok(m: Sequence[int], rk1: int) -> bool:
-        for j in range(1, g.rank + 1):
-            want = rk1 % 2 if j in f.x_odd else 0
-            if m[j - 1] % 2 != want:
-                return False
-        return True
-
-    def emit(r: list[int]) -> None:
-        # r = [r_0=0, r_1, ..., r_{k-1}]
-        nonlocal out
-        base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, k)), 2)
-        if base >= order:
+    def terms(r: list[int], e4: int):
+        # r = [r_0 = 0, r_1, ...] and e4 = 2 sum_a (r_a - r_{a-1})^2 < 4 order
+        if len(r) < k:
+            for v in range(r[-1] + cap + 1):
+                if e4 + 2 * (v - r[-1]) ** 2 < 4 * order:
+                    yield from terms(r + [v], e4 + 2 * (v - r[-1]) ** 2)
             return
-        rk1 = r[k - 1]
-        for sol in solve_mn(g, rk1, f.vertex):
-            if not m_ok(sol.m, rk1):
+        for sol in solve_mn(g, r[-1], f.vertex):
+            if any((mj - r[-1] * (j in f.x_odd)) % 2 for j, mj in enumerate(sol.m, 1)):
                 continue
-            # m_ok makes m_v even: the vertex is not in x_odd (checked in the tests)
-            rk = rk1 - sol.m[f.vertex - 1] // 2
-            e = base + Fraction(g.quad_form_cartan(sol.m), 4)
-            if e >= order:
-                continue
-            rfull = r + [rk]
+            # so m_v is even: the vertex is not in x_odd (checked in the tests)
+            rfull = r + [r[-1] - sol.m[f.vertex - 1] // 2]
             chain = tuple((rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])
                           for a in range(2, k))
             if any(top < bottom for top, bottom in chain):
                 continue  # a chain Gaussian vanishes
-            weight = positive_sum([(0, chain + _pairs(sol))], 1)
-            ser = weight.to_series(order - e) * euler_inverse(order - e, r[1])
-            out = out + ser.shift(e)
+            yield (e4 + g.quad_form_cartan(sol.m),
+                   chain + _pairs(sol) + _euler_pairs((r[1],), order))
 
-    def rec(r: list[int]) -> None:
-        if len(r) == k:
-            emit(r)
-            return
-        base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, len(r))), 2)
-        v = 0
-        while True:
-            if base + Fraction((v - r[-1]) ** 2, 2) >= order and v > r[-1]:
-                return
-            rec(r + [v])
-            v += 1
-
-    rec([0])
-    return out
+    return positive_sum(terms([0], 0), 4, order)

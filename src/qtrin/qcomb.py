@@ -3,8 +3,11 @@
 All results are exact QPoly values.  The q-trinomials, the refined
 coefficient and the sums of refinements that the paper's invariance
 identities take are evaluated straight from their defining sums on one
-positive-sum kernel, ``positive_sum``, which also evaluates the polynomial
-fermionic sides of qtrin.fermionic; no recurrences.
+positive-sum kernel, ``positive_sum``, with no recurrences.  Cut at a
+truncation order, with 1/(q)_n as a Gaussian (``_euler_pairs``), the same
+kernel evaluates every positive series sum: the fermionic sides of
+qtrin.fermionic, the string functions' n-sum and two series sides of
+qtrin.verify.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Sequence
 
 from .qpoly import QPoly
@@ -63,14 +66,13 @@ def qtrinomial2(L: int, a: int) -> QPoly:
 def qtrinomial_T(L: int, a: int) -> QPoly:
     """The T(L, a) q-trinomial (half-integer exponents in general).
 
-    Sum over n with n+a+L even of q^{n^2/2} (q)_L / ((q)_x (q)_y (q)_n),
-    x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is [L,n][L-n,x].  One
-    kernel call.
+    Sum over n from 0 to L-|a| with n+a+L even of q^{n^2/2} (q)_L /
+    ((q)_x (q)_y (q)_n), x = (L-a-n)/2, y = (L+a-n)/2; the multinomial is
+    [L,n][L-n,x].  One kernel call over _trinomial_terms.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return positive_sum(((n * n, ((L, n), (L - n, (L - a - n) // 2)))
-                         for n in range((L + a) % 2, L - abs(a) + 1, 2)), 2)
+    return positive_sum(_trinomial_terms(L, a), 2)
 
 
 # -- the positive-sum kernel -------------------------------------------
@@ -97,9 +99,10 @@ def _slot_bytes(bound: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _packed(n: int, a: int, w: int) -> int:
-    """[n, a] at q = 2^(8w): one integer with a w-byte slot per coefficient."""
-    c = _gauss(n, a)
+def _packed(n: int, a: int, w: int, k: int | None = None) -> int:
+    """[n, a] at q = 2^(8w): one integer with a w-byte slot per coefficient,
+    of its first k coefficients (all when k is None)."""
+    c = _gauss(n, a)[:k]
     code = _WORDS.get(w)
     if code is None:
         return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
@@ -117,43 +120,77 @@ def _unpacked(total: int, size: int, w: int) -> list[int]:
 
 
 def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]],
-                 den: int) -> QPoly:
+                 den: int, order: Fraction | int | None = None) -> QPoly:
     """Sum over (e, pairs) of q^(e/den) times the product of the Gaussians
-    [n, a], 0 <= a <= n, of ``pairs``; all e of one call congruent mod den.
+    [n, a], 0 <= a <= n, of ``pairs``; with an ``order``, the QSeries of that
+    sum below q^order.  Exponents that differ by non-integers are summed one
+    class mod 1 at a time.
 
     Kronecker substitution: q becomes 2^(8w), with w bytes enough for the
     sum's value at q = 1, which bounds every coefficient of the sum and of
     each partial product, so no slot carries into the next.  Each Gaussian is
     one cached integer, each term one big-integer product shifted to its
-    slot, and the sum is unpacked once.
+    slot, and the sum is unpacked once.  Under an order each term keeps only
+    its slots below it (see _sum).
     """
-    terms = list(terms)
+    if order is None:
+        return _sum([(e, pairs, None) for e, pairs in terms], den)
+    order = Fraction(order)
+    num, od = order.numerator * den, order.denominator
+    # a term at q^(e/den) keeps its first k = ceil(order - e/den) slots
+    return _sum([(e, pairs, k) for e, pairs in terms
+                 if (k := (num - e * od - 1) // (od * den) + 1) > 0], den).truncate(order)
+
+
+def _sum(terms: list[tuple[int, Sequence[tuple[int, int]], int | None]], den: int) -> QPoly:
+    """positive_sum of (e, pairs, k) terms, each cut to its first k slots
+    (whole when k is None).  A cut term's Gaussians and partial products are
+    cut to its k slots, and its bound is the product of its cut factors'
+    values at q = 1, which bounds every coefficient that is kept."""
     if not terms:
         return QPoly.zero()
     e0 = terms[0][0]
-    at1 = 0  # the sum's value at q = 1
-    for e, pairs in terms:
+    bound = 0
+    for e, pairs, k in terms:
         if e < e0:
             e0 = e
         v = 1
         for n, a in pairs:
-            v *= comb(n, a)
-        at1 += v
-    w = _slot_bytes(at1)
+            v *= comb(n, a) if k is None else sum(_gauss(n, a)[:k])
+        bound += v
+    w = _slot_bytes(bound)
     total = 0
     size = 0
-    for e, pairs in terms:
+    rest = []  # terms of other classes mod 1
+    for t in terms:
+        e, pairs, k = t
         s, part = divmod(e - e0, den)
         if part:
-            raise ValueError("the exponents of one sum must differ by integers")
+            rest.append(t)
+            continue
         p = 1
-        top = s
+        top = 0  # the degree of the product so far
         for n, a in pairs:
-            p *= _packed(n, a, w)
-            top += a * (n - a)  # the degree of [n, a]
+            d = a * (n - a)  # the degree of [n, a]
+            top += d
+            if k is None or top < k:
+                p *= _packed(n, a, w)
+            else:  # cut the factor and the product to k slots
+                p = p * _packed(n, a, w, k if k <= d else None) & ((1 << (8 * w * k)) - 1)
+                top = k - 1
         total += p << (8 * w * s)
-        size = max(size, top + 1)
-    return QPoly.from_coeffs(_unpacked(total, size, w), _start(e0, den))
+        size = max(size, s + top + 1)
+    out = QPoly.from_coeffs(_unpacked(total, size, w), _start(e0, den))
+    return out + _sum(rest, den) if rest else out
+
+
+def _euler_pairs(ns: Iterable[int], order: Fraction) -> tuple[tuple[int, int], ...]:
+    """1/((q)_{n_1} (q)_{n_2} ...) as kernel pairs for a sum cut at ``order``
+    whose exponents are >= 0.  Below q^(c+1), 1/(q)_n is the Gaussian [n+c,
+    n], c = ceil(order) - 1: both count the partitions into at most n parts,
+    [n+c, n] only those with parts at most c (Andrews, ch. 3)."""
+    c = ceil(order) - 1
+    return tuple((n + c, n) for n in ns if n)
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +198,12 @@ def _start(e: int, den: int) -> int | Fraction:
     """The exponent e/den: an int when den divides e, else one cached
     Fraction."""
     return e // den if e % den == 0 else Fraction(e, den)
+
+
+def _trinomial_terms(L: int, a: int):
+    """The defining sum of qtrinomial_T(L, a) as kernel terms over 2."""
+    return ((n * n, ((L, n), (L - n, (L - a - n) // 2)))
+            for n in range((L + a) % 2, L - abs(a) + 1, 2))
 
 
 def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:

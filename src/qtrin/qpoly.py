@@ -178,12 +178,21 @@ def _format(d: int, m: dict) -> str:
     return "".join(_fmt_term(k, d, m[k], i == 0) for i, k in enumerate(sorted(m)))
 
 
-def _meet(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    """Truncation order of a binary result: the lesser order, None (exact)
-    counting as above every order."""
-    if a is None:
-        return b
-    return a if b is None else min(a, b)
+def _product_order(x: "QPoly", y: "QPoly") -> Fraction:
+    """Truncation order of x*y, one factor a series: the lesser order, and
+    below it where a series' unknown terms, at its order and above, meet the
+    other factor's least term, known or unknown (a series' unknown terms
+    start at its order).  Only a negative least term reaches below the
+    lesser order."""
+    out = x.order if y.order is None else y.order if x.order is None else min(x.order, y.order)
+    for s, t in ((x, y), (y, x)):
+        if s.order is None:
+            continue
+        if t._m and min(t._m) < 0:
+            out = min(out, s.order + t.min_exponent())
+        elif not t._m and t.order is not None and t.order < 0:
+            out = min(out, s.order + t.order)
+    return out
 
 
 class QPoly:
@@ -195,8 +204,9 @@ class QPoly:
     pairs; repeated exponents are summed.
 
     ``order`` is None for an exact polynomial; a ``QSeries`` is the same
-    term map with a truncation order.  A binary operation carries the lesser
-    order of its operands, a polynomial counting as exact.
+    term map with a truncation order.  A sum carries the lesser order of its
+    operands, a polynomial counting as exact; a product, the order below
+    which every term is known (``_product_order``).
     """
 
     __slots__ = ("_d", "_m")
@@ -254,7 +264,8 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        order = _meet(self.order, other.order)
+        a, b = self.order, other.order  # the lesser; None is exact
+        order = b if a is None else a if b is None else min(a, b)
         return QPoly._of(*_add(*self._at(order), *other._at(order)), order)
 
     def __neg__(self) -> "QPoly":
@@ -268,12 +279,16 @@ class QPoly:
             return QPoly._of(*_scale(self._d, self._m, other), self.order)
         if not isinstance(other, QPoly):
             return NotImplemented
-        order = _meet(self.order, other.order)
-        # A polynomial factor is cut at the order first.  A series factor is
-        # not: _mul cuts the products, and one below the cut may use a term
-        # at or above it, as q^-1 * q^0 at order 0 does.
-        a = self._at(order) if self.order is None else (self._d, self._m)
-        b = other._at(order) if other.order is None else (other._d, other._m)
+        a, b = (self._d, self._m), (other._d, other._m)
+        if self.order is None and other.order is None:
+            return QPoly._of(*_mul(*a, *b))
+        order = _product_order(self, other)
+        # A polynomial factor is cut where its terms times the series
+        # factor's least term reach the order; _mul cuts the products.
+        if self.order is None:
+            a = self._at(order - (other.min_exponent() or 0))
+        if other.order is None:
+            b = other._at(order - (self.min_exponent() or 0))
         return QPoly._of(*_mul(*a, *b, order), order)
 
     __rmul__ = __mul__
@@ -401,54 +416,38 @@ class DivergentProduct(Exception):
     """Infinite Pochhammer product whose terms do not converge under truncation."""
 
 
-def pochhammer(
-    a_exponent: Exponent,
-    a_sign: int,
-    step: Exponent,
-    n: int | None,
-    order: Exponent,
-) -> QSeries:
-    """Truncated (sign * q^a ; q^step)_n = prod_j (1 - sign * q^(a + j*step)).
-
-    ``n=None`` means the infinite product; it then requires step > 0 and
-    a_exponent > 0 so that all but finitely many factors are 1 below the
-    truncation order.
-    """
+def pochhammer(a_exponent: Exponent, a_sign: int, step: Exponent,
+               order: Exponent) -> QSeries:
+    """Truncated (sign * q^a ; q^step)_infinity = prod_{j >= 0} (1 - sign *
+    q^(a + j*step)).  Requires step > 0 and a_exponent > 0, so that all but
+    finitely many factors are 1 below the truncation order."""
     a = Fraction(a_exponent)
     step = Fraction(step)
     order = Fraction(order)
     if a_sign not in (1, -1):
         raise ValueError("a_sign must be +1 or -1")
+    if step <= 0 or a <= 0:
+        raise DivergentProduct("infinite product needs step > 0 and a_exponent > 0")
     result = QSeries.one(order)
-    if n is None:
-        if step <= 0 or a <= 0:
-            raise DivergentProduct(
-                "infinite product needs step > 0 and a_exponent > 0"
-            )
-        j = 0
-        while a + j * step < order:
-            result = result * QSeries(((0, 1), (a + j * step, -a_sign)), order)
-            j += 1
-        return result
-    if n < 0:
-        raise ValueError("finite Pochhammer length must be nonnegative")
-    for j in range(n):
-        result = result * QSeries(((0, 1), (a + j * step, -a_sign)), order)
+    while a < order:
+        result = result * QSeries(((0, 1), (a, -a_sign)), order)
+        a += step
     return result
 
 
-def pochhammer_multi(
-    exponents: Iterable[Exponent], step: Exponent, order: Exponent
-) -> QSeries:
+def pochhammer_multi(exponents: Iterable[Exponent], step: Exponent,
+                     order: Exponent) -> QSeries:
     """(q^a1, q^a2, ...; q^step)_infinity, truncated."""
+    if order <= 0:  # nothing is known, and a product would lower the order
+        return QSeries.zero(order)
     result = QSeries.one(order)
     for a in exponents:
-        result = result * pochhammer(a, 1, step, None, order)
+        result = result * pochhammer(a, 1, step, order)
     return result
 
 
 @lru_cache(maxsize=None)
-def euler_inverse(order: Exponent, n: int | None = None) -> QSeries:
-    """1/(q;q)_n truncated, cached; n=None is 1/(q;q)_infinity, the
-    partition generating function."""
-    return pochhammer(1, 1, 1, n, order).inverse()
+def euler_inverse(order: Exponent) -> QSeries:
+    """1/(q;q)_infinity truncated, cached: the partition generating
+    function."""
+    return pochhammer(1, 1, 1, order).inverse()

@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Callable, Mapping, Sequence
 
 from . import bosonic, fermionic
-from .qcomb import (invariance_sum, positive_sum, qbinomial, qtrinomial2,
-                    qtrinomial_T, refined_T, refinement_sum)
+from .qcomb import (_euler_pairs, _trinomial_terms, invariance_sum, positive_sum,
+                    qbinomial, qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
 from .qpoly import QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi
 
 
@@ -43,7 +44,7 @@ SidePair = tuple[QPoly, QPoly]
 class IdentityDescriptor:
     name: str
     kind: str    # "polynomial-exact" | "series-truncated"
-    status: str  # "proved-in-paper" | "conjectured-in-paper" | "derived-chain"
+    status: str  # "proved-in-paper" | "conjectured-in-paper"
     grid: dict[str, tuple[int, ...]]
     evaluate: Callable[[Params, Fraction], SidePair]
     order: int = 12           # default truncation order for series kind
@@ -162,24 +163,19 @@ def _ev_con(p: Params, order) -> SidePair:
     # sum_i q^{i^2/2} [L, i] T(i, b), each T(i, b) expanded into its
     # defining sum, as one kernel call
     L, b = p["L"], p["b"]
-    lhs = positive_sum(
-        ((i * i + n * n, ((L, i), (i, n), (i - n, (i - b - n) // 2)))
-         for i in range(L + 1) for n in range((i + b) % 2, i - abs(b) + 1, 2)), 2)
+    lhs = positive_sum(((i * i + e, ((L, i),) + pairs) for i in range(L + 1)
+                        for e, pairs in _trinomial_terms(i, b)), 2)
     return lhs, qbinomial(2 * L, L - b).shift(Fraction(b * b, 2))
 
 
 def _ev_abp(p: Params, order: Fraction) -> SidePair:
+    # sum_i q^{i^2/2} T(i, |b|) / (q)_i, each T(i, |b|) expanded into its
+    # defining sum, as one kernel call
     b = p["b"]
-    lhs = QSeries.zero(order)
-    i = 0
-    while Fraction(i * i, 2) < order:
-        t = qtrinomial_T(i, abs(b))
-        if t:
-            ser = t.to_series(order - Fraction(i * i, 2))
-            if i:
-                ser = ser * euler_inverse(ser.order, i)
-            lhs = lhs + ser.shift(Fraction(i * i, 2))
-        i += 1
+    lhs = positive_sum(
+        ((i * i + e, pairs + _euler_pairs((i,), order))
+         for i in range(isqrt(max(int(2 * order), 0)) + 1)
+         for e, pairs in _trinomial_terms(i, abs(b))), 2, order)
     return lhs, euler_inverse(order - Fraction(b * b, 2)).shift(Fraction(b * b, 2))
 
 
@@ -241,8 +237,8 @@ def _ev_B46_s1(p: Params, order: Fraction) -> SidePair:
         theta = [(6 * j * (j + 1), 1) for j in range(int(inner) + 1)]
         rhs = (QSeries(theta, inner) * euler_inverse(inner)).shift(Fraction(3, 2))
     else:
-        rhs = (pochhammer(24, 1, 24, None, inner)
-               * pochhammer(12, 1, 24, None, inner).inverse()
+        rhs = (pochhammer(24, 1, 24, inner)
+               * pochhammer(12, 1, 24, inner).inverse()
                * euler_inverse(inner)).shift(Fraction(3, 2))
     return lhs, rhs
 
@@ -344,7 +340,8 @@ def _ev_limit_mTlim(p: Params, order: Fraction) -> SidePair:
     if p["form"] == 0:
         rhs = refined_T(L, M + 1, a, b).to_series(cut)
     else:
-        rhs = qtrinomial_T(L, a).to_series(cut) * euler_inverse(cut, L)
+        rhs = positive_sum(((e, pairs + _euler_pairs((L,), cut))
+                            for e, pairs in _trinomial_terms(L, a)), 2, cut)
     return lhs, rhs
 
 

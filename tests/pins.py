@@ -1,0 +1,94 @@
+"""Output pins: sha256 digests of qtrin's printed results.
+
+Three digests, each pinned to the value computed before the code it covers
+was last reworked; a rework must leave every byte as it is.
+
+- ``report``: the full-level JSON report with every ``millis`` set to 0
+  (pass/fail and point counts of all 41 identities).
+- ``sides``: both printed sides at every point of every series identity's
+  full-level grid, at its registry order (every term and every O(q^...)).
+- ``deep``: printed series well above the registry orders: the fermionic
+  character sums at order 40, the string functions at 54, two branching
+  functions at 42, abp at 40, the fam/X identities and limit-mTlim at 20.
+
+Standard library only.  Run ``PYTHONPATH=src python tests/pins.py`` from the
+repository root: it prints each digest and exits nonzero on a mismatch.
+tests/test_verify.py imports the same functions and pins.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from fractions import Fraction
+from itertools import product
+
+from qtrin import bosonic, fermionic, verify
+
+PINS = {
+    "report": "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064",
+    "sides": "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf",
+    "deep": "5341de100d6ce82259609284ad3a02cabc5da365c7ded9b61b052a9264df53fe",
+}
+
+
+def report_digest() -> str:
+    reports = verify.verify_all(level="full")
+    for r in reports:
+        r.millis = 0
+    return hashlib.sha256(verify.reports_to_json(reports).encode()).hexdigest()
+
+
+def _grid_sides(names, order=None):
+    """(name, params, lhs, rhs) at every full-grid point of ``names``, at
+    ``order`` or each identity's registry order."""
+    for name in names:
+        d = verify.REGISTRY[name]
+        for values in product(*d.grid.values()):
+            params = dict(zip(d.grid, values))
+            if d.point_filter is None or d.point_filter(params):
+                yield (name, params,
+                       *d.evaluate(params, Fraction(order or d.order)))
+
+
+def sides_digest() -> tuple[str, int]:
+    """The series-sides digest and the number of points it covers."""
+    h = hashlib.sha256()
+    points = 0
+    names = sorted(n for n, d in verify.REGISTRY.items() if d.kind == "series-truncated")
+    for name, params, lhs, rhs in _grid_sides(names):
+        h.update(f"{name} {params} {lhs} | {rhs}\n".encode())
+        points += 1
+    return h.hexdigest(), points
+
+
+def deep_digest() -> str:
+    h = hashlib.sha256()
+    for family in fermionic.CHAR_FAMILIES:
+        for sigma in (0, 1):
+            h.update(f"{family} {sigma} {fermionic.fermionic_char_sum(family, 40, sigma)}\n".encode())
+    for sigma in (0, 1):
+        h.update(f"c{sigma} {bosonic.string_function(sigma, 54)}\n".encode())
+    for p, pp in ((3, 5), (4, 6)):
+        for sigma in (0, 1):
+            h.update(f"B{p}{pp} {sigma} {bosonic.branching_function(p, pp, 1, 1, sigma, 42)}\n".encode())
+    for order, names in ((40, ["abp"]),
+                         (20, sorted(n for n in verify.REGISTRY
+                                     if n.startswith(("fam", "X")) or n == "limit-mTlim"))):
+        for name, params, lhs, rhs in _grid_sides(names, order):
+            h.update(f"{name} {params} {lhs} | {rhs}\n".encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    got = {"report": report_digest(), "sides": sides_digest()[0], "deep": deep_digest()}
+    bad = 0
+    for name, digest in got.items():
+        ok = digest == PINS[name]
+        bad += not ok
+        print(f"{sys.version.split()[0]} {name} {digest} {'ok' if ok else 'MISMATCH'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,20 +1,24 @@
 """Reference q-trinomials, refined q-trinomial, their sums and the fermionic
-polynomial sides: the defining sums evaluated term by term with QPoly
+sides: the defining sums evaluated term by term with QPoly and QSeries
 products and sums, as differential oracles for ``qtrin.qcomb``'s positive-sum
 kernel (``positive_sum_reference``) and its callers (``qtrinomial_T``,
 ``qtrinomial2``, ``refined_T``, ``invariance_sum``, ``refinement_sum``,
-con10's left side, and ``qtrin.fermionic``'s ``f_poly``, ``conj_rhs`` and
-``kseries_rhs``).  The
-fermionic references take their (m,n)-system solutions and cone filters from
-the package; only the summation is theirs."""
+con10's and abp's left sides, limit-mTlim's product form, the sum inside
+``qtrin.bosonic.string_function``, and ``qtrin.fermionic``'s ``f_poly``,
+``conj_rhs``, ``kseries_rhs`` and series sums).  A series reference takes
+1/(q)_n as the inverse of the finite product (q)_n.  The fermionic
+references take their (m,n)-system solutions, cone filters and small-form
+enumeration from the package; only the summation is theirs."""
 
 from fractions import Fraction
+from math import isqrt
 
+from qpoly_reference import pochhammer
 from qtrin import fermionic
 from qtrin.liealg import algebra
-from qtrin.mnsys import solve_mn_filtered
+from qtrin.mnsys import solve_mn, solve_mn_filtered
 from qtrin.qcomb import qbinomial
-from qtrin.qpoly import QPoly
+from qtrin.qpoly import QPoly, QSeries, euler_inverse
 
 
 def positive_sum_reference(terms, den: int) -> QPoly:
@@ -169,3 +173,135 @@ def kseries_rhs_reference(family: str, k: int, L: int, M: int) -> QPoly:
 
     rec([L + M, L], QPoly.one())
     return out
+
+
+# -- series sums, with 1/(q)_n the inverse of the finite product -------
+
+
+def euler_inverse_reference(order, n: int) -> QSeries:
+    """1/(q;q)_n below q^order."""
+    order = Fraction(order)
+    return QSeries(pochhammer(1, 1, 1, n, order), order).inverse()
+
+
+def fermionic_char_sum_reference(family: str, order, sigma: int = 0) -> QSeries:
+    """Sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone."""
+    order = Fraction(order)
+    name = family.split("-")[0]
+    g = algebra(name)
+    preds = fermionic._filters(name, sigma)
+    out = QSeries.zero(order)
+    for n in fermionic._enumerate_small_qform(g, order):
+        if not all(p(n) for p in preds):
+            continue
+        term = QSeries([(g.quad_form_invcartan(n), 1)], order)
+        for nj in n:
+            if nj:
+                term = term * euler_inverse_reference(order, nj)
+        out = out + term
+    return out
+
+
+def fsum_family_lhs_reference(family: int, k: int, sigma: int, order) -> QSeries:
+    """Sum over n_1..n_k >= 0 of q^{(N_1^2+...+N_k^2)/2} F_{n_k; m_sigma} /
+    ((q)_{n_1}...(q)_{n_{k-1}} (q)_{2 n_k})."""
+    order = Fraction(order)
+    name = fermionic._FAMILIES[family].small
+    out = QSeries.zero(order)
+    cap = isqrt(int(2 * order)) + 1 if order > 0 else 0
+
+    def rec(nvec: list) -> None:
+        nonlocal out
+        if len(nvec) < k:
+            for v in range(cap + 1):
+                rec(nvec + [v])
+            return
+        nsum = [sum(nvec[a:]) for a in range(k)]  # N_a
+        e = Fraction(sum(x * x for x in nsum), 2)
+        if e >= order:
+            return
+        msig = (sigma + sum(nvec[0::2])) % 2
+        term = f_poly_reference(name, nvec[-1], msig).to_series(order - e)
+        for na in nvec[:-1] + [2 * nvec[-1]]:
+            if na:
+                term = term * euler_inverse_reference(order - e, na)
+        out = out + term.shift(e)
+
+    rec([])
+    return out
+
+
+def x_series_lhs_reference(family: int, k: int, order) -> QSeries:
+    """Sum over r_1..r_{k-1} >= 0 and the (m,n)-system at N = r_{k-1}, with
+    the primed parity on m, of q^{sum (r_a - r_{a-1})^2/2 + m.C.m/4} times
+    the chain Gaussians, [m+n choose n] and 1/(q)_{r_1}."""
+    order = Fraction(order)
+    f = fermionic._FAMILIES[family]
+    g = algebra(f.large)
+    out = QSeries.zero(order)
+
+    def emit(r: list) -> None:
+        nonlocal out
+        base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, k)), 2)
+        rk1 = r[k - 1]
+        for sol in solve_mn(g, rk1, f.vertex):
+            if any(sol.m[j - 1] % 2 != (rk1 % 2 if j in f.x_odd else 0)
+                   for j in range(1, g.rank + 1)):
+                continue
+            e = base + Fraction(g.quad_form_cartan(sol.m), 4)
+            if e >= order:
+                continue
+            rfull = r + [rk1 - sol.m[f.vertex - 1] // 2]
+            weight = _qbinomial_vector(sol.m, sol.n)
+            for a in range(2, k):
+                weight = weight * qbinomial(rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])
+            ser = weight.to_series(order - e) * euler_inverse_reference(order - e, r[1])
+            out = out + ser.shift(e)
+
+    def rec(r: list) -> None:
+        if len(r) == k:
+            emit(r)
+            return
+        base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, len(r))), 2)
+        v = 0
+        while base + Fraction((v - r[-1]) ** 2, 2) < order or v <= r[-1]:
+            rec(r + [v])
+            v += 1
+
+    rec([0])
+    return out
+
+
+def string_function_reference(sigma: int, order) -> QSeries:
+    """The sum over n = sigma mod 2 of q^{n^2/2}/(q)_n, divided by (q)_inf."""
+    order = Fraction(order)
+    out = QSeries.zero(order)
+    n = sigma
+    while Fraction(n * n, 2) < order:
+        t = QSeries([(Fraction(n * n, 2), 1)], order)
+        if n:
+            t = t * euler_inverse_reference(order, n)
+        out = out + t
+        n += 2
+    return out * euler_inverse(order)
+
+
+def abp_lhs_reference(b: int, order) -> QSeries:
+    """Sum over i >= 0 of q^{i^2/2} T(i, |b|) / (q)_i."""
+    order = Fraction(order)
+    out = QSeries.zero(order)
+    i = 0
+    while Fraction(i * i, 2) < order:
+        t = qtrinomial_T_reference(i, abs(b))
+        if t:
+            ser = t.to_series(order - Fraction(i * i, 2))
+            ser = ser * euler_inverse_reference(ser.order, i)
+            out = out + ser.shift(Fraction(i * i, 2))
+        i += 1
+    return out
+
+
+def mtlim_product_reference(L: int, a: int, order) -> QSeries:
+    """T(L, a) / (q)_L below q^order."""
+    order = Fraction(order)
+    return qtrinomial_T_reference(L, a).to_series(order) * euler_inverse_reference(order, L)

@@ -30,6 +30,30 @@ def mul(a, b, cut=None):
     return clean([(ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items()], cut)
 
 
+def mul_order(a, oa, b, ob):
+    """Truncation order of the product of a + O(q^oa) and b + O(q^ob), an
+    order None meaning an exact polynomial: the least exponent that an
+    unknown term of one factor times a known or unknown term of the other
+    reaches, but never above the lesser order."""
+    reach = []
+    if oa is not None:
+        reach += [oa] + [oa + e for e in b]
+    if ob is not None:
+        reach += [ob] + [ob + e for e in a]
+    if oa is not None and ob is not None:
+        reach.append(oa + ob)
+    return min(reach)
+
+
+def pochhammer(a, sign, step, n, cut):
+    """(sign * q^a; q^step)_n below ``cut``: the finite product of the
+    factors 1 - sign * q^(a + j*step), j < n, one at a time."""
+    out = clean([(0, 1)], cut)
+    for j in range(n):
+        out = mul(out, clean([(0, 1), (Fraction(a) + j * Fraction(step), -sign)]), cut)
+    return out
+
+
 def shift(a, r):
     return {e + Fraction(r): c for e, c in a.items()}
 

@@ -16,8 +16,8 @@ class RepresentationMismatch(Exception):
 
 def pochhammer_form(sigma: int, order: Fraction) -> QSeries:
     """((-q^{1/2}; q)_inf +- (q^{1/2}; q)_inf) / (2 (q)_inf)."""
-    plus = pochhammer(Fraction(1, 2), -1, 1, None, order)   # (-q^{1/2}; q)_inf
-    minus = pochhammer(Fraction(1, 2), 1, 1, None, order)   # (q^{1/2}; q)_inf
+    plus = pochhammer(Fraction(1, 2), -1, 1, order)   # (-q^{1/2}; q)_inf
+    minus = pochhammer(Fraction(1, 2), 1, 1, order)   # (q^{1/2}; q)_inf
     num = plus + minus if sigma == 0 else plus - minus
     assert all(c % 2 == 0 for c in num.terms.values())
     half = QSeries({e: c // 2 for e, c in num.terms.items()}, order)

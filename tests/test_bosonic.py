@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcomb_reference import string_function_reference
 from qtrin.qpoly import QSeries, euler_inverse, pochhammer_multi
 from qtrin import bosonic, fermionic, verify
 from string_reps import checked_string_function
@@ -211,5 +212,14 @@ def test_string_equals_euler_quotient():
     order = Fraction(15)
     total = bosonic.string_function(0, order) + bosonic.string_function(1, order)
     from qtrin.qpoly import pochhammer
-    expect = pochhammer(Fraction(1, 2), -1, 1, None, order) * euler_inverse(order)
+    expect = pochhammer(Fraction(1, 2), -1, 1, order) * euler_inverse(order)
     assert total == expect
+
+
+def test_string_function_sum_against_reference():
+    # the n-sum is one kernel call; the reference inverts each (q)_n
+    for sigma in (0, 1):
+        for order in (0, 1, Fraction(5, 2), 13, 54):
+            got = bosonic.string_function(sigma, order)
+            want = string_function_reference(sigma, order)
+            assert got == want and str(got) == str(want), (sigma, order)

@@ -5,7 +5,9 @@ from math import isqrt
 
 import pytest
 
-from qcomb_reference import conj_rhs_reference, f_poly_reference, kseries_rhs_reference
+from qcomb_reference import (conj_rhs_reference, f_poly_reference,
+                             fermionic_char_sum_reference, fsum_family_lhs_reference,
+                             kseries_rhs_reference, x_series_lhs_reference)
 from qtrin.liealg import algebra
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
@@ -165,6 +167,40 @@ def test_kseries_rhs_against_reference(family):
             for M in range(5):
                 assert (fermionic.kseries_rhs(family, k, L, M)
                         == kseries_rhs_reference(family, k, L, M)), (k, L, M)
+
+
+# -- the series sums against QSeries references, 1/(q)_n the inverse of
+# the finite product (q)_n -------------------------------------------------
+
+ORDERS = (0, 1, Fraction(5, 2), 12, 40)
+
+
+@pytest.mark.parametrize("family", fermionic.CHAR_FAMILIES)
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_fermionic_char_sum_against_reference(family, sigma):
+    for order in ORDERS:
+        got = fermionic.fermionic_char_sum(family, order, sigma)
+        want = fermionic_char_sum_reference(family, order, sigma)
+        assert got == want and str(got) == str(want), order
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fsum_family_lhs_against_reference(family, k):
+    for sigma in (0, 1):
+        for order in (0, 1, Fraction(7, 2), 8, 20):
+            got = fermionic.fsum_family_lhs(family, k, sigma, order)
+            want = fsum_family_lhs_reference(family, k, sigma, order)
+            assert got == want and str(got) == str(want), (sigma, order)
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_x_series_lhs_against_reference(family, k):
+    for order in (0, 1, Fraction(7, 2), 8, 20):
+        got = fermionic.x_series_lhs(family, k, order)
+        want = x_series_lhs_reference(family, k, order)
+        assert got == want and str(got) == str(want), order
 
 
 @pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])

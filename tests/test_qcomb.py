@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
-from qcomb_reference import (con10_lhs_reference, invariance_sum_reference,
+from qcomb_reference import (abp_lhs_reference, con10_lhs_reference,
+                             invariance_sum_reference, mtlim_product_reference,
                              positive_sum_reference,
                              qtrinomial2_reference, qtrinomial_T_reference,
                              refined_T_reference, refinement_sum_reference)
+from qpoly_reference import pochhammer
 from qtrin import qcomb, verify
-from qtrin.qpoly import QPoly, pochhammer
+from qtrin.qpoly import QPoly, QSeries
 from qtrin.qcomb import (_slot_bytes, invariance_sum, positive_sum, qbinomial,
                          qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
 
@@ -23,8 +25,9 @@ def _qbin_oracle(n, a):
     if a < 0 or a > n:
         return QPoly.zero()
     order = Fraction(n * n + 1)
-    num = pochhammer(1, 1, 1, n, order)
-    den = pochhammer(1, 1, 1, a, order) * pochhammer(1, 1, 1, n - a, order)
+    num = QSeries(pochhammer(1, 1, 1, n, order), order)
+    den = QSeries(pochhammer(1, 1, 1, a, order), order) \
+        * QSeries(pochhammer(1, 1, 1, n - a, order), order)
     quot = num * den.inverse()
     return QPoly(quot.terms)
 
@@ -265,8 +268,9 @@ def test_refined_rejects_negative_bounds():
 def test_positive_sum_edge_cases():
     assert positive_sum([], 2) == QPoly.zero()
     assert positive_sum([(-3, ())], 2) == QPoly.q_power(Fraction(-3, 2))
-    with pytest.raises(ValueError, match="differ by integers"):
-        positive_sum([(0, ()), (1, ())], 2)
+    # exponents that differ by non-integers are summed one class at a time
+    halves = [(0, ()), (1, ())]
+    assert positive_sum(halves, 2) == positive_sum_reference(halves, 2)
     # over the denominator 6 the start 4/6 is kept in lowest terms
     sixths = positive_sum([(4, ((2, 1),)), (10, ())], 6)
     assert sixths.min_exponent() == Fraction(2, 3)
@@ -279,29 +283,51 @@ def test_positive_sum_edge_cases():
     assert quarters == by_hand
     assert str(quarters) == str(by_hand)
     # q^(1/6) and q^(1/3) differ by q^(1/6): no one slot grid holds both
-    with pytest.raises(ValueError, match="differ by integers"):
-        positive_sum([(1, ()), (2, ((1, 1),))], 6)
+    sixths = [(1, ()), (2, ((1, 1),))]
+    assert positive_sum(sixths, 6) == positive_sum_reference(sixths, 6)
 
 
 @st.composite
 def _kernel_terms(draw):
-    # exponents base + den*j with an odd base, so over den 2, 4 or 6 the
-    # sum starts at a fractional power of q
+    # exponents base + den*j with one to three odd bases, so over den 2, 4
+    # or 6 the sum starts at a fractional power of q and may mix classes
+    # mod 1; and a truncation order or none
     den = draw(st.sampled_from((2, 4, 6)))
-    base = 2 * draw(st.integers(-6, 6)) + 1
+    bases = draw(st.lists(st.integers(-6, 6).map(lambda b: 2 * b + 1), min_size=1, max_size=3))
     pair = st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
-    term = st.tuples(st.integers(-3, 3).map(lambda j: base + den * j),
+    term = st.tuples(st.tuples(st.sampled_from(bases), st.integers(-3, 3))
+                     .map(lambda bj: bj[0] + den * bj[1]),
                      st.lists(pair, max_size=3).map(tuple))
-    return draw(st.lists(term, min_size=1, max_size=5)), den
+    cut = st.none() | st.builds(Fraction, st.integers(-8, 30), st.sampled_from((1, 2, 3, 4)))
+    return draw(st.lists(term, min_size=1, max_size=5)), den, draw(cut)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_kernel_terms())
 def test_positive_sum_at_odd_starts_against_reference(args):
-    terms, den = args
-    got, want = positive_sum(terms, den), positive_sum_reference(terms, den)
+    terms, den, cut = args
+    want = positive_sum_reference(terms, den)
+    if cut is None:
+        got = positive_sum(terms, den)
+        assert got.min_exponent() == Fraction(min(e for e, _ in terms), den)
+    else:
+        got, want = positive_sum(terms, den, cut), want.truncate(cut)
+        assert got.order == cut
     assert got == want and str(got) == str(want)
-    assert got.min_exponent() == Fraction(min(e for e, _ in terms), den)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_cut_sum_at_each_slot_width_against_reference(w):
+    # (1 + q)^(8w) = [2, 1]^(8w) at q^(X - j), j < 8w, puts C(8w, j) at q^X
+    # each: the sum there, the last slot below the cut, is 2^(8w) - 1, the
+    # largest coefficient a w-byte slot holds.  The uncut sum is 8w * 2^(8w)
+    # at q = 1, which needs wider slots.
+    X = 8 * w
+    terms = [(2 * (X - j), ((2, 1),) * (8 * w)) for j in range(8 * w)]
+    got = positive_sum(terms, 2, X + 1)
+    assert got.coeff(X) == max(got.terms.values()) == 2 ** (8 * w) - 1
+    assert _slot_bytes(positive_sum(terms, 2).eval_q1()) > w
+    assert got == positive_sum_reference(terms, 2).truncate(X + 1)
 
 
 @st.composite
@@ -348,6 +374,23 @@ def test_con10_lhs_against_reference(args):
     L, b = args
     lhs, _ = verify.REGISTRY["con10"].evaluate({"L": L, "b": b}, None)
     assert lhs == con10_lhs_reference(L, b)
+
+
+@pytest.mark.parametrize("b", range(-4, 5))
+def test_abp_lhs_against_reference(b):
+    for order in (0, 1, Fraction(5, 2), 12, 40):
+        lhs, _ = verify.REGISTRY["abp"].evaluate({"b": b}, Fraction(order))
+        want = abp_lhs_reference(b, order)
+        assert lhs == want and str(lhs) == str(want)
+
+
+def test_mtlim_product_form_against_reference():
+    for point, (L, a, b) in enumerate(verify._MTLIM_POINTS):
+        for order in (1, Fraction(5, 2), 10, 20):
+            _, rhs = verify.REGISTRY["limit-mTlim"].evaluate(
+                {"point": point, "form": 1}, Fraction(order))
+            want = mtlim_product_reference(L, a, min(Fraction(L), Fraction(order)))
+            assert rhs == want and str(rhs) == str(want)
 
 
 def test_trinomials_output_digest():

@@ -142,26 +142,30 @@ def test_series_addition_takes_min_order():
 
 
 def test_pochhammer_finite_matches_product():
-    # (q;q)_3 = (1-q)(1-q^2)(1-q^3)
+    # The finite product is a test oracle (qpoly_reference.pochhammer), the
+    # one 1/(q)_n of the series references.  (q;q)_3 = (1-q)(1-q^2)(1-q^3)
     expect = QPoly({Fraction(0): 1})
     for j in (1, 2, 3):
         expect = expect * QPoly({Fraction(0): 1, Fraction(j): -1})
-    got = pochhammer(1, 1, 1, 3, 20)
-    assert got == expect.to_series(Fraction(20))
+    got = ref.pochhammer(1, 1, 1, 3, 20)
+    assert QSeries(got, 20) == expect.to_series(Fraction(20))
     # a first factor 1 - q^0 makes the product vanish; 1 + q^0 is 2
-    assert pochhammer(0, 1, 1, 2, 5) == QSeries.zero(5)
-    assert pochhammer(0, -1, 1, 2, 5) == QSeries([(0, 2), (1, 2)], 5)
+    assert ref.pochhammer(0, 1, 1, 2, 5) == {}
+    assert QSeries(ref.pochhammer(0, -1, 1, 2, 5), 5) == QSeries([(0, 2), (1, 2)], 5)
+    # the package's pochhammer is the infinite product alone
+    with pytest.raises(TypeError):
+        pochhammer(1, 1, 1, 3, 20)
 
 
 def test_pochhammer_truncation_compatibility():
-    lo = pochhammer(1, 1, 1, None, 10)
-    hi = pochhammer(1, 1, 1, None, 25).truncate(10)
+    lo = pochhammer(1, 1, 1, 10)
+    hi = pochhammer(1, 1, 1, 25).truncate(10)
     assert lo == hi
 
 
 def test_infinite_product_requires_positive_exponent():
     with pytest.raises(DivergentProduct):
-        pochhammer(0, 1, 1, None, 10)
+        pochhammer(0, 1, 1, 10)
 
 
 def test_euler_inverse_counts_partitions():
@@ -173,8 +177,7 @@ def test_euler_inverse_counts_partitions():
 
 def test_pochhammer_multi_is_product_of_factors():
     a = pochhammer_multi((3, 4, 5), 8, 20)
-    b = (pochhammer(3, 1, 8, None, 20) * pochhammer(4, 1, 8, None, 20)
-         * pochhammer(5, 1, 8, None, 20))
+    b = pochhammer(3, 1, 8, 20) * pochhammer(4, 1, 8, 20) * pochhammer(5, 1, 8, 20)
     assert a == b
 
 
@@ -242,6 +245,11 @@ def test_poly_ops_match_reference(a, b, r):
 
 
 @given(term_maps, term_maps, orders, orders, exponents)
+# negative least exponents, whose products with the other factor's unknown
+# terms set the product's order
+@example({Fraction(-2): 1}, {Fraction(0): 1}, Fraction(5), Fraction(1), Fraction(0))
+@example({Fraction(-1): 1}, {Fraction(0): 1}, Fraction(0), Fraction(2), Fraction(0))
+@example({Fraction(0): 1}, {Fraction(-1): 1}, Fraction(2), Fraction(0), Fraction(-1, 2))
 def test_series_ops_match_reference(a, b, oa, ob, r):
     sa, sb = QSeries(a, oa), QSeries(b, ob)
     ra, rb = ref.clean(a.items(), oa), ref.clean(b.items(), ob)
@@ -249,8 +257,8 @@ def test_series_ops_match_reference(a, b, oa, ob, r):
     assert sa.terms == ra and sa.order == oa
     assert ((sa + sb).terms, (sa + sb).order) == (ref.add(ra, rb, cut), cut)
     assert (sa - sb).terms == ref.add(ra, ref.neg(rb), cut)
-    assert ((sa * sb).terms, (sa * sb).order) == (ref.mul(ra, rb, cut), cut)
-    assert (sa * QPoly(b)).terms == ref.mul(ra, ref.clean(b.items(), oa), oa)
+    o = ref.mul_order(ra, oa, rb, ob)
+    assert ((sa * sb).terms, (sa * sb).order) == (ref.mul(ra, rb, o), o)
     assert QPoly(a).to_series(ob).terms == ref.clean(a.items(), ob)
     assert sa.truncate(cut).terms == ref.clean(ra.items(), cut)
     assert sa.truncate(cut) == QSeries(ra, cut)
@@ -260,21 +268,40 @@ def test_series_ops_match_reference(a, b, oa, ob, r):
     assert sa.min_exponent() == min(ra, default=None)
     for e in (r, *a, *b):
         assert sa.coeff(e) == ra.get(e, 0)
-    # a polynomial operand on either side: the result has the series' order,
-    # and a polynomial factor is cut at that order before the product
+    # a polynomial operand on either side: a sum has the series' order, and
+    # a product the order its unknown terms reach, never above the series'
     pa, pb, rpb = QPoly(a), QPoly(b), ref.clean(b.items())
     for x in (sa + pb, pb + sa):
         assert (x.terms, x.order) == (ref.add(ra, rpb, oa), oa)
     assert ((sa - pb).terms, (sa - pb).order) == (ref.add(ra, ref.neg(rpb), oa), oa)
     assert ((pb - sa).terms, (pb - sa).order) == (ref.add(rpb, ref.neg(ra), oa), oa)
+    o = ref.mul_order(ra, oa, rpb, None)
     for x in (sa * pb, pb * sa):
-        assert (x.terms, x.order) == (ref.mul(ra, ref.clean(b.items(), oa), oa), oa)
+        assert (x.terms, x.order) == (ref.mul(ra, rpb, o), o)
     # one type: a series is a QPoly with an order, and never equals a polynomial
     assert isinstance(sa, QPoly) and type(sa) is QSeries and type(pa * pb) is QPoly
     assert pa != QSeries(a, oa) and QSeries(a, oa) != pa and pa != pa.to_series(oa)
     assert repr(sa) == f"QSeries({sa})" and repr(pa) == f"QPoly({pa})"
     with pytest.raises(ValueError):
         sa.substitute_qinv()
+
+
+def test_product_order_with_negative_exponents():
+    # an unknown term of one factor, times a negative power of the other,
+    # lands below the lesser order
+    assert str(QSeries({-2: 1}, 5) * QSeries({0: 1}, 1)) == "q^-2 + O(q^-1)"
+    # a polynomial factor keeps the terms that meet the series' least term
+    assert str(QSeries({-1: 1}, 0) * QPoly({0: 1})) == "q^-1 + O(q^0)"
+    assert str(QPoly({-1: 1}) * QSeries({0: 1}, 2)) == "q^-1 + O(q^1)"
+    # the unknown terms of two series meet at the sum of their orders
+    assert str(QSeries.zero(-1) * QSeries.zero(-1)) == "0 + O(q^-2)"
+    assert str(QSeries({-3: 1}, -1) * QSeries.zero(-1)) == "0 + O(q^-4)"
+    # so a product of series at an order <= 0 starts from the empty series
+    for order in (0, -1, Fraction(-5, 2)):
+        assert pochhammer_multi((1, 2), 3, order) == QSeries.zero(order)
+    # with exponents >= 0 a product keeps the lesser order
+    assert (QSeries({0: 1, 1: 1}, 5) * QSeries({2: 1}, 3)).order == 3
+    assert (QSeries({1: 1}, 4) * QPoly({3: 1})).order == 4
 
 
 @given(term_maps, st.sampled_from([1, -1]),

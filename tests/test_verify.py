@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import pins
 from qtrin.qpoly import QPoly, QSeries
 from qtrin import verify
 
@@ -43,8 +43,7 @@ def test_registry_names_are_unique(monkeypatch):
 def test_registry_metadata_well_formed():
     for d in verify.REGISTRY.values():
         assert d.kind in ("polynomial-exact", "series-truncated")
-        assert d.status in ("proved-in-paper", "conjectured-in-paper",
-                            "derived-chain")
+        assert d.status in ("proved-in-paper", "conjectured-in-paper")
         assert d.grid
 
 
@@ -229,11 +228,7 @@ def test_full_level_report_is_pinned():
     # sha256 of the full-level JSON report with every millis set to 0,
     # computed before the grid loop and refined_T's cache were reworked; a
     # speed-up must leave every byte of it as it is
-    reports = verify.verify_all(level="full")
-    for r in reports:
-        r.millis = 0
-    digest = hashlib.sha256(verify.reports_to_json(reports).encode()).hexdigest()
-    assert digest == "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064"
+    assert pins.report_digest() == pins.PINS["report"]
 
 
 def test_series_sides_are_pinned():
@@ -241,20 +236,13 @@ def test_series_sides_are_pinned():
     # identity's full-level grid, at its registry order, computed while
     # QSeries was a class of its own.  The report digest above pins only
     # pass/fail and point counts; this pins every term and every O(q^...).
-    h = hashlib.sha256()
-    points = 0
-    for name, d in sorted(verify.REGISTRY.items()):
-        if d.kind != "series-truncated":
-            continue
-        for values in product(*d.grid.values()):
-            params = dict(zip(d.grid, values))
-            if d.point_filter is None or d.point_filter(params):
-                lhs, rhs = d.evaluate(params, Fraction(d.order))
-                h.update(f"{name} {params} {lhs} | {rhs}\n".encode())
-                points += 1
-    sides = h.hexdigest()
-    assert points == 65
-    assert sides == "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf"
+    assert pins.sides_digest() == (pins.PINS["sides"], 65)
+
+
+def test_deep_outputs_are_pinned():
+    # sha256 of printed series well above the registry orders, computed
+    # while the series sums still multiplied QSeries factors of 1/(q)_n
+    assert pins.deep_digest() == pins.PINS["deep"]
 
 
 def test_full_level_points_are_pinned(monkeypatch):
