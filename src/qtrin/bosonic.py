@@ -76,7 +76,10 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     q^{n^2/2}/(q)_n, one kernel call, divided by (q)_inf.
 
     This is the large-L limit of T(L,a) with L+a+sigma even.  The tests
-    check it against the Pochhammer and product representations.
+    check it against the Pochhammer and product representations and the
+    reference n-sum, each dividing by the tests' own partition series
+    (``qpoly_reference.euler_inverse``: the finite product (q)_n, n =
+    ceil(order), inverted), not by ``euler_inverse``.
     """
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")

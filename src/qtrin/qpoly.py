@@ -448,6 +448,23 @@ def pochhammer_multi(exponents: Iterable[Exponent], step: Exponent,
 
 @lru_cache(maxsize=None)
 def euler_inverse(order: Exponent) -> QSeries:
-    """1/(q;q)_infinity truncated, cached: the partition generating
-    function."""
-    return pochhammer(1, 1, 1, order).inverse()
+    """1/(q;q)_infinity truncated, cached: the partition generating function
+    sum p(n) q^n.  Euler's pentagonal number theorem, (q;q)_infinity = sum
+    over all integers k of (-1)^k q^(k(3k-1)/2), gives the recurrence
+    p(n) = sum_{k >= 1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+    O(n^1.5) integer additions in all (Andrews, The Theory of Partitions,
+    ch. 1)."""
+    order = Fraction(order)
+    if order <= 0:
+        return QSeries.zero(order)
+    p = [1]
+    for n in range(1, _bound(order, 1)):
+        acc = 0
+        for k in count(1):
+            g = k * (3 * k - 1) // 2  # the pentagonal numbers g and g + k
+            if g > n:
+                break
+            t = p[n - g] + p[n - g - k] if g + k <= n else p[n - g]
+            acc += t if k & 1 else -t
+        p.append(acc)
+    return QPoly._of(*_dense(p, 0), order)

@@ -1,6 +1,6 @@
 """Output pins: sha256 digests of qtrin's printed results.
 
-Three digests, each pinned to the value computed before the code it covers
+Four digests, each pinned to the value computed before the code it covers
 was last reworked; a rework must leave every byte as it is.
 
 - ``report``: the full-level JSON report with every ``millis`` set to 0
@@ -10,6 +10,9 @@ was last reworked; a rework must leave every byte as it is.
 - ``deep``: printed series well above the registry orders: the fermionic
   character sums at order 40, the string functions at 54, two branching
   functions at 42, abp at 40, the fam/X identities and limit-mTlim at 20.
+- ``chars``: the Virasoro characters of every label of the nine
+  ``CHAR_MODELS`` at order 130, and the partition series ``euler_inverse``
+  at orders 600 and 241/20.
 
 Standard library only.  Run ``PYTHONPATH=src python tests/pins.py`` from the
 repository root: it prints each digest and exits nonzero on a mismatch.
@@ -23,13 +26,26 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from qtrin import bosonic, fermionic, verify
+from qtrin import bosonic, fermionic, qpoly, verify
 
 PINS = {
     "report": "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064",
     "sides": "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf",
     "deep": "5341de100d6ce82259609284ad3a02cabc5da365c7ded9b61b052a9264df53fe",
+    "chars": "1ad7ed17400e57a7eddcd9c1e02164902a416c82f9a469c400d6bc3e1ce37fea",
 }
+
+# The minimal models (p, p') that ``compute chi`` requests draw from.
+CHAR_MODELS = ((3, 4), (4, 5), (2, 5), (3, 5), (5, 6), (2, 7), (3, 7), (4, 7), (5, 7))
+
+
+def char_labels():
+    """(p, p', r, s) for every label 1 <= r < p, 1 <= s < p' of the
+    ``CHAR_MODELS``: 110 labels."""
+    for p, pp in CHAR_MODELS:
+        for r in range(1, p):
+            for s in range(1, pp):
+                yield p, pp, r, s
 
 
 def report_digest() -> str:
@@ -80,8 +96,18 @@ def deep_digest() -> str:
     return h.hexdigest()
 
 
+def chars_digest() -> str:
+    h = hashlib.sha256()
+    for p, pp, r, s in char_labels():
+        h.update(f"chi {p} {pp} {r} {s} {bosonic.virasoro_char(p, pp, r, s, 130)}\n".encode())
+    for order in (600, Fraction(241, 20)):
+        h.update(f"euler {order} {qpoly.euler_inverse(order)}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
-    got = {"report": report_digest(), "sides": sides_digest()[0], "deep": deep_digest()}
+    got = {"report": report_digest(), "sides": sides_digest()[0], "deep": deep_digest(),
+           "chars": chars_digest()}
     bad = 0
     for name, digest in got.items():
         ok = digest == PINS[name]

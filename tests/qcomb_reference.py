@@ -6,19 +6,20 @@ kernel (``positive_sum_reference``) and its callers (``qtrinomial_T``,
 con10's and abp's left sides, limit-mTlim's product form, the sum inside
 ``qtrin.bosonic.string_function``, and ``qtrin.fermionic``'s ``f_poly``,
 ``conj_rhs``, ``kseries_rhs`` and series sums).  A series reference takes
-1/(q)_n as the inverse of the finite product (q)_n.  The fermionic
+1/(q)_n as the inverse of the finite product (q)_n, and 1/(q)_inf from
+``qpoly_reference.euler_inverse``.  The fermionic
 references take their (m,n)-system solutions, cone filters and small-form
 enumeration from the package; only the summation is theirs."""
 
 from fractions import Fraction
 from math import isqrt
 
-from qpoly_reference import pochhammer
+from qpoly_reference import euler_inverse, pochhammer
 from qtrin import fermionic
 from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn, solve_mn_filtered
 from qtrin.qcomb import qbinomial
-from qtrin.qpoly import QPoly, QSeries, euler_inverse
+from qtrin.qpoly import QPoly, QSeries
 
 
 def positive_sum_reference(terms, den: int) -> QPoly:
@@ -283,7 +284,7 @@ def string_function_reference(sigma: int, order) -> QSeries:
             t = t * euler_inverse_reference(order, n)
         out = out + t
         n += 2
-    return out * euler_inverse(order)
+    return out * QSeries(euler_inverse(order), order)
 
 
 def abp_lhs_reference(b: int, order) -> QSeries:

@@ -7,6 +7,7 @@ keeps all (a polynomial).
 """
 
 from fractions import Fraction
+from math import ceil
 
 
 def clean(pairs, cut=None):
@@ -52,6 +53,22 @@ def pochhammer(a, sign, step, n, cut):
     for j in range(n):
         out = mul(out, clean([(0, 1), (Fraction(a) + j * Fraction(step), -sign)]), cut)
     return out
+
+
+def euler_inverse(cut):
+    """1/(q;q)_inf below ``cut``: the finite product (q;q)_n with n = ceil(cut),
+    which holds every factor below the cut, inverted."""
+    return inverse(pochhammer(1, 1, 1, max(ceil(cut), 0), cut), cut)
+
+
+def partition_counts(n):
+    """p(0), ..., p(n-1), counting change: the parts 1, 2, ... join one at
+    a time, independent of Euler's pentagonal theorem."""
+    p = [int(s == 0) for s in range(n)]
+    for part in range(1, n):
+        for s in range(part, n):
+            p[s] += p[s - part]
+    return p
 
 
 def shift(a, r):

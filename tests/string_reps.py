@@ -2,12 +2,14 @@
 
 ``qtrin.bosonic.string_function`` computes c_sigma from the
 parity-restricted n-sum only; these are the oracles it is checked against.
+Their 1/(q)_inf is ``qpoly_reference.euler_inverse``, not qtrin's.
 """
 
 from fractions import Fraction
 
+import qpoly_reference as ref
 from qtrin.bosonic import string_function
-from qtrin.qpoly import QSeries, euler_inverse, pochhammer, pochhammer_multi
+from qtrin.qpoly import QSeries, pochhammer, pochhammer_multi
 
 
 class RepresentationMismatch(Exception):
@@ -21,14 +23,14 @@ def pochhammer_form(sigma: int, order: Fraction) -> QSeries:
     num = plus + minus if sigma == 0 else plus - minus
     assert all(c % 2 == 0 for c in num.terms.values())
     half = QSeries({e: c // 2 for e, c in num.terms.items()}, order)
-    return half * euler_inverse(order)
+    return half * QSeries(ref.euler_inverse(order), order)
 
 
 def product_form(sigma: int, order: Fraction) -> QSeries:
     """q^{sigma/2} over (q)_inf and the mod-8 and mod-16 products."""
     shift = Fraction(sigma, 2)
     inner = order - shift
-    den = euler_inverse(inner)
+    den = QSeries(ref.euler_inverse(inner), inner)
     den = den * pochhammer_multi(
         (3 - 2 * sigma, 4, 5 + 2 * sigma), 8, inner).inverse()
     den = den * pochhammer_multi(

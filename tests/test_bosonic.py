@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
+import pins
+import qpoly_reference as ref
 from qcomb_reference import string_function_reference
-from qtrin.qpoly import QSeries, euler_inverse, pochhammer_multi
+from qtrin.qpoly import QSeries, pochhammer_multi
 from qtrin import bosonic, fermionic, verify
 from string_reps import checked_string_function
 
@@ -78,6 +81,29 @@ def test_virasoro_label_validation():
         bosonic.virasoro_char(3, 4, 3, 1, 10)   # r out of range
     with pytest.raises(bosonic.InvalidCharLabel):
         bosonic.virasoro_char(3, 4, 1, 4, 10)   # s out of range
+
+
+def test_virasoro_char_every_label_at_order_130():
+    # every label of the nine compute-mix models: Rocha-Caridi's theta
+    # exponents times the partition counts p(0..n-1), in plain dicts
+    order = 130
+    for p, pp, r, s in pins.char_labels():
+        alpha = Fraction((pp * r - p * s) ** 2 - 1, 4 * p * pp)
+        n = ceil(order - alpha)
+        theta = {}
+        for j in range(-n, n + 1):  # both exponents are >= |j|
+            for e, sign in ((j * (p * pp * j + pp * r - p * s), 1),
+                            ((p * j + r) * (pp * j + s), -1)):
+                if e < n:
+                    theta[e] = theta.get(e, 0) + sign
+        parts = ref.partition_counts(n)
+        want = {}
+        for e, c in theta.items():
+            for k in range(e, n):
+                want[k] = want.get(k, 0) + c * parts[k - e]
+        got = bosonic.virasoro_char(p, pp, r, s, order)
+        assert got.order == order, (p, pp, r, s)
+        assert got.terms == {alpha + k: c for k, c in want.items() if c}, (p, pp, r, s)
 
 
 def test_virasoro_swapped_labels_agree():
@@ -212,7 +238,7 @@ def test_string_equals_euler_quotient():
     order = Fraction(15)
     total = bosonic.string_function(0, order) + bosonic.string_function(1, order)
     from qtrin.qpoly import pochhammer
-    expect = pochhammer(Fraction(1, 2), -1, 1, order) * euler_inverse(order)
+    expect = pochhammer(Fraction(1, 2), -1, 1, order) * QSeries(ref.euler_inverse(order), order)
     assert total == expect
 
 

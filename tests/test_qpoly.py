@@ -1,5 +1,6 @@
 import signal
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings
@@ -173,6 +174,24 @@ def test_euler_inverse_counts_partitions():
     # p(0..11)
     expect = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
     assert [s.coeff(Fraction(n)) for n in range(12)] == expect
+
+
+@pytest.mark.parametrize("order", [-3, 0, Fraction(1, 2), 1, Fraction(7, 3),
+                                   Fraction(241, 20), 130, 600])
+def test_euler_inverse_against_references(order):
+    # Two references: the partition counts by counting change, and the path
+    # the pentagonal recurrence replaced, the finite product (q;q)_n
+    # inverted.  That path is qpoly_reference.euler_inverse, whose
+    # dict products grow as the cube of the order, so at 600 it is qtrin's
+    # own Pochhammer product and series inverse (kept for the product forms).
+    got = euler_inverse(order)
+    counts = ref.clean(enumerate(ref.partition_counts(max(ceil(order), 0))))
+    old = (ref.euler_inverse(order) if order <= 130
+           else pochhammer(1, 1, 1, order).inverse().terms)
+    for want in (counts, old):
+        assert got.terms == want
+        assert str(got) == f"{ref.fmt(want)} + O(q^{Fraction(order)})"
+    assert got.order == Fraction(order)
 
 
 def test_pochhammer_multi_is_product_of_factors():

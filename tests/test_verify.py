@@ -245,6 +245,13 @@ def test_deep_outputs_are_pinned():
     assert pins.deep_digest() == pins.PINS["deep"]
 
 
+def test_characters_are_pinned():
+    # sha256 of virasoro_char at order 130 for every label of the nine
+    # compute-mix models, and of euler_inverse at 600 and 241/20, computed
+    # while 1/(q)_inf was the inverse of a Pochhammer product
+    assert pins.chars_digest() == pins.PINS["chars"]
+
+
 def test_full_level_points_are_pinned(monkeypatch):
     # every point the engine counts is evaluated, so a speed-up cannot come
     # from evaluating fewer points
