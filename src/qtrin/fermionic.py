@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, algebra
@@ -76,19 +77,24 @@ def _pairs(sol: MNSolution) -> tuple[tuple[int, int], ...]:
     return tuple((mj + nj, nj) for mj, nj in zip(sol.m, sol.n))
 
 
-def _term(g: LieAlgebra, sol: MNSolution, *pre: tuple[int, int]) -> tuple:
-    """q^{n.C^{-1}.n} [pre] [m+n choose n] as a kernel term over the
-    denominator g.invcartan_den."""
-    return int(g.quad_form_invcartan(sol.n) * g.invcartan_den), pre + _pairs(sol)
-
-
 @lru_cache(maxsize=None)
-def _cone(name: str, M: int, sigma: int) -> tuple[MNSolution, ...]:
+def _cone(name: str, M: int, sigma: int) -> tuple[tuple[int, tuple, int], ...]:
     """The solutions of the algebra's (m,n)-system with N = 2M at its marked
-    vertex p whose n passes the cone filters; the filters depend on sigma
-    only mod 2, so callers pass sigma mod 2."""
+    vertex p whose n passes the cone filters, each as the kernel term of
+    q^{n.C^{-1}.n} [m+n choose n] over the denominator den = invcartan_den,
+    (den * n.C^{-1}.n, pairs, m_p).  The filters depend on sigma only mod 2,
+    so callers pass sigma mod 2.
+
+    The exponent needs no matrix product: C^{-1} n = (N C^{-1} e_p - m)/2 by
+    the system's definition, so den * n.C^{-1}.n = (N^2 num_pp - den (N m_p
+    + 2 n.m)) / 4, here M^2 num_pp - den (M m_p + n.m) / 2."""
     g = algebra(name)
-    return tuple(solve_mn_filtered(g, 2 * M, g.p, *_filters(name, sigma)))
+    p = g.p
+    c = M * M * g.invcartan_num[p - 1][p - 1]
+    return tuple(
+        (c - g.invcartan_den * (M * sol.m[p - 1] + sum(map(mul, sol.n, sol.m))) // 2,
+         _pairs(sol), sol.m[p - 1])
+        for sol in solve_mn_filtered(g, 2 * M, p, *_filters(name, sigma)))
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +108,7 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
     g = algebra(name)
     if g.p is None:
         raise ValueError(f"F-polynomial not defined for {name}")
-    return positive_sum((_term(g, sol) for sol in _cone(g.name, M, sigma)),
+    return positive_sum(((e, pairs) for e, pairs, _ in _cone(g.name, M, sigma)),
                         g.invcartan_den)
 
 
@@ -117,9 +123,8 @@ def conj_rhs(which: int, L: int, M: int) -> QPoly:
     # the parity restriction makes L+M+m_p even (checked in the tests); the
     # prefactor vanishes unless (L+M+m_p)/2 >= 2M
     return positive_sum(
-        (_term(g, sol, ((L + M + sol.m[g.p - 1]) // 2, 2 * M))
-         for sol in _cone(g.name, M, L % 2)
-         if L + M + sol.m[g.p - 1] >= 4 * M),
+        ((e, (((L + M + mp) // 2, 2 * M),) + pairs)
+         for e, pairs, mp in _cone(g.name, M, L % 2) if L + M + mp >= 4 * M),
         g.invcartan_den)
 
 
@@ -175,27 +180,34 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
 
 
 def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
-    """Yield all n in Z_+^rank with quad_form_invcartan(n) < order.  The form
-    is strictly increasing in every coordinate on the nonnegative orthant
-    (positive inverse Cartan), so a depth-first scan with early cutoff is
-    complete."""
-    r = g.rank
-    n = [0] * r
+    """Yield (n, den * n.C^{-1}.n) for every n in Z_+^rank with n.C^{-1}.n <
+    order, den = g.invcartan_den, lexicographically in n.  The form is
+    strictly increasing in every coordinate on the nonnegative orthant
+    (positive inverse Cartan), so a depth-first scan that stops each
+    coordinate at its first value past the order is complete.  The integer
+    form Q = n.num.n is carried by partial sums, Q(n + e_k) = Q(n) +
+    2 (num.n)_k + num_kk; at level k the later coordinates of n are 0."""
+    num = g.invcartan_num
+    last = g.rank - 1
+    limit = ceil(order * g.invcartan_den)  # Q < den * order, Q an integer
+    n = [0] * g.rank
 
-    def rec(k: int):
-        if k == r:
-            yield tuple(n)
-            return
+    def rec(k: int, q: int):
+        row = num[k]
+        step = 2 * sum(map(mul, row, n)) + row[k]  # Q(n + e_k) - Q(n)
         v = 0
-        while True:
+        while q < limit:
             n[k] = v
-            if g.quad_form_invcartan(n) >= order:
-                n[k] = 0
-                return
-            yield from rec(k + 1)
+            if k < last:
+                yield from rec(k + 1, q)
+            else:
+                yield tuple(n), q
+            q += step
+            step += 2 * row[k]
             v += 1
+        n[k] = 0
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def fermionic_char_sum(family: str, order: Fraction | int, sigma: int = 0) -> QSeries:
@@ -208,8 +220,8 @@ def fermionic_char_sum(family: str, order: Fraction | int, sigma: int = 0) -> QS
     g = algebra(name)
     preds = _filters(name, sigma)
     return positive_sum(
-        ((int(g.quad_form_invcartan(n) * g.invcartan_den), _euler_pairs(n, order))
-         for n in _enumerate_small_qform(g, order) if all(p(n) for p in preds)),
+        ((e, _euler_pairs(n, order))
+         for n, e in _enumerate_small_qform(g, order) if all(p(n) for p in preds)),
         g.invcartan_den, order)
 
 
@@ -237,8 +249,7 @@ def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> Q
             if e2 >= 2 * order:
                 continue
             inv = _euler_pairs(nvec[:-1] + (2 * nvec[-1],), order)
-            for sol in _cone(g.name, nvec[-1], (sigma + sum(nvec[::2])) % 2):
-                e, pairs = _term(g, sol)
+            for e, pairs, _ in _cone(g.name, nvec[-1], (sigma + sum(nvec[::2])) % 2):
                 yield e2 * (den // 2) + e * (den // g.invcartan_den), pairs + inv
 
     return positive_sum(terms(), den, order)

@@ -1,11 +1,17 @@
 """Enumeration of (m,n)-systems m + n = (I.m + N e_i)/2 over a Dynkin diagram.
 
-Strategy: depth-first search over candidate n vectors with positive-matrix
-pruning, recovering m = C^{-1}(N e_i - 2n) and keeping solutions where m is a
+Strategy: depth-first search over the n vectors in lexicographic order,
+recovering m = C^{-1}(N e_i - 2n) and keeping solutions where m is a
 nonnegative integer vector.  All entries of the inverse Cartan matrix are
-positive, which gives exact per-coordinate bounds.  The search runs in plain
-integers on the scaled matrix den * C^{-1} that ``LieAlgebra`` stores; an m_j
-is kept when den divides its scaled value.
+positive, so raising any n_k lowers every m_j, and a coordinate stops rising
+as soon as one m_j turns negative.  The search runs in plain integers on the
+scaled matrix den * C^{-1} that ``LieAlgebra`` stores.  Its r slacks den * m_j
+share one integer, a slot per coordinate with a guard bit (SWAR: Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975), so
+raising n_k is one subtraction and the prune one AND.  At a leaf the slots
+are read in one array cast (qcomb's ``_unpacked``), and m_j is kept when
+den divides its slack.  Solutions come out strictly increasing in n, with
+no sort.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .liealg import LieAlgebra
+from .qcomb import _slot_bytes, _unpacked
 
 
 @dataclass(frozen=True)
@@ -52,44 +59,42 @@ def _solve_mn_cached(g: LieAlgebra, N: int, i: int) -> tuple[MNSolution, ...]:
     r = g.rank
     num, den = g.invcartan_num, g.invcartan_den
     # In units of 1/den: m_j = (target_j - 2*(num . n)_j) / den must be a
-    # nonnegative integer.
+    # nonnegative integer.  The r slacks target_j - 2*(num . n)_j live in one
+    # integer, slot j holding guard + slack_j with the guard bit at the top of
+    # its w bytes.  A slot's slack stays below the guard and no column entry
+    # exceeds it, so subtracting a column from nonnegative slacks never
+    # borrows across slots, and a slot's guard bit survives exactly when its
+    # slack is still >= 0.
     cols = list(zip(*num))
-    target = [N * x for x in cols[i - 1]]
+    target = cols[i - 1]
+    w = _slot_bytes(2 * max(N * max(target), 2 * max(map(max, num))))
+    bits = 8 * w
+    guard = sum(1 << (bits * (j + 1) - 1) for j in range(r))
+    start = guard + sum(N * t << (bits * j) for j, t in enumerate(target))
+    steps = [sum(2 * c << (bits * j) for j, c in enumerate(col)) for col in cols]
     solutions: list[MNSolution] = []
     n = [0] * r
-    partial = [0] * r  # (num . n)_j over coordinates fixed so far
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, slack: int) -> None:
+        # every slack is >= 0 on entry; raising n_k lowers them all
         if k == r:
-            m = []
-            for j in range(r):
-                mj, rem = divmod(target[j] - 2 * partial[j], den)
-                if mj < 0 or rem:
+            m = _unpacked(slack ^ guard, r, w)
+            if den > 1:
+                if any(x % den for x in m):
                     return
-                m.append(mj)
+                m = [x // den for x in m]
             solutions.append(MNSolution(tuple(m), tuple(n)))
             return
-        col = cols[k]
+        step = steps[k]
         v = 0
-        while True:
+        while slack & guard == guard:
             n[k] = v
-            ok = True
-            if v:
-                for j in range(r):
-                    partial[j] += col[j]
-                    if 2 * partial[j] > target[j]:
-                        ok = False
-            if not ok:
-                # undo and stop increasing this coordinate
-                n[k] = 0
-                for j in range(r):
-                    partial[j] -= v * col[j]
-                return
-            dfs(k + 1)
+            dfs(k + 1, slack)
+            slack -= step
             v += 1
+        n[k] = 0
 
-    dfs(0)
-    solutions.sort(key=lambda s: s.n)
+    dfs(0, start)
     return tuple(solutions)
 
 

@@ -3,12 +3,13 @@ and a check of one solution against the defining equations.
 
 Neither shares code with ``qtrin.liealg``'s inverse.  The box enumeration
 takes m = C^{-1}(N e_i - 2n) from sympy's integer adjugate and determinant of
-the Cartan matrix, C^{-1} = adj(C) / det(C), over every n in the box
-[0, box]^rank; the check uses only the incidence matrix.
+the Cartan matrix, C^{-1} = adj(C) / det(C), over every n in a box that holds
+all solutions; the check uses only the incidence matrix.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from sympy import Matrix
@@ -16,15 +17,23 @@ from sympy import Matrix
 from qtrin.mnsys import MNSolution
 
 
-def solve_mn_bruteforce(g, N: int, i: int, box: int) -> list[MNSolution]:
-    """All (m, n) with 0 <= n_j <= box and m a nonnegative integer vector,
-    ordered lexicographically in n."""
+@lru_cache(maxsize=None)
+def cartan_adjugate(g) -> tuple[list[list[int]], int]:
+    """adj(C) and det(C) of g's Cartan matrix, from sympy; C^{-1} = adj(C) /
+    det(C)."""
     cartan = Matrix(g.cartan)
-    det = int(cartan.det())
-    adj = [[int(x) for x in row] for row in cartan.adjugate().tolist()]
-    r = g.rank
+    return [[int(x) for x in row] for row in cartan.adjugate().tolist()], int(cartan.det())
+
+
+def solve_mn_bruteforce(g, N: int, i: int) -> list[MNSolution]:
+    """All (m, n) with n and m nonnegative integer vectors, ordered
+    lexicographically in n.  Every entry of C^{-1} is positive, so m_j >= 0
+    gives N (C^{-1})_ji >= 2 (C^{-1})_jj n_j: the box 0 <= n_j <= N adj_ji /
+    (2 adj_jj) holds every solution."""
+    adj, det = cartan_adjugate(g)
     out = []
-    for n in product(range(box + 1), repeat=r):
+    box = [range(N * adj[j][i - 1] // (2 * adj[j][j]) + 1) for j in range(g.rank)]
+    for n in product(*box):
         m = []
         for row in adj:
             mj, rem = divmod(N * row[i - 1] - 2 * sum(x * nl for x, nl in zip(row, n)), det)

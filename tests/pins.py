@@ -1,6 +1,6 @@
 """Output pins: sha256 digests of qtrin's printed results.
 
-Four digests, each pinned to the value computed before the code it covers
+Five digests, each pinned to the value computed before the code it covers
 was last reworked; a rework must leave every byte as it is.
 
 - ``report``: the full-level JSON report with every ``millis`` set to 0
@@ -13,6 +13,9 @@ was last reworked; a rework must leave every byte as it is.
 - ``chars``: the Virasoro characters of every label of the nine
   ``CHAR_MODELS`` at order 130, and the partition series ``euler_inverse``
   at orders 600 and 241/20.
+- ``mn``: the lines ``qtrin mn-solve`` prints for every vertex of all five
+  algebras at N <= 10, each without a filter and with a ``--parity`` form,
+  and for E8 at vertex 1 and N = 26..29.
 
 Standard library only.  Run ``PYTHONPATH=src python tests/pins.py`` from the
 repository root: it prints each digest and exits nonzero on a mismatch.
@@ -21,18 +24,22 @@ tests/test_verify.py imports the same functions and pins.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 from fractions import Fraction
 from itertools import product
 
-from qtrin import bosonic, fermionic, qpoly, verify
+from qtrin import bosonic, cli, fermionic, qpoly, verify
+from qtrin.liealg import algebra, algebra_names
 
 PINS = {
     "report": "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064",
     "sides": "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf",
     "deep": "5341de100d6ce82259609284ad3a02cabc5da365c7ded9b61b052a9264df53fe",
     "chars": "1ad7ed17400e57a7eddcd9c1e02164902a416c82f9a469c400d6bc3e1ce37fea",
+    "mn": "568433708db48d0655512e42d7a029b6dd347e30383b30b326a3b74f4d2b09f6",
 }
 
 # The minimal models (p, p') that ``compute chi`` requests draw from.
@@ -105,9 +112,34 @@ def chars_digest() -> str:
     return h.hexdigest()
 
 
+def mn_requests():
+    """The ``mn-solve`` argv lists of the ``mn`` digest: for every algebra,
+    vertex and N <= 10, one without a filter and one with the parity form
+    n1+n3+n_rank (+1 at odd N); then E8 at vertex 1 and N = 26..29."""
+    for name in algebra_names():
+        rank = algebra(name).rank
+        for i in range(1, rank + 1):
+            for N in range(11):
+                yield ["mn-solve", name, str(N), str(i)]
+                yield ["mn-solve", name, str(N), str(i),
+                       "--parity", f"n1+n3+n{rank}" + "+1" * (N % 2)]
+    for N in range(26, 30):
+        yield ["mn-solve", "E8", str(N), "1"]
+
+
+def mn_digest() -> str:
+    h = hashlib.sha256()
+    for argv in mn_requests():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(argv)
+        h.update(f"{' '.join(argv)} {code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     got = {"report": report_digest(), "sides": sides_digest()[0], "deep": deep_digest(),
-           "chars": chars_digest()}
+           "chars": chars_digest(), "mn": mn_digest()}
     bad = 0
     for name, digest in got.items():
         ok = digest == PINS[name]

@@ -8,12 +8,16 @@ con10's and abp's left sides, limit-mTlim's product form, the sum inside
 ``conj_rhs``, ``kseries_rhs`` and series sums).  A series reference takes
 1/(q)_n as the inverse of the finite product (q)_n, and 1/(q)_inf from
 ``qpoly_reference.euler_inverse``.  The fermionic
-references take their (m,n)-system solutions, cone filters and small-form
-enumeration from the package; only the summation is theirs."""
+references take their (m,n)-system solutions and cone filters from the
+package; the character sums enumerate their own cone, a box filtered by a
+form built from sympy's adjugate and determinant of the Cartan matrix."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import isqrt
 
+from mn_reference import cartan_adjugate
 from qpoly_reference import euler_inverse, pochhammer
 from qtrin import fermionic
 from qtrin.liealg import algebra
@@ -185,17 +189,33 @@ def euler_inverse_reference(order, n: int) -> QSeries:
     return QSeries(pochhammer(1, 1, 1, n, order), order).inverse()
 
 
+@lru_cache(maxsize=None)
+def small_qform_reference(name: str, order: Fraction) -> tuple:
+    """(n, n.C^{-1}.n) for every n in Z_+^rank with n.C^{-1}.n < order,
+    lexicographically in n, with C^{-1} = adj(C) / det(C).  Every entry of
+    C^{-1} is positive, so n.C^{-1}.n >= (C^{-1})_jj n_j^2 on the nonnegative
+    orthant and the box n_j <= sqrt(order / (C^{-1})_jj) holds the cone."""
+    adj, det = cartan_adjugate(algebra(name))
+    r = len(adj)
+    box = [range(isqrt(int(order * det / adj[j][j])) + 1) for j in range(r)]
+    out = []
+    for n in product(*box):
+        form = Fraction(sum(adj[i][j] * n[i] * n[j] for i in range(r) for j in range(r)), det)
+        if form < order:
+            out.append((n, form))
+    return tuple(out)
+
+
 def fermionic_char_sum_reference(family: str, order, sigma: int = 0) -> QSeries:
     """Sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone."""
     order = Fraction(order)
     name = family.split("-")[0]
-    g = algebra(name)
     preds = fermionic._filters(name, sigma)
     out = QSeries.zero(order)
-    for n in fermionic._enumerate_small_qform(g, order):
+    for n, form in small_qform_reference(name, order):
         if not all(p(n) for p in preds):
             continue
-        term = QSeries([(g.quad_form_invcartan(n), 1)], order)
+        term = QSeries([(form, 1)], order)
         for nj in n:
             if nj:
                 term = term * euler_inverse_reference(order, nj)

@@ -1,13 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import isqrt
 
 import pytest
 
 from qcomb_reference import (conj_rhs_reference, f_poly_reference,
                              fermionic_char_sum_reference, fsum_family_lhs_reference,
-                             kseries_rhs_reference, x_series_lhs_reference)
+                             kseries_rhs_reference, small_qform_reference,
+                             x_series_lhs_reference)
 from qtrin.liealg import algebra
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
@@ -160,6 +159,22 @@ def test_conj_rhs_against_reference(which, monkeypatch):
     assert filtered == {(small, 2 * M): 2 for M in range(9)}
 
 
+@pytest.mark.parametrize("name", ["A5", "D6", "E7"])
+def test_cone_terms(name):
+    # each cached term is the solution's exponent den * n.C^{-1}.n, its
+    # [m+n, n] pairs and m_p, for exactly the filtered solutions
+    g = algebra(name)
+    for M in range(7):
+        for sigma in (0, 1):
+            sols = fermionic.solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(name, sigma))
+            terms = fermionic._cone(name, M, sigma)
+            assert len(terms) == len(sols)
+            for (e, pairs, mp), sol in zip(terms, sols):
+                assert e == g.quad_form_invcartan(sol.n) * g.invcartan_den
+                assert pairs == tuple((mj + nj, nj) for mj, nj in zip(sol.m, sol.n))
+                assert mp == sol.m[g.p - 1]
+
+
 @pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
 def test_kseries_rhs_against_reference(family):
     for k in (1, 2, 3):
@@ -214,14 +229,13 @@ def test_kseries_rhs_at_depth_1000(family):
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])
 def test_cone_enumeration_against_box_filter(name):
-    # n.C^{-1}.n >= (C^{-1})_jj n_j^2 on the nonnegative orthant, as every
-    # entry of C^{-1} is positive, so the box n_j <= sqrt(order / (C^{-1})_jj)
-    # holds every vector below the order
+    # the cone comes out in the reference box's lexicographic order, and the
+    # integer exponent carried by partial sums is den * n.C^{-1}.n
     g = algebra(name)
-    inv = g.inverse_cartan
-    for order in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(9)):
-        box = [range(isqrt(int(order / inv[j][j])) + 1) for j in range(g.rank)]
-        expect = [n for n in product(*box)
-                  if sum(inv[i][j] * n[i] * n[j]
-                         for i in range(g.rank) for j in range(g.rank)) < order]
-        assert list(fermionic._enumerate_small_qform(g, order)) == expect, order
+    for order in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(9),
+                  Fraction(40)):
+        got = list(fermionic._enumerate_small_qform(g, order))
+        expect = small_qform_reference(name, order)
+        assert [n for n, _ in got] == [n for n, _ in expect], order
+        for (n, e), (_, form) in zip(got, expect):
+            assert e == g.quad_form_invcartan(n) * g.invcartan_den == form * g.invcartan_den

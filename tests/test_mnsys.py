@@ -54,16 +54,17 @@ def test_solutions_satisfy_system():
 
 
 def test_completeness_against_bruteforce():
-    # every n_j is at most N/2 (the inverse Cartan rows peak on the
-    # diagonal), so the box [0, N//2]^rank contains all solutions
-    cases = [("A5", 3, range(9)), ("D6", 5, (0, 2, 4, 6)),
-             ("E7", 1, (6,)), ("E6", 6, (0, 3, 6)), ("E8", 1, (4,))]
-    for name, i, Ns in cases:
+    # the solver must find every solution of the box oracle, strictly
+    # increasing in n: at every vertex for small N, and at a few deeper points
+    cases = [(name, i, N) for name in algebra_names()
+             for i in range(1, algebra(name).rank + 1)
+             for N in range(5 if algebra(name).rank > 6 else 7)]
+    for name, i, N in cases + [("A5", 3, 7), ("A5", 3, 8), ("E7", 1, 6)]:
         g = algebra(name)
-        for N in Ns:
-            fast = {(s.m, s.n) for s in solve_mn(g, N, i)}
-            slow = {(s.m, s.n) for s in solve_mn_bruteforce(g, N, i, N // 2)}
-            assert fast == slow, (name, N)
+        fast = solve_mn(g, N, i)
+        slow = solve_mn_bruteforce(g, N, i)
+        assert [(s.m, s.n) for s in fast] == [(s.m, s.n) for s in slow], (name, i, N)
+        assert all(a.n < b.n for a, b in zip(fast, fast[1:])), (name, i, N)
 
 
 def test_ordering_is_lexicographic_in_n():

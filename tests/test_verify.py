@@ -166,8 +166,12 @@ def test_clear_caches_empties_every_cache():
     import sys
 
     import qtrin
+    from qtrin import cli
 
     verify.verify_all(level="quick")
+    # no identity calls f_poly; the CLI's `compute F` fills its cache, so the
+    # test passes alone as well as after other modules
+    assert cli.run(["compute", "F", "E7", "2", "0"]) == 0
     caches = {f"{obj.__module__}.{obj.__qualname__}": obj
               for name, module in list(sys.modules.items())
               if name.startswith("qtrin.")
@@ -250,6 +254,14 @@ def test_characters_are_pinned():
     # compute-mix models, and of euler_inverse at 600 and 241/20, computed
     # while 1/(q)_inf was the inverse of a Pochhammer product
     assert pins.chars_digest() == pins.PINS["chars"]
+
+
+def test_mn_solve_output_is_pinned():
+    # sha256 of the lines `qtrin mn-solve` prints for every vertex of every
+    # algebra at N <= 10, with and without a parity form, and for E8 at
+    # vertex 1 and N = 26..29, computed while the solver kept its slacks in
+    # a Python list
+    assert pins.mn_digest() == pins.PINS["mn"]
 
 
 def test_full_level_points_are_pinned(monkeypatch):
