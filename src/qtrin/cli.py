@@ -268,8 +268,9 @@ def _cmd_mn_solve(args) -> int:
         if expr:
             coeffs, const = _linear_form(expr, g.rank)
             predicates.append(linear_filter(coeffs, modulus, const))
-    for sol in solve_mn_filtered(g, args.N, args.vertex, *predicates):
-        print(sol.basis_str())
+    solutions = solve_mn_filtered(g, args.N, args.vertex, *predicates)
+    if solutions:
+        print("\n".join([sol.basis_str() for sol in solutions]))
     return 0
 
 
@@ -333,7 +334,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: point stdout at devnull, so
+        # the interpreter's final flush does not fail again, and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 
@@ -45,20 +45,29 @@ _MARKED = {"A5": {3}, "D6": {5}, "E6": {6}, "E7": {1, 6}, "E8": {1}}
 _P = {"A5": 3, "D6": 5, "E7": 1}
 
 
-def _invert_exact(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact matrix inverse by Gauss-Jordan elimination over the rationals."""
+def _invert_scaled(mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(num, den) with mat^{-1} = num / den and den the least such, by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)).
+    Each step replaces row r by (p * row_r - f * row_col) / prev, p the
+    pivot and prev the one before; by Sylvester's identity every entry stays
+    a minor of [mat | I], so each division is exact.  At the end the left
+    block is det * I and the right block adj(mat).  A Cartan matrix is
+    positive definite, so its leading principal minors, the pivots, are
+    positive and no row swap is needed."""
     n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        pivot_row = aug[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], pivot_row)]
+        prev = p
+    adj = [row[n:] for row in aug]
+    g = gcd(prev, *(x for row in adj for x in row))
+    return [[x // g for x in row] for row in adj], prev // g
 
 
 @dataclass(frozen=True)
@@ -112,9 +121,7 @@ def _build(name: str) -> LieAlgebra:
         inc[i - 1][j - 1] = 1
         inc[j - 1][i - 1] = 1
     cartan = [[2 * int(i == j) - inc[i][j] for j in range(r)] for i in range(r)]
-    inv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
-    den = lcm(*(x.denominator for row in inv for x in row))
-    num = [[int(x * den) for x in row] for row in inv]
+    num, den = _invert_scaled(cartan)
     return LieAlgebra(
         name=name,
         rank=r,

@@ -25,6 +25,14 @@ from .liealg import LieAlgebra
 from .qcomb import _slot_bytes, _unpacked
 
 
+# unit vector names, up to the largest rank (E8)
+_UNITS = tuple(f"e{j}" for j in range(1, 9))
+
+
+def _vec(v: tuple[int, ...]) -> str:
+    return "+".join([u if c == 1 else f"{c}{u}" for c, u in zip(v, _UNITS) if c]) or "0"
+
+
 @dataclass(frozen=True)
 class MNSolution:
     m: tuple[int, ...]
@@ -32,14 +40,7 @@ class MNSolution:
 
     def basis_str(self) -> str:
         """Unit-vector notation, e.g. `m=5e1+4e2+e7 n=e5`."""
-        def vec(v: tuple[int, ...]) -> str:
-            parts = []
-            for j, c in enumerate(v, start=1):
-                if c == 0:
-                    continue
-                parts.append(f"e{j}" if c == 1 else f"{c}e{j}")
-            return "+".join(parts) if parts else "0"
-        return f"m={vec(self.m)} n={vec(self.n)}"
+        return f"m={_vec(self.m)} n={_vec(self.n)}"
 
 
 def solve_mn(g: LieAlgebra, N: int, i: int) -> list[MNSolution]:

@@ -27,25 +27,6 @@ class NonUnitConstantTerm(Exception):
     """Series inversion requires a constant term of +1 or -1."""
 
 
-def _fmt_term(k: int, d: int, coeff: int, first: bool) -> str:
-    c = abs(coeff)
-    g = gcd(k, d)
-    num, den = k // g, d // g
-    if num == 0:
-        body = str(c)
-    else:
-        if num == 1 and den == 1:
-            qpart = "q"
-        elif den == 1:
-            qpart = f"q^{num}"
-        else:
-            qpart = f"q^({num}/{den})"
-        body = qpart if c == 1 else f"{c}*{qpart}"
-    if first:
-        return body if coeff > 0 else f"-{body}"
-    return (" + " if coeff > 0 else " - ") + body
-
-
 # -- the term-map kernel ----------------------------------------------
 #
 # A term map is a pair (d, m): m maps an integer k to the nonzero int
@@ -173,9 +154,35 @@ def _coeff(d: int, m: dict, e: Exponent) -> int:
 
 
 def _format(d: int, m: dict) -> str:
+    """Canonical text, in one pass over the sorted keys: each term as a sign
+    and its body (``c``, ``q^e``, ``c*q^e``, with ``q`` for q^1 and
+    ``q^(p/r)`` for a fraction in lowest terms).  Every term gets a
+    `` + `` or `` - ``, and the first one's is cut once at the end."""
     if not m:
         return "0"
-    return "".join(_fmt_term(k, d, m[k], i == 0) for i, k in enumerate(sorted(m)))
+    out = []
+    append = out.append
+    for k in sorted(m):
+        c = m[k]
+        if c > 0:
+            sign = " + "
+        else:
+            sign, c = " - ", -c
+        if d == 1:
+            e = k
+        elif k % d == 0:
+            e = k // d
+        else:
+            g = gcd(k, d)
+            e = f"({k // g}/{d // g})"
+        if e == 0:
+            append(f"{sign}{c}")
+        elif c == 1:
+            append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
+        else:
+            append(f"{sign}{c}*q" if e == 1 else f"{sign}{c}*q^{e}")
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _product_order(x: "QPoly", y: "QPoly") -> Fraction:

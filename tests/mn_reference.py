@@ -1,5 +1,6 @@
 """Oracles for ``qtrin.mnsys.solve_mn``: a box enumeration of (m,n)-systems,
-and a check of one solution against the defining equations.
+a check of one solution against the defining equations, and the text of
+one solution in unit-vector notation.
 
 Neither shares code with ``qtrin.liealg``'s inverse.  The box enumeration
 takes m = C^{-1}(N e_i - 2n) from sympy's integer adjugate and determinant of
@@ -58,3 +59,17 @@ def check_solution(s: MNSolution, g, N: int, i: int) -> bool:
         if rhs % 2 or s.m[j] + s.n[j] != rhs // 2:
             return False
     return True
+
+
+def basis_text(s: MNSolution) -> str:
+    """`m=... n=...` with each vector written as a sum of terms c e_j, the
+    coefficient dropped when it is 1, zero terms left out, and `0` for the
+    zero vector: e.g. `m=5e1+4e2+e7 n=0`."""
+    def vec(v) -> str:
+        text = ""
+        for j in range(len(v)):
+            if v[j] != 0:
+                coeff = "" if v[j] == 1 else str(v[j])
+                text += ("+" if text else "") + coeff + "e" + str(j + 1)
+        return text if text else "0"
+    return "m=" + vec(s.m) + " n=" + vec(s.n)

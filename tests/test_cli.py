@@ -45,6 +45,12 @@ def test_mn_solve_parity_flag(capsys):
     assert len(out.strip().splitlines()) == 6
 
 
+def test_mn_solve_without_solutions_prints_nothing(capsys):
+    code, out, err = _capture(capsys, ["mn-solve", "E7", "5", "1",
+                                       "--mod3", "n1"])
+    assert (code, out, err) == (0, "", "")
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = _capture(capsys, ["mn-solve", "E7", "6", "9"])
     assert code == 2 and "vertex" in err
@@ -361,6 +367,28 @@ def test_python_dash_m_runs_the_cli():
     done = qtrin_m("verify", "no-such-identity")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["mn-solve", "E8", "29", "1"],
+                                  ["compute", "qbin", "200", "100"]])
+def test_closed_pipe_ends_quietly(argv):
+    # each output is larger than a pipe's buffer, so the command is still
+    # writing when the reader goes away after the first few bytes
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qtrin
+
+    src = str(Path(qtrin.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "qtrin", *argv], cwd=src, bufsize=0,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert (code, err) == (1, "")
 
 
 def test_readme_command_examples(monkeypatch, tmp_path, capsys):

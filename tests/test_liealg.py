@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -56,13 +57,18 @@ def test_inverse_cartan_is_exact_inverse():
 
 
 def test_inverse_cartan_against_sympy():
-    # stored as integers over the lcm of the entries' denominators; the
+    # stored as integers over the least common denominator of the entries,
+    # 6, 2, 3, 2, 1: num / den = adj(C) / det(C) in lowest terms, and the
     # Fraction view equals sympy's rational inverse
     dens = {"A5": 6, "D6": 2, "E6": 3, "E7": 2, "E8": 1}
+    assert set(dens) == set(algebra_names())
     for name, den in dens.items():
         g = algebra(name)
         assert g.invcartan_den == den
         assert all(type(x) is int for row in g.invcartan_num for x in row)
+        cartan = Matrix(g.cartan)
+        assert Matrix(g.invcartan_num) * cartan.det() == cartan.adjugate() * den
+        assert gcd(den, *(x for row in g.invcartan_num for x in row)) == 1
         assert g.inverse_cartan == tuple(map(tuple, _SYMPY_INVERSE[name]))
 
 

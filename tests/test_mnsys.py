@@ -1,6 +1,6 @@
 import pytest
 
-from mn_reference import check_solution, solve_mn_bruteforce
+from mn_reference import basis_text, check_solution, solve_mn_bruteforce
 from qtrin.liealg import algebra, algebra_names
 from qtrin.mnsys import (
     mod3_filter,
@@ -42,6 +42,17 @@ def test_e7_parity_split():
     odd = solve_mn_filtered(g, 6, 1, parity_filter((1, 3, 7), 1))
     assert {s.basis_str() for s in even} == set(E7_EVEN)
     assert {s.basis_str() for s in odd} == set(E7_ODD)
+
+
+@pytest.mark.parametrize("name, N, i", [
+    ("A5", 8, 3), ("D6", 8, 5), ("E6", 8, 6), ("E7", 12, 1), ("E8", 14, 1),
+])
+def test_basis_str_against_reference(name, N, i):
+    # every solution of a few systems, each rank, m and n both zero or not
+    sols = solve_mn(algebra(name), N, i)
+    assert len(sols) > 10
+    for s in sols:
+        assert s.basis_str() == basis_text(s)
 
 
 def test_solutions_satisfy_system():

@@ -22,7 +22,10 @@ import qpoly_reference as ref
 DENOMINATORS = [1, 2, 3, 4, 6, 8]
 exponents = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
 orders = st.builds(Fraction, st.integers(-4, 12), st.sampled_from(DENOMINATORS))
-term_maps = st.dictionaries(exponents, st.integers(-9, 9), max_size=6)
+# single digits, several digits and ~100-bit values, as Gaussians print
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6),
+                         st.integers(-2**100, 2**100))
+term_maps = st.dictionaries(exponents, coefficients, max_size=6)
 polys = term_maps.map(QPoly)
 
 
