@@ -336,10 +336,14 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     try:
         code = run()
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # as the Python docs advise for SIGPIPE: point stdout at devnull, so
-        # the interpreter's final flush does not fail again, and exit 1
+        sys.stdout.flush()  # a failed write raises here, not at exit
+    except OSError as exc:
+        # a closed pipe ends quietly, as the Python docs advise for SIGPIPE;
+        # any other failed write (a full disk) gets one error line
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # stdout goes to devnull, so the interpreter's final flush does not
+        # fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1

@@ -55,11 +55,10 @@ def qbinomial(n: int, a: int) -> QPoly:
 @lru_cache(maxsize=None)
 def qtrinomial2(L: int, a: int) -> QPoly:
     """Round-bracket q-trinomial: sum_k q^{k(k+a)} [L, k] [L-k, k+a], one
-    kernel call over k from max(0, -a) to (L-a)/2."""
+    kernel call over _trinomial2_terms."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return positive_sum(((2 * k * (k + a), ((L, k), (L - k, k + a)))
-                         for k in range(max(0, -a), (L - a) // 2 + 1)), 2)
+    return positive_sum(_trinomial2_terms(L, a), 2)
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +203,13 @@ def _trinomial_terms(L: int, a: int):
     """The defining sum of qtrinomial_T(L, a) as kernel terms over 2."""
     return ((n * n, ((L, n), (L - n, (L - a - n) // 2)))
             for n in range((L + a) % 2, L - abs(a) + 1, 2))
+
+
+def _trinomial2_terms(L: int, a: int):
+    """The defining sum of qtrinomial2(L, a) as kernel terms over 2, k from
+    max(0, -a) to (L-a)/2."""
+    return ((2 * k * (k + a), ((L, k), (L - k, k + a)))
+            for k in range(max(0, -a), (L - a) // 2 + 1))
 
 
 def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:

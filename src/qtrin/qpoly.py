@@ -1,41 +1,51 @@
-"""Exact sparse Laurent polynomials and truncated power series in q.
+"""Exact Laurent polynomials and truncated power series in q.
 
 Exponents are exact rationals, coefficients arbitrary-precision integers.
 Exponents are accepted and returned as ``Fraction`` (or int), but each
-object stores them as integers over one denominator: ``d >= 1`` and a map
-from integer ``k`` to the coefficient of q^(k/d).  One type, ``QPoly``,
+object stores one dense coefficient row ``(d, lo, s, c)``: ``c`` is a tuple
+and ``c[i]`` the coefficient of q^((lo + i*s)/d).  One type, ``QPoly``,
 underpins everything else in the package: its ``order`` is None for an
 exact polynomial, and a ``QSeries`` is a ``QPoly`` with a truncation order.
+
+A row is canonical, so equal values have equal rows, and ``==`` and
+``hash`` are tuple operations: ``c`` has nonzero ends; ``s`` is the gcd of
+the differences between the keys lo + i*s of the nonzero entries, and
+``d`` for a single term; gcd(d, lo, s) == 1; zero is (1, 0, 1, ()).  A row
+spans the value's exponents on its step, zeros included, so its cost
+follows that span and not the number of terms: 1 + q + q^(10^9) would need
+a row of 10^9 entries.  No qtrin computation builds such a value; the
+Gaussian sums, products and series it makes fill their rows nearly
+everywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from math import gcd, lcm
+from operator import add, mul
 from typing import Union
 
 Exponent = Union[int, Fraction]
 Terms = Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]]]
-TermMap = tuple[int, dict[int, int]]
+Row = tuple[int, int, int, tuple[int, ...]]
 
 
 class NonUnitConstantTerm(Exception):
     """Series inversion requires a constant term of +1 or -1."""
 
 
-# -- the term-map kernel ----------------------------------------------
+# -- the row kernel ---------------------------------------------------
 #
-# A term map is a pair (d, m): m maps an integer k to the nonzero int
-# coefficient of q^(k/d).  It is kept reduced, gcd(d, *m) == 1 and d == 1
-# for zero, so equal values have equal pairs.  Binary routines first align
-# both maps on lcm(d1, d2); a truncation order ``cut`` becomes the integer
-# bound ceil(cut * d) once per call.  Only this module builds or walks a
-# term map: the class below wraps one and calls these routines, a series
-# passing its truncation order as ``cut``.
+# Binary routines first put both rows over lcm(d1, d2) and on a common
+# step; a truncation order ``cut`` becomes the integer key bound
+# ceil(cut * d) once per call.  Only this module builds or walks a row: the
+# class below wraps one and calls these routines, a series passing its
+# truncation order as ``cut``.
+
+_ZERO_ROW: Row = (1, 0, 1, ())
 
 
 def _bound(cut: Fraction, d: int) -> int:
@@ -43,26 +53,42 @@ def _bound(cut: Fraction, d: int) -> int:
     return -(-cut.numerator * d // cut.denominator)
 
 
-def _reduced(d: int, m: dict[int, int]) -> TermMap:
-    if d > 1:
-        g = gcd(d, *m)
-        if g > 1:
-            return d // g, {k // g: c for k, c in m.items()}
-    return d, m
+def _canonical(d: int, lo: int, s: int, c: Sequence[int]) -> Row:
+    """Canonical row of the value with coefficient c[i] at q^((lo + i*s)/d):
+    zero ends cut off, the step widened to the gcd of the nonzero entries'
+    offsets, and d, lo, s divided by their gcd."""
+    if not c or not c[0] or not c[-1]:
+        hi = len(c)
+        while hi and not c[hi - 1]:
+            hi -= 1
+        if not hi:
+            return _ZERO_ROW
+        i = 0
+        while not c[i]:
+            i += 1
+        c = c[i:hi]
+        lo += i * s
+    if len(c) == 1:
+        s = d
+    elif 0 in c:  # every nonzero entry may sit on a wider step
+        h = 0
+        for i, x in enumerate(c):
+            if x:
+                h = gcd(h, i)
+                if h == 1:
+                    break
+        if h > 1:
+            c = c[::h]
+            s *= h
+    g = gcd(d, lo, s)
+    if g > 1:
+        d, lo, s = d // g, lo // g, s // g
+    return d, lo, s, c if type(c) is tuple else tuple(c)
 
 
-def _aligned(da: int, a: dict, db: int, b: dict) -> tuple[int, dict, dict]:
-    if da == db:
-        return da, a, b
-    d = lcm(da, db)
-    fa, fb = d // da, d // db
-    return (d, {k * fa: c for k, c in a.items()} if fa > 1 else a,
-            {k * fb: c for k, c in b.items()} if fb > 1 else b)
-
-
-def _clean(terms: Terms, cut: Fraction | None = None) -> TermMap:
-    """Term map of a mapping or of (exponent, coeff) pairs: repeated
-    exponents summed, zero coefficients and exponents >= cut dropped."""
+def _clean(terms: Terms, cut: Fraction | None = None) -> Row:
+    """Row of a mapping or of (exponent, coeff) pairs: repeated exponents
+    summed, zero coefficients and exponents >= cut dropped."""
     if isinstance(terms, Mapping):
         terms = terms.items()
     pairs = []
@@ -79,95 +105,144 @@ def _clean(terms: Terms, cut: Fraction | None = None) -> TermMap:
         k = e * d if type(e) is int else e.numerator * (d // e.denominator)
         if bound is None or k < bound:
             m[k] = m.get(k, 0) + c
-    return _reduced(d, {k: c for k, c in m.items() if c})
+    keys = [k for k, c in m.items() if c]
+    if not keys:
+        return _ZERO_ROW
+    lo = min(keys)
+    s = gcd(*[k - lo for k in keys]) or d
+    c = [0] * ((max(keys) - lo) // s + 1)
+    for k in keys:
+        c[(k - lo) // s] = m[k]
+    return _canonical(d, lo, s, c)
 
 
-def _dense(coeffs: Iterable[int], start: Exponent) -> TermMap:
-    """Term map of coefficient i at q^(start + i), zeros dropped.  The keys
-    step by the denominator of ``start`` and share no factor with it."""
-    if not isinstance(start, (int, Fraction)):
-        start = Fraction(start)
-    d = start.denominator
-    m = dict(zip(count(start.numerator, d), coeffs))
-    if 0 in m.values():  # rare for the kernel's sums, so filtered only then
-        m = {k: c for k, c in m.items() if c}
-    return (d, m) if m else (1, m)
+def _below(row: Row, cut: Fraction) -> Row:
+    """The row's entries below q^cut: a slice."""
+    d, lo, s, c = row
+    n = (_bound(cut, d) - lo + s - 1) // s  # the entries with key < bound
+    if n >= len(c):
+        return row
+    return _canonical(d, lo, s, c[:n]) if n > 0 else _ZERO_ROW
 
 
-def _below(d: int, m: dict, cut: Fraction) -> TermMap:
-    bound = _bound(cut, d)
-    return _reduced(d, {k: c for k, c in m.items() if k < bound})
+def _common(a: Row, b: Row) -> tuple:
+    """Both rows over lcm(d1, d2): d, then each row's lo, step and entries."""
+    da, la, sa, ca = a
+    db, lb, sb, cb = b
+    if da == db:
+        return da, la, sa, ca, lb, sb, cb
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return d, la * fa, sa * fa, ca, lb * fb, sb * fb, cb
 
 
-def _add(da: int, a: dict, db: int, b: dict) -> TermMap:
-    d, a, b = _aligned(da, a, db, b)
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return _reduced(d, out)
+def _add(a: Row, b: Row) -> Row:
+    if not a[3]:
+        return b
+    if not b[3]:
+        return a
+    d, la, sa, ca, lb, sb, cb = _common(a, b)
+    # the common step; a single term's own step constrains nothing
+    g = gcd(sa if len(ca) > 1 else 0, sb if len(cb) > 1 else 0, lb - la)
+    if not g:  # two single terms on one key
+        return _canonical(d, la, d, (ca[0] + cb[0],))
+    ra = sa // g if len(ca) > 1 else 1
+    rb = sb // g if len(cb) > 1 else 1
+    lo = min(la, lb)
+    ia, ib = (la - lo) // g, (lb - lo) // g
+    ea, eb = ia + (len(ca) - 1) * ra + 1, ib + (len(cb) - 1) * rb + 1
+    acc = [0] * max(ea, eb)
+    acc[ia:ea:ra] = ca
+    acc[ib:eb:rb] = map(add, acc[ib:eb:rb], cb)
+    return _canonical(d, lo, g, acc)
 
 
-def _scale(d: int, m: dict, n: int) -> TermMap:
-    return (d, {k: c * n for k, c in m.items()}) if n else (1, {})
+def _scale(row: Row, n: int) -> Row:
+    d, lo, s, c = row
+    return (d, lo, s, tuple(map(mul, c, repeat(n)))) if n else _ZERO_ROW
 
 
-def _shift(d: int, m: dict, r: Exponent) -> TermMap:
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
+def _shift(row: Row, r: Exponent) -> Row:
+    d, lo, s, c = row
+    if not c:
+        return row
     if r.denominator == 1:
-        # gcd(d, k + r*d) == gcd(d, k): the map stays reduced
-        s = r.numerator * d
-        return d, {k + s: c for k, c in m.items()}
+        # gcd(d, lo + r*d, s) == gcd(d, lo, s): the row stays canonical
+        return d, lo + r.numerator * d, s, c
     e = lcm(d, r.denominator)
-    f, s = e // d, r.numerator * (e // r.denominator)
-    return _reduced(e, {k * f + s: c for k, c in m.items()})
+    f = e // d
+    lo, s = lo * f + r.numerator * (e // r.denominator), s * f
+    g = gcd(e, lo, s)
+    return e // g, lo // g, s // g, c
 
 
-def _mul(da: int, a: dict, db: int, b: dict, cut: Fraction | None = None) -> TermMap:
-    d, a, b = _aligned(da, a, db, b)
-    if len(a) > len(b):
-        a, b = b, a
-    keys = sorted(b)
-    row = [(k, b[k]) for k in keys]
-    bound = None if cut is None else _bound(cut, d)
-    # b is walked in key order, so under a cut each row stops at the first
-    # key whose product exponent reaches the bound.
-    acc: dict[int, int] = {}
-    get = acc.get
-    for ka, ca in a.items():
-        for kb, cb in (row if bound is None else row[:bisect_left(keys, bound - ka)]):
-            k = ka + kb
-            acc[k] = get(k, 0) + ca * cb
-    return _reduced(d, {k: c for k, c in acc.items() if c})
+def _mul(a: Row, b: Row, cut: Fraction | None = None) -> Row:
+    """Product of two rows, below q^cut when a cut is given: for each
+    nonzero entry of the shorter row, one C-level pass adds its multiple of
+    the other row, spread onto the common step, into the accumulator."""
+    if not a[3] or not b[3]:
+        return _ZERO_ROW
+    d, la, sa, ca, lb, sb, cb = _common(a, b)
+    if len(ca) > len(cb):
+        la, sa, ca, lb, sb, cb = lb, sb, cb, la, sa, ca
+    g = gcd(sa if len(ca) > 1 else 0, sb if len(cb) > 1 else 0) or d
+    ra = sa // g if len(ca) > 1 else 0
+    rb = sb // g if len(cb) > 1 else 1
+    if rb > 1:
+        row = [0] * ((len(cb) - 1) * rb + 1)
+        row[::rb] = cb
+    else:
+        row = cb
+    lo = la + lb
+    w = len(row)
+    n = (len(ca) - 1) * ra + w
+    if cut is not None:
+        n = min(n, (_bound(cut, d) - lo + g - 1) // g)
+        if n <= 0:
+            return _ZERO_ROW
+    acc = [0] * n
+    for i, x in enumerate(ca):
+        if x:
+            o = i * ra
+            if o >= n:
+                break
+            acc[o:o + w] = map(add, acc[o:o + w], map(mul, row, repeat(x)))
+    return _canonical(d, lo, g, acc)
 
 
-def _coeff(d: int, m: dict, e: Exponent) -> int:
+def _coeff(row: Row, e: Exponent) -> int:
+    d, lo, s, c = row
     if type(e) is int:
-        return m.get(e * d, 0)
-    e = Fraction(e)
-    f, r = divmod(d, e.denominator)
-    return 0 if r else m.get(e.numerator * f, 0)
+        k = e * d
+    else:
+        e = Fraction(e)
+        f, r = divmod(d, e.denominator)
+        if r:
+            return 0
+        k = e.numerator * f
+    i, r = divmod(k - lo, s)
+    return c[i] if not r and 0 <= i < len(c) else 0
 
 
-def _format(d: int, m: dict) -> str:
-    """Canonical text, in one pass over the sorted keys: each term as a sign
-    and its body (``c``, ``q^e``, ``c*q^e``, with ``q`` for q^1 and
-    ``q^(p/r)`` for a fraction in lowest terms).  Every term gets a
-    `` + `` or `` - ``, and the first one's is cut once at the end."""
-    if not m:
+def _format(row: Row) -> str:
+    """Canonical text, in one pass over the row: each term as a sign and its
+    body (``c``, ``q^e``, ``c*q^e``, with ``q`` for q^1 and ``q^(p/r)`` for
+    a fraction in lowest terms).  Every term gets a `` + `` or `` - ``, and
+    the first one's is cut once at the end."""
+    d, lo, s, c = row
+    if not c:
         return "0"
     out = []
     append = out.append
-    for k in sorted(m):
-        c = m[k]
-        if c > 0:
+    k = lo - s
+    for x in c:
+        k += s
+        if not x:
+            continue
+        if x > 0:
             sign = " + "
         else:
-            sign, c = " - ", -c
+            sign, x = " - ", -x
         if d == 1:
             e = k
         elif k % d == 0:
@@ -176,11 +251,11 @@ def _format(d: int, m: dict) -> str:
             g = gcd(k, d)
             e = f"({k // g}/{d // g})"
         if e == 0:
-            append(f"{sign}{c}")
-        elif c == 1:
+            append(f"{sign}{x}")
+        elif x == 1:
             append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
         else:
-            append(f"{sign}{c}*q" if e == 1 else f"{sign}{c}*q^{e}")
+            append(f"{sign}{x}*q" if e == 1 else f"{sign}{x}*q^{e}")
     text = "".join(out)
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -192,70 +267,70 @@ def _product_order(x: "QPoly", y: "QPoly") -> Fraction:
     start at its order).  Only a negative least term reaches below the
     lesser order."""
     out = x.order if y.order is None else y.order if x.order is None else min(x.order, y.order)
-    for s, t in ((x, y), (y, x)):
-        if s.order is None:
+    for u, t in ((x, y), (y, x)):
+        if u.order is None:
             continue
-        if t._m and min(t._m) < 0:
-            out = min(out, s.order + t.min_exponent())
-        elif not t._m and t.order is not None and t.order < 0:
-            out = min(out, s.order + t.order)
+        _, lo, _, c = t._row
+        if c and lo < 0:
+            out = min(out, u.order + t.min_exponent())
+        elif not c and t.order is not None and t.order < 0:
+            out = min(out, u.order + t.order)
     return out
 
 
 class QPoly:
-    """Sparse polynomial in q with rational exponents and integer coefficients.
+    """Polynomial in q with rational exponents and integer coefficients.
 
-    Immutable by convention: no public method mutates the term map.  Zero
-    coefficients are never stored; the zero polynomial has an empty map.
-    The constructor takes a mapping or an iterable of (exponent, coeff)
-    pairs; repeated exponents are summed.
+    Immutable by convention: no public method mutates the row.  The
+    constructor takes a mapping or an iterable of (exponent, coeff) pairs;
+    repeated exponents are summed and zero coefficients dropped.
 
     ``order`` is None for an exact polynomial; a ``QSeries`` is the same
-    term map with a truncation order.  A sum carries the lesser order of its
+    row with a truncation order.  A sum carries the lesser order of its
     operands, a polynomial counting as exact; a product, the order below
     which every term is known (``_product_order``).
     """
 
-    __slots__ = ("_d", "_m")
+    __slots__ = ("_row",)
     order: Fraction | None = None
 
     def __init__(self, terms: Terms | None = None):
-        self._d, self._m = _clean(terms or ())
+        self._row = _clean(terms or ())
 
     @staticmethod
-    def _of(d: int, m: dict[int, int], order: Fraction | None = None) -> "QPoly":
+    def _of(row: Row, order: Fraction | None = None) -> "QPoly":
         if order is None:
             out = QPoly.__new__(QPoly)
         else:
             out = QSeries.__new__(QSeries)
             out.order = order
-        out._d = d
-        out._m = m
+        out._row = row
         return out
 
     @property
     def terms(self) -> dict[Fraction, int]:
         """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
-        return {Fraction(k, self._d): c for k, c in self._m.items()}
+        d, lo, s, c = self._row
+        return {Fraction(lo + i * s, d): x for i, x in enumerate(c) if x}
 
-    def _at(self, order: Fraction | None) -> TermMap:
-        """Term map cut at ``order``: None only for a polynomial, otherwise
-        at most a series' own order."""
+    def _at(self, order: Fraction | None) -> Row:
+        """Row cut at ``order``: None only for a polynomial, otherwise at
+        most a series' own order."""
         if order == self.order:
-            return self._d, self._m
-        return _below(self._d, self._m, order)
+            return self._row
+        return _below(self._row, order)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "QPoly":
         """The zero polynomial: one shared instance, as nothing mutates a
-        term map in place."""
+        row in place."""
         return _ZERO
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly._of(1, {0: 1})
+        return QPoly._of((1, 0, 1, (1,)))
 
     @staticmethod
     def q_power(e: Exponent, coeff: int = 1) -> "QPoly":
@@ -263,8 +338,15 @@ class QPoly:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int], start: Exponent = 0) -> "QPoly":
-        """Dense constructor: coefficient i belongs to q^(start + i)."""
-        return QPoly._of(*_dense(coeffs, start))
+        """Dense constructor: coefficient i belongs to q^(start + i).  A
+        list or tuple becomes the row as it is, with no copy of the terms
+        but the one into a tuple."""
+        if not isinstance(start, (int, Fraction)):
+            start = Fraction(start)
+        d = start.denominator
+        if not isinstance(coeffs, (list, tuple)):
+            coeffs = list(coeffs)
+        return QPoly._of(_canonical(d, start.numerator, d, coeffs))
 
     # -- ring operations ----------------------------------------------
 
@@ -273,22 +355,22 @@ class QPoly:
             return NotImplemented
         a, b = self.order, other.order  # the lesser; None is exact
         order = b if a is None else a if b is None else min(a, b)
-        return QPoly._of(*_add(*self._at(order), *other._at(order)), order)
+        return QPoly._of(_add(self._at(order), other._at(order)), order)
 
     def __neg__(self) -> "QPoly":
-        return QPoly._of(*_scale(self._d, self._m, -1), self.order)
+        return QPoly._of(_scale(self._row, -1), self.order)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            return QPoly._of(*_scale(self._d, self._m, other), self.order)
+            return QPoly._of(_scale(self._row, other), self.order)
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = (self._d, self._m), (other._d, other._m)
+        a, b = self._row, other._row
         if self.order is None and other.order is None:
-            return QPoly._of(*_mul(*a, *b))
+            return QPoly._of(_mul(a, b))
         order = _product_order(self, other)
         # A polynomial factor is cut where its terms times the series
         # factor's least term reach the order; _mul cuts the products.
@@ -296,38 +378,42 @@ class QPoly:
             a = self._at(order - (other.min_exponent() or 0))
         if other.order is None:
             b = other._at(order - (self.min_exponent() or 0))
-        return QPoly._of(*_mul(*a, *b, order), order)
+        return QPoly._of(_mul(a, b, order), order)
 
     __rmul__ = __mul__
 
     # -- structural operations ----------------------------------------
 
     def substitute_qinv(self) -> "QPoly":
-        """Replace q by 1/q: every exponent e becomes -e.  A polynomial
-        only: a series' unknown terms would land below its known ones."""
+        """Replace q by 1/q: every exponent e becomes -e, and the row is
+        reversed.  A polynomial only: a series' unknown terms would land
+        below its known ones."""
         if self.order is not None:
             raise ValueError("q -> 1/q needs a polynomial, not a truncated series")
-        if not self._m:
+        d, lo, s, c = self._row
+        if not c:
             return self
-        return QPoly._of(self._d, {-k: c for k, c in self._m.items()})
+        return QPoly._of((d, -lo - (len(c) - 1) * s, s, c[::-1]))
 
     def shift(self, r: Exponent) -> "QPoly":
-        """Multiply by q^r; a truncation order shifts along."""
-        if self.order is None:
-            return QPoly._of(*_shift(self._d, self._m, r)) if self._m else self
+        """Multiply by q^r, sharing the row's coefficients; a truncation
+        order shifts along."""
         if not isinstance(r, (int, Fraction)):
             r = Fraction(r)
-        return QPoly._of(*_shift(self._d, self._m, r), self.order + r)
+        if self.order is None:
+            return QPoly._of(_shift(self._row, r)) if self._row[3] else self
+        return QPoly._of(_shift(self._row, r), self.order + r)
 
     def eval_q1(self) -> int:
         """Sum of all coefficients (the q -> 1 specialization)."""
-        return sum(self._m.values())
+        return sum(self._row[3])
 
     def coeff(self, e: Exponent) -> int:
-        return _coeff(self._d, self._m, e)
+        return _coeff(self._row, e)
 
     def min_exponent(self) -> Fraction | None:
-        return Fraction(min(self._m), self._d) if self._m else None
+        d, lo, _, c = self._row
+        return Fraction(lo, d) if c else None
 
     def truncate(self, order: Exponent) -> "QSeries":
         """The series of this value below ``order``, which may not exceed
@@ -335,35 +421,33 @@ class QPoly:
         order = Fraction(order)
         if self.order is not None and order > self.order:
             raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return QPoly._of(*self._at(order), order)
-
-    to_series = truncate
+        return QPoly._of(self._at(order), order)
 
     # -- comparison / display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return (self.order == other.order and self._d == other._d
-                and self._m == other._m)
+        return self.order == other.order and self._row == other._row
 
     def __hash__(self) -> int:
-        return hash((self._d, frozenset(self._m.items())))
+        return hash(self._row)
 
     def __len__(self) -> int:
         """Number of nonzero terms (below the truncation order)."""
-        return len(self._m)
+        c = self._row[3]
+        return len(c) - c.count(0) if c else 0
 
     def __str__(self) -> str:
         if self.order is None:
-            return _format(self._d, self._m)
-        return f"{_format(self._d, self._m)} + O(q^{self.order})"
+            return _format(self._row)
+        return f"{_format(self._row)} + O(q^{self.order})"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
 
-_ZERO = QPoly._of(1, {})
+_ZERO = QPoly._of(_ZERO_ROW)
 
 
 class QSeries(QPoly):
@@ -374,11 +458,11 @@ class QSeries(QPoly):
 
     def __init__(self, terms: Terms | None, order: Exponent):
         self.order = Fraction(order)
-        self._d, self._m = _clean(terms or (), self.order)
+        self._row = _clean(terms or (), self.order)
 
     @staticmethod
     def zero(order: Exponent) -> "QSeries":
-        return QPoly._of(1, {}, Fraction(order))
+        return QPoly._of(_ZERO_ROW, Fraction(order))
 
     @staticmethod
     def one(order: Exponent) -> "QSeries":
@@ -388,35 +472,29 @@ class QSeries(QPoly):
         """Multiplicative inverse up to the truncation order.
 
         Requires exponents >= 0 and constant term +1 or -1; Newton-free
-        direct recursion, one exponent at a time in increasing order.  A
+        direct recursion, one coefficient at a time in increasing order.  A
         series truncated at order <= 0 keeps no terms, and neither does its
         inverse.
         """
-        if self._m and min(self._m) < 0:
+        d, lo, s, c = self._row
+        if c and lo < 0:
             raise ValueError("series inversion needs exponents >= 0, "
                              f"got q^{self.min_exponent()}")
         if self.order <= 0:
             return QSeries.zero(self.order)
-        d, m = self._d, self._m
-        c0 = m.get(0, 0)
+        c0 = c[0] if c and lo == 0 else 0
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(
                 f"constant term is {c0}, need +1 or -1 for series inversion"
             )
-        # t solves s*t = 1: the coefficient of q^k in s*t vanishes for
-        # 0 < k < bound, so c0*t_k = -sum over source terms k_s <= k of
-        # c_s*t_{k-k_s}, with 1/c0 == c0.
-        src = sorted((k, c) for k, c in m.items() if k)
-        inv = {0: c0}
-        for k in range(1, _bound(self.order, d)):
-            acc = 0
-            for ks, cs in src:
-                if ks > k:
-                    break
-                acc += cs * inv.get(k - ks, 0)
-            if acc:
-                inv[k] = -acc * c0
-        return QSeries._of(*_reduced(d, inv), self.order)
+        # The series is one in x = q^(s/d), and so is its inverse t: for
+        # 0 < m the coefficient of x^m in the product vanishes, so
+        # c0*t_m = -sum over j >= 1 of c_j*t_(m-j), with 1/c0 == c0.
+        src = c[1:]
+        t = [c0]
+        for _ in range(1, (_bound(self.order, d) + s - 1) // s):
+            t.append(-c0 * sum(map(mul, src, reversed(t))))
+        return QPoly._of(_canonical(d, 0, s, t), self.order)
 
 
 class DivergentProduct(Exception):
@@ -474,4 +552,4 @@ def euler_inverse(order: Exponent) -> QSeries:
             t = p[n - g] + p[n - g - k] if g + k <= n else p[n - g]
             acc += t if k & 1 else -t
         p.append(acc)
-    return QPoly._of(*_dense(p, 0), order)
+    return QPoly._of(_canonical(1, 0, 1, p), order)

@@ -17,8 +17,9 @@ from math import isqrt
 from typing import Callable, Mapping, Sequence
 
 from . import bosonic, fermionic
-from .qcomb import (_euler_pairs, _trinomial_terms, invariance_sum, positive_sum,
-                    qbinomial, qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
+from .qcomb import (_euler_pairs, _refined_terms, _trinomial2_terms, _trinomial_terms,
+                    invariance_sum, positive_sum, qbinomial, qtrinomial2, qtrinomial_T,
+                    refined_T, refinement_sum)
 from .qpoly import QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi
 
 
@@ -309,9 +310,9 @@ def _ev_x(family: int, k: int):
 def _ev_limit_tlim(p: Params, order: Fraction) -> SidePair:
     a = p["a"]
     L = 2 * int(order) + abs(a)
-    lhs = qtrinomial2(L, a).to_series(order)
+    lhs = positive_sum(_trinomial2_terms(L, a), 2, order)
     if p["form"] == 0:
-        rhs = qtrinomial2(L + 2, a).to_series(order)  # stabilization
+        rhs = positive_sum(_trinomial2_terms(L + 2, a), 2, order)  # stabilization
     else:
         rhs = euler_inverse(order)
     return lhs, rhs
@@ -321,9 +322,9 @@ def _ev_limit_Tlim(p: Params, order: Fraction) -> SidePair:
     a, sigma = p["a"], p["sigma"]
     # L - |a| >= 2 * order, as in limit-tlim, and L + a + sigma even
     L = 2 * int(order) + abs(a) + sigma
-    lhs = qtrinomial_T(L, a).to_series(order)
+    lhs = positive_sum(_trinomial_terms(L, a), 2, order)
     if p["form"] == 0:
-        rhs = qtrinomial_T(L + 2, a).to_series(order)
+        rhs = positive_sum(_trinomial_terms(L + 2, a), 2, order)
     else:
         rhs = bosonic.string_function(sigma, order)
     return lhs, rhs
@@ -336,9 +337,9 @@ def _ev_limit_mTlim(p: Params, order: Fraction) -> SidePair:
     L, a, b = _MTLIM_POINTS[p["point"]]
     cut = Fraction(min(Fraction(L), order))
     M = L + int(order)
-    lhs = refined_T(L, M, a, b).to_series(cut)
+    lhs = positive_sum(_refined_terms(L, M, a, b), 2, cut)
     if p["form"] == 0:
-        rhs = refined_T(L, M + 1, a, b).to_series(cut)
+        rhs = positive_sum(_refined_terms(L, M + 1, a, b), 2, cut)
     else:
         rhs = positive_sum(((e, pairs + _euler_pairs((L,), cut))
                             for e, pairs in _trinomial_terms(L, a)), 2, cut)

@@ -242,7 +242,7 @@ def fsum_family_lhs_reference(family: int, k: int, sigma: int, order) -> QSeries
         if e >= order:
             return
         msig = (sigma + sum(nvec[0::2])) % 2
-        term = f_poly_reference(name, nvec[-1], msig).to_series(order - e)
+        term = f_poly_reference(name, nvec[-1], msig).truncate(order - e)
         for na in nvec[:-1] + [2 * nvec[-1]]:
             if na:
                 term = term * euler_inverse_reference(order - e, na)
@@ -276,7 +276,7 @@ def x_series_lhs_reference(family: int, k: int, order) -> QSeries:
             weight = _qbinomial_vector(sol.m, sol.n)
             for a in range(2, k):
                 weight = weight * qbinomial(rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])
-            ser = weight.to_series(order - e) * euler_inverse_reference(order - e, r[1])
+            ser = weight.truncate(order - e) * euler_inverse_reference(order - e, r[1])
             out = out + ser.shift(e)
 
     def rec(r: list) -> None:
@@ -315,7 +315,7 @@ def abp_lhs_reference(b: int, order) -> QSeries:
     while Fraction(i * i, 2) < order:
         t = qtrinomial_T_reference(i, abs(b))
         if t:
-            ser = t.to_series(order - Fraction(i * i, 2))
+            ser = t.truncate(order - Fraction(i * i, 2))
             ser = ser * euler_inverse_reference(ser.order, i)
             out = out + ser.shift(Fraction(i * i, 2))
         i += 1
@@ -325,4 +325,4 @@ def abp_lhs_reference(b: int, order) -> QSeries:
 def mtlim_product_reference(L: int, a: int, order) -> QSeries:
     """T(L, a) / (q)_L below q^order."""
     order = Fraction(order)
-    return qtrinomial_T_reference(L, a).to_series(order) * euler_inverse_reference(order, L)
+    return qtrinomial_T_reference(L, a).truncate(order) * euler_inverse_reference(order, L)

@@ -7,7 +7,7 @@ keeps all (a polynomial).
 """
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 
 
 def clean(pairs, cut=None):
@@ -103,3 +103,21 @@ def fmt(a):
         sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
         out += sign + body
     return out or "0"
+
+
+def row(a):
+    """The canonical row (d, lo, s, c) of a term map, from its definition:
+    d the least common denominator of the exponents, c[i] the coefficient
+    of q^((lo + i*s)/d) from the least exponent lo/d up to the greatest,
+    s the gcd of the differences of the integer keys (d for one term), and
+    zero (1, 0, 1, ())."""
+    if not a:
+        return 1, 0, 1, ()
+    d = lcm(*(e.denominator for e in a))
+    keys = {int(e * d): c for e, c in a.items()}
+    lo, hi = min(keys), max(keys)
+    s = gcd(*(k - lo for k in keys)) or d
+    c = [0] * ((hi - lo) // s + 1)
+    for k, x in keys.items():
+        c[(k - lo) // s] = x
+    return d, lo, s, tuple(c)

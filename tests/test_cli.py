@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -389,6 +390,26 @@ def test_closed_pipe_ends_quietly(argv):
         code = proc.wait(timeout=60)
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert (code, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["compute", "T", "4", "2"],
+                                  ["compute", "qbin", "200", "100"]])
+def test_full_stdout_is_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC: a short output at the last
+    # flush, a long one while it is printed
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qtrin
+
+    src = str(Path(qtrin.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qtrin", *argv], cwd=src,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: No space left on device\n"
 
 
 def test_readme_command_examples(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import signal
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,7 +76,7 @@ def test_integer_shift_matches_fraction_shift(p, order, n):
     for r in (Fraction(n), Fraction(2 * n, 2)):
         assert p.shift(n) == p.shift(r)
         assert hash(p.shift(n)) == hash(p.shift(r))
-        s = p.to_series(order)
+        s = p.truncate(order)
         assert s.shift(n) == s.shift(r)
         assert s.shift(r).order == s.shift(n).order == order + n
 
@@ -92,8 +92,8 @@ def test_shared_zero_stays_zero():
     assert zero.substitute_qinv() == zero
     # the zero fast paths hand back the shared instance, built nowhere
     assert zero.shift(Fraction(1, 2)) is zero and zero.substitute_qinv() is zero
-    assert zero.to_series(4) == QSeries.zero(4)
-    assert p.to_series(4) * zero == QSeries.zero(4)
+    assert zero.truncate(4) == QSeries.zero(4)
+    assert p.truncate(4) * zero == QSeries.zero(4)
     # serving as an operand left the shared zero as it was
     assert zero == QPoly() and hash(zero) == hash(QPoly())
     assert str(zero) == "0" and len(zero) == 0 and zero.min_exponent() is None
@@ -152,7 +152,7 @@ def test_pochhammer_finite_matches_product():
     for j in (1, 2, 3):
         expect = expect * QPoly({Fraction(0): 1, Fraction(j): -1})
     got = ref.pochhammer(1, 1, 1, 3, 20)
-    assert QSeries(got, 20) == expect.to_series(Fraction(20))
+    assert QSeries(got, 20) == expect.truncate(Fraction(20))
     # a first factor 1 - q^0 makes the product vanish; 1 + q^0 is 2
     assert ref.pochhammer(0, 1, 1, 2, 5) == {}
     assert QSeries(ref.pochhammer(0, -1, 1, 2, 5), 5) == QSeries([(0, 2), (1, 2)], 5)
@@ -209,16 +209,19 @@ def test_series_str_shows_order():
 
 
 def test_term_map_stays_inside_qpoly():
-    # The term map is internal to qpoly's kernel; every other module goes
-    # through the QPoly/QSeries methods, so the representation can change
-    # inside qpoly alone.  ``.terms`` is a Fraction-keyed view for tests
-    # and tools, and no package code reads it, qpoly included; the map
-    # itself (``_d``, ``_m``) and the raw wrapper ``_of`` stay in qpoly.
+    # The coefficient row is internal to qpoly's kernel; every other module
+    # goes through the QPoly/QSeries methods, so the representation can
+    # change inside qpoly alone.  ``.terms`` is a Fraction-keyed view for
+    # tests and tools, and no package code reads it, qpoly included; the
+    # row itself (``_row``, the one slot of a value), the raw wrapper
+    # ``_of`` and the cut ``_at`` stay in qpoly.
     import ast
     from pathlib import Path
 
     import qtrin
 
+    assert QPoly.__slots__ == ("_row",) and QSeries.__slots__ == ("order",)
+    private = ("_row", "_of", "_at")
     modules = sorted(Path(qtrin.__file__).parent.glob("*.py"))
     assert len(modules) >= 9
     leaks = [
@@ -227,7 +230,7 @@ def test_term_map_stays_inside_qpoly():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and (
             node.attr == "terms"
-            or node.attr in ("_d", "_m", "_of") and path.name != "qpoly.py")
+            or node.attr in private and path.name != "qpoly.py")
     ]
     assert leaks == []
     # Sums of q-powers times Gaussian products go through qcomb's
@@ -281,7 +284,7 @@ def test_series_ops_match_reference(a, b, oa, ob, r):
     assert (sa - sb).terms == ref.add(ra, ref.neg(rb), cut)
     o = ref.mul_order(ra, oa, rb, ob)
     assert ((sa * sb).terms, (sa * sb).order) == (ref.mul(ra, rb, o), o)
-    assert QPoly(a).to_series(ob).terms == ref.clean(a.items(), ob)
+    assert QPoly(a).truncate(ob).terms == ref.clean(a.items(), ob)
     assert sa.truncate(cut).terms == ref.clean(ra.items(), cut)
     assert sa.truncate(cut) == QSeries(ra, cut)
     assert hash(sa.truncate(cut)) == hash(QSeries(ra, cut))
@@ -302,7 +305,7 @@ def test_series_ops_match_reference(a, b, oa, ob, r):
         assert (x.terms, x.order) == (ref.mul(ra, rpb, o), o)
     # one type: a series is a QPoly with an order, and never equals a polynomial
     assert isinstance(sa, QPoly) and type(sa) is QSeries and type(pa * pb) is QPoly
-    assert pa != QSeries(a, oa) and QSeries(a, oa) != pa and pa != pa.to_series(oa)
+    assert pa != QSeries(a, oa) and QSeries(a, oa) != pa and pa != pa.truncate(oa)
     assert repr(sa) == f"QSeries({sa})" and repr(pa) == f"QPoly({pa})"
     with pytest.raises(ValueError):
         sa.substitute_qinv()
@@ -356,6 +359,49 @@ def test_from_coeffs_matches_reference(coeffs, start, as_generator):
     assert p == QPoly(want) and hash(p) == hash(QPoly(want))
     assert str(p) == ref.fmt(want)
     assert (p == QPoly.zero()) == (not want)
+
+
+def _checked(p):
+    # the row is the one the definition gives, and len() counts its terms
+    d, lo, s, c = p._row
+    assert type(c) is tuple and d >= 1 and s >= 1
+    assert not c or (c[0] and c[-1] and gcd(d, lo, s) == 1)
+    assert p._row == ref.row(p.terms)
+    assert len(p) == len(p.terms)
+    return p
+
+
+@given(term_maps, term_maps, exponents, orders,
+       st.lists(st.integers(-2, 2), max_size=8),
+       st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6])))
+# cancellation that widens the step: 1 + q + q^2 - q is 1 + q^2, on step 2
+@example({Fraction(0): 1, Fraction(2): 1}, {Fraction(1): 1}, Fraction(0), Fraction(4), [], 0)
+# and that lowers the denominator: 1 + q^(1/2) + q - q^(1/2)
+@example({Fraction(0): 1, Fraction(1): 1}, {Fraction(1, 2): 1}, Fraction(1, 2), Fraction(1),
+         [0, 1, 0, 0, 2, 0], Fraction(-1, 2))
+def test_rows_are_canonical(a, b, r, order, coeffs, start):
+    # equal values have equal rows, so they compare and hash equal however
+    # they were built
+    pa, pb = QPoly(a), QPoly(b)
+    ra, rb = ref.clean(a.items()), ref.clean(b.items())
+    assert len(_checked(pa)) == len(ra) and len(_checked(pb)) == len(rb)
+    assert len(_checked(pa + pb)) == len(ref.add(ra, rb))
+    assert len(_checked(pa * pb)) == len(ref.mul(ra, rb))
+    back = _checked((pa + pb) - pb)
+    assert back == pa and hash(back) == hash(pa)
+    there = _checked(pa.shift(r))
+    again = _checked(there.shift(-r))
+    assert again == pa and hash(again) == hash(pa)
+    flipped = _checked(pa.substitute_qinv())
+    twice = _checked(flipped.substitute_qinv())
+    assert twice == pa and hash(twice) == hash(pa)
+    sa, sb = QSeries(a, order), QSeries(b, order)
+    for s in (sa, sa + sb, sa * sb, pa.truncate(order), (sa + sb) - sb, sa.shift(r)):
+        _checked(s)
+    # interior and edge zeros, fractional starts
+    p = _checked(QPoly.from_coeffs(coeffs, start))
+    want = ref.clean((start + i, c) for i, c in enumerate(coeffs))
+    assert len(p) == len(want) and p == QPoly(want) and hash(p) == hash(QPoly(want))
 
 
 def test_equal_values_through_different_denominators():
