@@ -1,7 +1,8 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or a
-computation past the term-count ceiling (verify.TERM_CEILING).
+Exit codes: 0 success, 1 verification failure or a failed write to
+standard output (a closed pipe included), 2 usage error or a computation
+past the term-count ceiling (verify.TERM_CEILING).
 All output is deterministic.
 """
 

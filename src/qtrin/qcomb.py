@@ -22,27 +22,86 @@ from typing import Iterable, Sequence
 
 from .qpoly import QPoly
 
-@lru_cache(maxsize=None)
-def _gauss(n: int, a: int) -> tuple[int, ...]:
-    """Dense coefficients of the Gaussian polynomial [n, a], from q^0 up;
-    empty unless 0 <= a <= n.
 
-    Built from the product formula [n, a] = prod_{j=1..a} (1 - q^{n-a+j}) /
-    (1 - q^j) on one integer list.  After step j the list holds [n-a+j, j],
-    so every division is exact.
+def _gauss(n: int, a: int, k: int | None = None) -> tuple[int, ...]:
+    """Dense coefficients of the Gaussian polynomial [n, a] from q^0 up, all
+    of them or the first k; empty unless 0 <= a <= n.
+
+    A cut is built to k rounded up to a power of two (_build), so that one
+    pair seen at many cuts shares a few cached builds; a cut whose rounding
+    reaches the middle of [n, a] reads the whole polynomial, whose build
+    costs no more.
     """
     if a < 0 or n < 0 or a > n:
         return ()
     a = min(a, n - a)  # [n, a] = [n, n-a]
+    if k is not None:
+        h = 1 << (k - 1).bit_length()
+        if 2 * h <= a * (n - a):
+            return _build(n, a, h)[:k]
+    return _build(n, a, None)[:k]
+
+
+# At step j the packed path of _build makes about log2(m/j) passes over its
+# m slots of w bytes, the list path one pass and one running sum over m
+# entries.  Whole builds, packed time over list time, on CPython 3.11
+# (2-vCPU x86-64 VM): 0.68 at [100, 50] (h slots of w bytes: 16 KB), 0.75 at
+# [120, 60] (27 KB), 1.0 at [150, 75] (53 KB), 1.4 at [200, 100] (125 KB),
+# 2.1-2.6 at [1043, 44] (725 KB).
+_PACKED_BYTES = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _build(n: int, a: int, h: int | None) -> tuple[int, ...]:
+    """The first h coefficients of [n, a], 0 <= a <= n - a; all of them when
+    h is None.
+
+    The product formula [n, a] = prod_{j=1..a} (1 - q^(b+j)) / (1 - q^j),
+    b = n - a (Andrews, ch. 3).  After step j it holds [b+j, j], of degree
+    jb, so every division is exact.  Both steps are lower-triangular in the
+    exponent, so step j works mod q^m, m = min(h, jb + 1).  [n, a] is
+    palindromic: uncut, its lower half (h = ab/2 + 1) is built and mirrored.
+
+    Up to _PACKED_BYTES the build is one integer at q = 2^(8w), w bytes
+    enough for comb(n, a): the kernel's Kronecker substitution (below;
+    Harvey 2009), applied to the Gaussian itself.
+    Z[q]/(q^m) -> Z/2^(8wm) is a ring map, and every coefficient of [b+j, j]
+    lies in [0, 2^(8w)), so the residue mod 2^(8wm) is the packed quotient.
+    Times (1 - q^s) is one shift and subtract; divided by (1 - q^j) is times
+    (1 + q^j)(1 + q^(2j))(1 + q^(4j))... below q^m, one shift and add each.
+    Above it the build is a list, where each division is a running sum at
+    stride j.
+    """
     b = n - a
-    c = [1]
-    for j in range(1, a + 1):
-        s = b + j
-        c += [0] * s  # times (1 - q^s)
-        c[s:] = [x - y for x, y in zip(c[s:], c)]
-        for r in range(j):  # divided by (1 - q^j): a running sum at stride j
-            c[r::j] = accumulate(c[r::j])
-        del c[j * b + 1:]  # the quotient has degree j*b; the rest is zero
+    whole = h is None
+    if whole:
+        h = a * b // 2 + 1
+    w = _slot_bytes(comb(n, a))
+    if h * w <= _PACKED_BYTES:
+        slot = 8 * w
+        x = 1
+        for j in range(1, a + 1):
+            m = min(h, j * b + 1)
+            mask = (1 << (slot * m)) - 1
+            if b + j < m:
+                x -= x << (slot * (b + j))
+            t = j
+            while t < m:
+                x = (x + (x << (slot * t))) & mask
+                t *= 2
+        c = _unpacked(x, h, w)
+    else:
+        c = [1]
+        for j in range(1, a + 1):
+            m = min(h, j * b + 1)
+            s = b + j
+            c += [0] * (m - len(c))
+            if s < m:  # times (1 - q^s)
+                c[s:] = [x - y for x, y in zip(c[s:], c)]
+            for r in range(j):  # divided by (1 - q^j)
+                c[r::j] = accumulate(c[r::j])
+    if whole:
+        c += c[:a * b + 1 - h][::-1]
     return tuple(c)
 
 
@@ -100,12 +159,20 @@ def _slot_bytes(bound: int) -> int:
 @lru_cache(maxsize=None)
 def _packed(n: int, a: int, w: int, k: int | None = None) -> int:
     """[n, a] at q = 2^(8w): one integer with a w-byte slot per coefficient,
-    of its first k coefficients (all when k is None)."""
-    c = _gauss(n, a)[:k]
+    of its first k coefficients (all when k is None), read from the cut
+    build (_gauss), whose own slots, if any, are sized by comb(n, a)."""
+    c = _gauss(n, a, k)
     code = _WORDS.get(w)
     if code is None:
         return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
     return int.from_bytes(array(code, c[::-1] if _BIG else c).tobytes(), sys.byteorder)
+
+
+@lru_cache(maxsize=None)
+def _cut_value(n: int, a: int, k: int) -> int:
+    """The sum of the first k coefficients of [n, a]: the kernel's bound for
+    one factor of a term cut to k slots."""
+    return sum(_gauss(n, a, k))
 
 
 def _unpacked(total: int, size: int, w: int) -> list[int]:
@@ -155,7 +222,7 @@ def _sum(terms: list[tuple[int, Sequence[tuple[int, int]], int | None]], den: in
             e0 = e
         v = 1
         for n, a in pairs:
-            v *= comb(n, a) if k is None else sum(_gauss(n, a)[:k])
+            v *= comb(n, a) if k is None else _cut_value(n, a, k)
         bound += v
     w = _slot_bytes(bound)
     total = 0

@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from qcomb_reference import (abp_lhs_reference, con10_lhs_reference,
 from qpoly_reference import pochhammer
 from qtrin import qcomb, verify
 from qtrin.qpoly import QPoly, QSeries
-from qtrin.qcomb import (_slot_bytes, invariance_sum, positive_sum, qbinomial,
-                         qtrinomial2, qtrinomial_T, refined_T, refinement_sum)
+from qtrin.qcomb import (_gauss, _slot_bytes, invariance_sum, positive_sum,
+                         qbinomial, qtrinomial2, qtrinomial_T, refined_T,
+                         refinement_sum)
 
 
 def _qbin_oracle(n, a):
@@ -38,30 +40,112 @@ def test_qbinomial_against_factorial_formula():
             assert qbinomial(n, a) == _qbin_oracle(n, a)
 
 
-def _qpascal_table(nmax):
-    """Every [m, k] for m <= nmax as a coefficient list, by the q-Pascal rule
-    [m, k] = [m-1, k-1] + q^k [m-1, k], which shares nothing with the
-    product formula qbinomial uses."""
-    table = {}
-    for m in range(nmax + 1):
-        for k in range(m + 1):
-            if k == 0 or k == m:
-                table[(m, k)] = [1]
+def _qpascal_rows(nmax, kmax):
+    """Rows m = 0..nmax of the q-Pascal triangle, built row by row: row m
+    holds [m, k] for k <= min(m, kmax) as coefficient lists, from row m-1 by
+    the rule [m, k] = [m-1, k-1] + q^k [m-1, k], which shares nothing with
+    the product formula qbinomial uses."""
+    row = [[1]]
+    yield 0, row
+    for m in range(1, nmax + 1):
+        nxt = [[1]]
+        for k in range(1, min(m, kmax) + 1):
+            if k == m:
+                nxt.append([1])
                 continue
-            left = table[(m - 1, k - 1)]
-            right = table[(m - 1, k)]
-            coeffs = [0] * (k * (m - k) + 1)
-            for i, c in enumerate(left):
-                coeffs[i] += c
-            for i, c in enumerate(right):
-                coeffs[i + k] += c
-            table[(m, k)] = coeffs
-    return table
+            left, right = row[k - 1], row[k]
+            coeffs = left + [0] * (k * (m - k) + 1 - len(left))
+            coeffs[k:k + len(right)] = map(add, coeffs[k:k + len(right)], right)
+            nxt.append(coeffs)
+        row = nxt
+        yield m, row
+
+
+@pytest.fixture(params=["packed", "list"])
+def build_path(request, monkeypatch):
+    """Every Gaussian built on one path of qcomb._build, whatever its size:
+    one packed integer, or a list."""
+    limit = math.inf if request.param == "packed" else 0
+    monkeypatch.setattr(qcomb, "_PACKED_BYTES", limit)
+    qcomb._build.cache_clear()
+    yield request.param
+    qcomb._build.cache_clear()
 
 
 def test_qbinomial_against_q_pascal():
-    for (n, a), coeffs in _qpascal_table(30).items():
-        assert qbinomial(n, a) == QPoly(enumerate(coeffs)), (n, a)
+    # every a up to n = 30; a = n // 2 and a = 3 up to n = 72, so the build
+    # packs at every slot width: comb(n, n // 2) takes 1, 2, 4 and 8 bytes
+    # (the array paths) and, from n = 68 (comb(72, 36) is about 2^68.7), 9
+    # bytes (the exact-byte path)
+    widths = set()
+    for n, row in _qpascal_rows(72, 36):
+        for a in range(n + 1) if n <= 30 else (3, n // 2):
+            assert _gauss(n, a) == tuple(row[a]), (n, a)
+            if n <= 30:
+                assert qbinomial(n, a) == QPoly(enumerate(row[a])), (n, a)
+        widths.add(_slot_bytes(math.comb(n, n // 2)))
+    assert widths == {1, 2, 4, 8, 9}
+
+
+def test_qbinomial_on_each_side_of_the_packed_size():
+    # the half of [175, 30] that _build makes is packed, that of [176, 30]
+    # (15 more slots of 15 bytes) is a list
+    size = {n: (30 * (n - 30) // 2 + 1) * _slot_bytes(math.comb(n, 30)) for n in (175, 176)}
+    assert size[175] <= qcomb._PACKED_BYTES < size[176]
+    qcomb._build.cache_clear()
+    for n, row in _qpascal_rows(176, 30):
+        if n in size:
+            assert _gauss(n, 30) == tuple(row[30]), n
+            assert qbinomial(n, 30).eval_q1() == math.comb(n, 30)
+
+
+def test_cut_builds_are_prefixes_of_the_whole(build_path):
+    # k from 1 to ab + 2 crosses the rounding of a cut up to a power of two
+    # and the middle of [n, a], from where the whole polynomial, checked
+    # here too, is read
+    for n, row in _qpascal_rows(40, 40):
+        for a in range(n + 1):
+            whole = tuple(row[a])
+            for k in range(1, a * (n - a) + 3):
+                assert _gauss(n, a, k) == whole[:k], (n, a, k)
+
+
+def _at_most_parts(n, c):
+    """The number of partitions of m into at most n parts, m = 0..c: by
+    conjugation, into parts of size at most n, which join one at a time."""
+    p = [1] + [0] * c
+    for part in range(1, n + 1):
+        for m in range(part, c + 1):
+            p[m] += p[m - part]
+    return p
+
+
+def test_gaussian_prefix_counts_partitions():
+    # below q^(c+1), [n+c, n] is 1/(q)_n: both count the partitions of m into
+    # at most n parts, the rule _euler_pairs rests on
+    for n in range(31):
+        for c in range(31):
+            got = _gauss(n + c, n, c + 1)
+            assert got + (0,) * (c + 1 - len(got)) == tuple(_at_most_parts(n, c)), (n, c)
+            if n:
+                assert qcomb._euler_pairs((n,), Fraction(c + 1)) == ((n + c, n),)
+
+
+@st.composite
+def _gauss_args(draw):
+    n = draw(st.integers(0, 120))
+    a = draw(st.integers(0, n))
+    return n, a, draw(st.integers(1, a * (n - a) + 2))
+
+
+@settings(deadline=None)
+@given(_gauss_args())
+def test_gauss_palindromic_counting_and_cut(args):
+    n, a, k = args
+    whole = _gauss(n, a)
+    assert whole == whole[::-1]
+    assert sum(whole) == math.comb(n, a)
+    assert _gauss(n, a, k) == whole[:k]
 
 
 def test_qbinomial_against_sympy_division():
@@ -328,6 +412,17 @@ def test_cut_sum_at_each_slot_width_against_reference(w):
     assert got.coeff(X) == max(got.terms.values()) == 2 ** (8 * w) - 1
     assert _slot_bytes(positive_sum(terms, 2).eval_q1()) > w
     assert got == positive_sum_reference(terms, 2).truncate(X + 1)
+
+
+def test_cut_sums_of_deep_gaussians_against_reference():
+    # [n + c, n] of degree nc, 60 to 500, in sums cut far below that degree
+    pairs = [(3, 20), (5, 40), (10, 50), (2, 30), (8, 25)]
+    terms = [(i * i, ((n + c, n), (c + 2, 2))) for i, (n, c) in enumerate(pairs)]
+    terms.append((3, tuple((n + c, n) for n, c in pairs[:3])))
+    for order in (1, Fraction(5, 2), 12, 40):
+        got = positive_sum(terms, 2, order)
+        want = positive_sum_reference(terms, 2).truncate(order)
+        assert got == want and str(got) == str(want), order
 
 
 @st.composite
