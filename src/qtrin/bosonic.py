@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .fermionic import _FAMILIES, _kfamily
-from .qcomb import _euler_pairs, positive_sum, refined_T
+from .qcomb import _euler_pairs, _refined, positive_sum
 from .qpoly import QPoly, QSeries, euler_inverse
 
 
@@ -20,19 +20,20 @@ class InvalidBranchLabel(Exception):
     pass
 
 
-def _jrange(L: int, M: int) -> range:
-    # Every theta sum below hits refined_T arguments growing linearly in j;
-    # |a| > L kills the term, so a small window suffices.
-    j = max(L, M) + 2
-    return range(-j, j + 1)
+def _span(c: int, c0: int, bound: int) -> range:
+    """The j with |c j + c0| <= bound, for c > 0."""
+    return range(-((bound + c0) // c), (bound - c0) // c + 1)
 
 
 def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
     """The family's alternating theta sum at depth k.
 
     Each row (sign, a0, b0, c, d) contributes, for every j, the term
-    sign * q^{ab/2 + cj + d} refined_T(L, M, a, b) with a = A j + a0,
-    b = P j + b0 and A = P(k+1) - 2.
+    sign * q^{ab/2 + cj + d/2} refined_T(L, M, a, b) with a = A j + a0,
+    b = P j + b0 and A = P(k+1) - 2.  Only the j with |a| <= L and |b| <= M
+    give a nonzero refinement, and their terms make two kernel calls, one
+    over the plus rows and one over the minus rows, with each refinement a
+    kernel factor and its least exponent folded into the term's exponent.
     """
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
@@ -40,16 +41,16 @@ def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
     A = P * (k + 1) - 2
     rows = [(1, 0, 0, 1, 0), (-1, k + 1, 1, 0, 0)]
     if family == 3:
-        rows += [(1, 3 * k + 2, 3, 0, 0), (-1, 4 * k + 3, 4, 1, Fraction(1, 2))]
-    out = QPoly.zero()
-    for j in _jrange(L, M):
-        for sign, a0, b0, c, d in rows:
+        rows += [(1, 3 * k + 2, 3, 0, 0), (-1, 4 * k + 3, 4, 1, 1)]
+    sides = {1: [], -1: []}
+    for sign, a0, b0, c, d in rows:
+        ja, jb = _span(A, a0, L), _span(P, b0, M)
+        for j in range(max(ja.start, jb.start), min(ja.stop, jb.stop)):
             a, b = A * j + a0, P * j + b0
-            t = refined_T(L, M, a, b)
-            if t:
-                t = t.shift(Fraction(a * b, 2) + c * j + d)
-                out = out + t if sign > 0 else out - t
-    return out
+            e, coeffs, _ = _refined(L, M, a, b)
+            if coeffs:
+                sides[sign].append((a * b + 2 * c * j + d + e, ((L, M, a, b),)))
+    return positive_sum(sides[1], 2) - positive_sum(sides[-1], 2)
 
 
 def conj_lhs(which: int, L: int, M: int) -> QPoly:

@@ -3,11 +3,12 @@
 All results are exact QPoly values.  The q-trinomials, the refined
 coefficient and the sums of refinements that the paper's invariance
 identities take are evaluated straight from their defining sums on one
-positive-sum kernel, ``positive_sum``, with no recurrences.  Cut at a
-truncation order, with 1/(q)_n as a Gaussian (``_euler_pairs``), the same
-kernel evaluates every positive series sum: the fermionic sides of
-qtrin.fermionic, the string functions' n-sum and two series sides of
-qtrin.verify.
+positive-sum kernel, ``positive_sum``, with no recurrences; a sum over
+cached refinements, such as T-invariance's left side or a theta sum, takes
+each refinement as one kernel factor.  Cut at a truncation order, with
+1/(q)_n as a Gaussian (``_euler_pairs``), the same kernel evaluates every
+positive series sum: the fermionic sides of qtrin.fermionic, the string
+functions' n-sum and two series sides of qtrin.verify.
 """
 
 from __future__ import annotations
@@ -135,12 +136,15 @@ def qtrinomial_T(L: int, a: int) -> QPoly:
 
 # -- the positive-sum kernel -------------------------------------------
 #
-# A term (e, pairs) of a sum over the exponent denominator d stands for
-# q^(e/d) times the product of the Gaussian polynomials [n, a] over its
-# (n, a) pairs.  Every such product, and so every sum of them, has
-# nonnegative coefficients, none above its value at q = 1.  The kernel sizes
-# its slots by that value (a product of math.comb values), which is what
-# makes Kronecker substitution sign-free here.
+# A term (e, factors) of a sum over the exponent denominator d stands for
+# q^(e/d) times the product of its factors.  A factor is the key of a cached
+# positive coefficient list (_factor): a Gaussian polynomial (n, a), or a
+# refinement (L, M, a, b), refined_T's coefficients from its least exponent,
+# which its caller folds into e over 2 (_refined).  Every such product, and
+# so every sum of them, has nonnegative coefficients, none above its value
+# at q = 1.  The kernel sizes its slots by that value (a product of each
+# factor's sum of coefficients), which is what makes Kronecker substitution
+# sign-free here.
 
 # unsigned array typecodes by itemsize: the slot widths of one machine word
 _WORDS = {array(code).itemsize: code for code in "BHILQ"}
@@ -156,12 +160,21 @@ def _slot_bytes(bound: int) -> int:
     return w if w > 8 else 1 << (w - 1).bit_length()
 
 
+def _factor(f: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
+    """The coefficients of the kernel factor ``f`` from its least exponent,
+    all of them or the first k: those of [n, a] for a Gaussian (n, a), read
+    from its cut build (_gauss), and of refined_T(L, M, a, b) for a
+    refinement (L, M, a, b) inside its support (_refined)."""
+    if len(f) == 2:
+        return _gauss(*f, k)
+    return _refined(*f)[1][:k]
+
+
 @lru_cache(maxsize=None)
-def _packed(n: int, a: int, w: int, k: int | None = None) -> int:
-    """[n, a] at q = 2^(8w): one integer with a w-byte slot per coefficient,
-    of its first k coefficients (all when k is None), read from the cut
-    build (_gauss), whose own slots, if any, are sized by comb(n, a)."""
-    c = _gauss(n, a, k)
+def _packed(f: tuple[int, ...], w: int, k: int | None = None) -> int:
+    """The kernel factor ``f`` at q = 2^(8w): one integer with a w-byte slot
+    per coefficient, of its first k coefficients (all when k is None)."""
+    c = _factor(f, k)
     code = _WORDS.get(w)
     if code is None:
         return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
@@ -169,10 +182,11 @@ def _packed(n: int, a: int, w: int, k: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cut_value(n: int, a: int, k: int) -> int:
-    """The sum of the first k coefficients of [n, a]: the kernel's bound for
-    one factor of a term cut to k slots."""
-    return sum(_gauss(n, a, k))
+def _cut_value(f: tuple[int, ...], k: int | None = None) -> int:
+    """The sum of the first k coefficients of the kernel factor ``f``, all of
+    them when k is None: the kernel's bound for one factor of a term cut to
+    k slots, or of an uncut refinement (an uncut [n, a] sums to comb(n, a))."""
+    return sum(_factor(f, k))
 
 
 def _unpacked(total: int, size: int, w: int) -> list[int]:
@@ -185,68 +199,73 @@ def _unpacked(total: int, size: int, w: int) -> list[int]:
     return out[::-1] if _BIG else out
 
 
-def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, ...]]]],
                  den: int, order: Fraction | int | None = None) -> QPoly:
-    """Sum over (e, pairs) of q^(e/den) times the product of the Gaussians
-    [n, a], 0 <= a <= n, of ``pairs``; with an ``order``, the QSeries of that
-    sum below q^order.  Exponents that differ by non-integers are summed one
-    class mod 1 at a time.
+    """Sum over (e, factors) of q^(e/den) times the product of the kernel
+    factors of ``factors``: Gaussians (n, a), 0 <= a <= n, and refinements
+    (L, M, a, b) inside their support; with an ``order``, the QSeries of
+    that sum below q^order.  Exponents that differ by non-integers are
+    summed one class mod 1 at a time.
 
     Kronecker substitution: q becomes 2^(8w), with w bytes enough for the
     sum's value at q = 1, which bounds every coefficient of the sum and of
-    each partial product, so no slot carries into the next.  Each Gaussian is
+    each partial product, so no slot carries into the next.  Each factor is
     one cached integer, each term one big-integer product shifted to its
     slot, and the sum is unpacked once.  Under an order each term keeps only
     its slots below it (see _sum).
     """
     if order is None:
-        return _sum([(e, pairs, None) for e, pairs in terms], den)
+        return _sum([(e, factors, None) for e, factors in terms], den)
     order = Fraction(order)
     num, od = order.numerator * den, order.denominator
     # a term at q^(e/den) keeps its first k = ceil(order - e/den) slots
-    return _sum([(e, pairs, k) for e, pairs in terms
+    return _sum([(e, factors, k) for e, factors in terms
                  if (k := (num - e * od - 1) // (od * den) + 1) > 0], den).truncate(order)
 
 
-def _sum(terms: list[tuple[int, Sequence[tuple[int, int]], int | None]], den: int) -> QPoly:
-    """positive_sum of (e, pairs, k) terms, each cut to its first k slots
-    (whole when k is None).  A cut term's Gaussians and partial products are
+def _sum(terms: list[tuple[int, Sequence[tuple[int, ...]], int | None]], den: int) -> QPoly:
+    """positive_sum of (e, factors, k) terms, each cut to its first k slots
+    (whole when k is None).  A cut term's factors and partial products are
     cut to its k slots, and its bound is the product of its cut factors'
     values at q = 1, which bounds every coefficient that is kept."""
     if not terms:
         return QPoly.zero()
     e0 = terms[0][0]
     bound = 0
-    for e, pairs, k in terms:
+    for e, factors, k in terms:
         if e < e0:
             e0 = e
         v = 1
-        for n, a in pairs:
-            v *= comb(n, a) if k is None else _cut_value(n, a, k)
+        for f in factors:  # an uncut Gaussian's value needs no cache
+            v *= comb(*f) if k is None and len(f) == 2 else _cut_value(f, k)
         bound += v
     w = _slot_bytes(bound)
+    slot = 8 * w
     total = 0
-    size = 0
     rest = []  # terms of other classes mod 1
     for t in terms:
-        e, pairs, k = t
+        e, factors, k = t
         s, part = divmod(e - e0, den)
         if part:
             rest.append(t)
             continue
         p = 1
-        top = 0  # the degree of the product so far
-        for n, a in pairs:
-            d = a * (n - a)  # the degree of [n, a]
-            top += d
-            if k is None or top < k:
-                p *= _packed(n, a, w)
-            else:  # cut the factor and the product to k slots
-                p = p * _packed(n, a, w, k if k <= d else None) & ((1 << (8 * w * k)) - 1)
-                top = k - 1
-        total += p << (8 * w * s)
-        size = max(size, s + top + 1)
-    out = QPoly.from_coeffs(_unpacked(total, size, w), _start(e0, den))
+        if k is None:
+            for f in factors:
+                p *= _packed(f, w)
+        else:
+            top = 0  # the degree of the product so far
+            for f in factors:  # the factor's degree over its least exponent
+                d = f[1] * (f[0] - f[1]) if len(f) == 2 else len(_refined(*f)[1]) - 1
+                top += d
+                if top < k:
+                    p *= _packed(f, w)
+                else:  # cut the factor and the product to k slots
+                    p = p * _packed(f, w, k if k <= d else None) & ((1 << (slot * k)) - 1)
+                    top = k - 1
+        total += p << (slot * s)
+    # no slot carries, so the top nonzero slot holds the sum's highest bit
+    out = QPoly.from_coeffs(_unpacked(total, -(-total.bit_length() // slot), w), _start(e0, den))
     return out + _sum(rest, den) if rest else out
 
 
@@ -291,41 +310,65 @@ def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
 
 def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     """The refined q-trinomial coefficient with bounds L, M and charges a, b,
-    evaluated from its defining sum (_refined_terms) by the positive-sum
-    kernel.  It vanishes outside its support |a| <= L, |b| <= M, and there
-    the shared zero polynomial is returned before the cache: the cache holds
-    only in-support values, and the kernel is never called outside."""
+    evaluated from its defining sum (_refined_terms) in one packed integer
+    (_refined).  It vanishes outside its support |a| <= L, |b| <= M, and
+    there the shared zero polynomial is returned before the caches: they
+    hold only in-support values, and the kernel is never called outside."""
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
     if abs(a) > L or abs(b) > M:
         return QPoly.zero()
-    return _refined(L, M, a, b)
+    return _refined(L, M, a, b)[2]
 
 
 @lru_cache(maxsize=None)
-def _refined(L: int, M: int, a: int, b: int) -> QPoly:
-    """refined_T inside its support, one kernel call, cached."""
-    return positive_sum(_refined_terms(L, M, a, b), 2)
+def _refined(L: int, M: int, a: int, b: int) -> tuple[int, tuple[int, ...], QPoly]:
+    """refined_T inside its support as (e, c, its QPoly): q^(e/2) times the
+    polynomial with the coefficients c from q^0 up, c[0] nonzero; (0, (),
+    zero) when it is zero.  Cached: the kernel factor (L, M, a, b) reads c,
+    and the QPoly shares it.
+
+    Its terms (_refined_terms) have one shape, three Gaussians, and one
+    class mod 1 (n has the parity of L + a), so they are summed here
+    straight into one packed integer, with slots sized by the sum's value at
+    q = 1 (see positive_sum).  The first term, of the least n, gives the
+    least exponent, with the constant term 1 of its Gaussians.
+    """
+    terms = _refined_terms(L, M, a, b)
+    if not terms:
+        return 0, (), QPoly.zero()
+    w = _slot_bytes(sum([comb(*f) * comb(*g) * comb(*h) for _, (f, g, h) in terms]))
+    slot = 8 * w
+    e0 = terms[0][0]
+    total = 0
+    for e, (f, g, h) in terms:
+        total += _packed(f, w) * _packed(g, w) * _packed(h, w) << (slot * ((e - e0) // 2))
+    c = tuple(_unpacked(total, -(-total.bit_length() // slot), w))
+    return e0, c, QPoly.from_coeffs(c, _start(e0, 2))
 
 
 def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
     """Left side of T-invariance (Theorem 1): the sum over i from |b| to
-    min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), each
-    refined_T expanded into its defining sum, as one kernel call."""
-    return positive_sum(
-        ((i * i + e2, ((L + M - i, L),) + pairs)
-         for i in range(abs(b), min(L - abs(a), M) + 1)
-         for e2, pairs in _refined_terms(L - i, i, a, b)), 2)
+    min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), one
+    kernel call whose terms are a Gaussian times a refinement factor."""
+    terms = []
+    for i in range(abs(b), min(L - abs(a), M) + 1):
+        f = (L - i, i, a, b)
+        e, c, _ = _refined(*f)
+        if c:
+            terms.append((i * i + e, ((L + M - i, L), f), None))
+    return _sum(terms, 2)
 
 
 def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:
     """T(L, a) as a sum of refinements: over i from |b| to L-|a-b| of
     q^{(i^2-b^2)/2} refined_T(L-i, i, a-b, b).  With ``swap`` each refinement
     is refined_T(i, L-i, b, a-b) and the sum is the round-bracket trinomial
-    (L, a) instead.  One kernel call."""
+    (L, a) instead.  One kernel call over the refinements' defining sums:
+    these refinements are seldom shared between points, so expanding them
+    costs less than building each as a factor."""
     return positive_sum(
         ((i * i - b * b + e2, pairs)
          for i in range(abs(b), L - abs(a - b) + 1)
          for e2, pairs in _refined_terms(
              *((i, L - i, b, a - b) if swap else (L - i, i, a - b, b)))), 2)
-

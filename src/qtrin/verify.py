@@ -17,10 +17,11 @@ from math import isqrt
 from typing import Callable, Mapping, Sequence
 
 from . import bosonic, fermionic
-from .qcomb import (_euler_pairs, _refined_terms, _trinomial2_terms, _trinomial_terms,
+from .qcomb import (_euler_pairs, _refined_terms, _start, _trinomial2_terms, _trinomial_terms,
                     invariance_sum, positive_sum, qbinomial, qtrinomial2, qtrinomial_T,
                     refined_T, refinement_sum)
-from .qpoly import QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi
+from .qpoly import (QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi,
+                    row_length)
 
 
 class UnknownIdentity(Exception):
@@ -110,14 +111,17 @@ def compare_sides(lhs: QPoly, rhs: QPoly):
     Series are compared coefficientwise up to the smaller truncation order.
     One object is equal to itself, within the term-count ceiling.
     """
-    if lhs is rhs and len(lhs) <= TERM_CEILING:
+    if lhs is rhs and row_length(lhs) <= TERM_CEILING:
         return None
     if lhs.order is not None or rhs.order is not None:
         cut = min(s.order for s in (lhs, rhs) if s.order is not None)
         lhs, rhs = lhs.truncate(cut), rhs.truncate(cut)
-    # equal sides have equal lengths, so one of them is checked
+    # equal sides have equal lengths, so one of them is checked; a row no
+    # longer than the ceiling has no more terms, and only a longer one's
+    # zeros are counted
     same = lhs == rhs
-    if len(lhs) > TERM_CEILING or not same and len(rhs) > TERM_CEILING:
+    if (row_length(lhs) > TERM_CEILING and len(lhs) > TERM_CEILING
+            or not same and row_length(rhs) > TERM_CEILING and len(rhs) > TERM_CEILING):
         raise RunawayComputation(f"term-count ceiling {TERM_CEILING} exceeded")
     if same:
         return None
@@ -157,7 +161,7 @@ def _ev_mT(swap: bool):
 def _ev_thm1(p: Params, order) -> SidePair:
     L, M, a, b = p["L"], p["M"], p["s"] * p["a"], p["s"] * p["b"]
     return (invariance_sum(L, M, a, b),
-            refined_T(L, M, a + b, b).shift(Fraction(b * b, 2)))
+            refined_T(L, M, a + b, b).shift(_start(b * b, 2)))
 
 
 def _ev_con(p: Params, order) -> SidePair:

@@ -3,8 +3,9 @@ sides: the defining sums evaluated term by term with QPoly and QSeries
 products and sums, as differential oracles for ``qtrin.qcomb``'s positive-sum
 kernel (``positive_sum_reference``) and its callers (``qtrinomial_T``,
 ``qtrinomial2``, ``refined_T``, ``invariance_sum``, ``refinement_sum``,
-con10's and abp's left sides, limit-mTlim's product form, the sum inside
-``qtrin.bosonic.string_function``, and ``qtrin.fermionic``'s ``f_poly``,
+con10's and abp's left sides, limit-mTlim's product form, the theta sums
+and the sum inside ``string_function`` of ``qtrin.bosonic``, and
+``qtrin.fermionic``'s ``f_poly``,
 ``conj_rhs``, ``kseries_rhs`` and series sums).  A series reference takes
 1/(q)_n as the inverse of the finite product (q)_n, and 1/(q)_inf from
 ``qpoly_reference.euler_inverse``.  The fermionic
@@ -27,13 +28,18 @@ from qtrin.qpoly import QPoly, QSeries
 
 
 def positive_sum_reference(terms, den: int) -> QPoly:
-    """Sum over (e, pairs) of q^{e/den} times the product of the [n, a] of
-    ``pairs``."""
+    """Sum over (e, factors) of q^{e/den} times the product of the factors:
+    [n, a] for a pair (n, a), and for a refinement (L, M, a, b)
+    refined_T_reference(L, M, a, b) divided by its least power of q."""
     out = QPoly.zero()
-    for e, pairs in terms:
+    for e, factors in terms:
         t = QPoly.one()
-        for n, a in pairs:
-            t = t * qbinomial(n, a)
+        for f in factors:
+            if len(f) == 2:
+                t = t * qbinomial(*f)
+            else:
+                r = refined_T_reference(*f)
+                t = t * (r.shift(-r.min_exponent()) if r else r)
         out = out + t.shift(Fraction(e, den))
     return out
 
@@ -73,6 +79,32 @@ def refinement_sum_reference(L: int, a: int, b: int, swap: bool) -> QPoly:
         t = refined_T_reference(*args)
         if t:
             out = out + t.shift(Fraction(i * i - b * b, 2))
+    return out
+
+
+# P of the three identity families: the E8, E7 and E6 (monster) ones
+_THETA_P = {1: 5, 2: 6, 3: 8}
+
+
+def theta_sum_reference(family: int, k: int, L: int, M: int) -> QPoly:
+    """The family's alternating theta sum at depth k, term by term: for
+    every |j| <= L + M + 3, each row (sign, a0, b0, c, d) adds sign *
+    q^{ab/2 + cj + d} refined_T_reference(L, M, a, b), with a = A j + a0,
+    b = P j + b0 and A = P(k+1) - 2.  The rows are (+, 0, 0, 1, 0) and
+    (-, k+1, 1, 0, 0), and for family 3 also (+, 3k+2, 3, 0, 0) and
+    (-, 4k+3, 4, 1, 1/2).  The window is wider than any support: |a| <= L
+    needs |j| <= (L + |a0|)/A, and A >= 3."""
+    P = _THETA_P[family]
+    A = P * (k + 1) - 2
+    rows = [(1, 0, 0, 1, 0), (-1, k + 1, 1, 0, 0)]
+    if family == 3:
+        rows += [(1, 3 * k + 2, 3, 0, 0), (-1, 4 * k + 3, 4, 1, Fraction(1, 2))]
+    out = QPoly.zero()
+    for j in range(-(L + M + 3), L + M + 4):
+        for sign, a0, b0, c, d in rows:
+            a, b = A * j + a0, P * j + b0
+            t = refined_T_reference(L, M, a, b).shift(Fraction(a * b, 2) + c * j + d)
+            out = out + t if sign > 0 else out - t
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import pins
 import qpoly_reference as ref
-from qcomb_reference import string_function_reference
+from qcomb_reference import string_function_reference, theta_sum_reference
 from qtrin.qpoly import QSeries, pochhammer_multi
 from qtrin import bosonic, fermionic, verify
 from string_reps import checked_string_function
@@ -126,31 +126,27 @@ def test_branching_b35_matches_characters():
         assert lhs == rhs
 
 
-def widen_jrange(monkeypatch, by):
-    """Make every polynomial theta sum run over a j-window `by` wider on
-    each side."""
-    orig = bosonic._jrange
-
-    def wide(L, M):
-        r = orig(L, M)
-        return range(r.start - by, r.stop + by)
-    monkeypatch.setattr(bosonic, "_jrange", wide)
-
-
-def test_conj_lhs_theta_widening_invariance(monkeypatch):
-    points = [(which, L, M) for which in (1, 2, 3)
-              for L, M in ((0, 0), (2, 3), (4, 4), (5, 2))]
-    narrow = [bosonic.conj_lhs(*pt) for pt in points]
-    widen_jrange(monkeypatch, 3)
-    assert [bosonic.conj_lhs(*pt) for pt in points] == narrow
+def test_conj_lhs_against_theta_sum_reference():
+    # every point of L, M <= 8, twice the registry grid, against the sum
+    # over a j-window wider than any support
+    for which in (1, 2, 3):
+        for L in range(9):
+            for M in range(9):
+                assert bosonic.conj_lhs(which, L, M) == theta_sum_reference(
+                    which, 0, L, M), (which, L, M)
 
 
-def test_kseries_lhs_theta_widening_invariance(monkeypatch):
-    points = [(fam, k, L, M) for fam in ("E8-flower", "E7-flower2", "E6-monster")
-              for k in (1, 2) for L, M in ((0, 0), (2, 2), (3, 1))]
-    narrow = [bosonic.kseries_lhs(*pt) for pt in points]
-    widen_jrange(monkeypatch, 3)
-    assert [bosonic.kseries_lhs(*pt) for pt in points] == narrow
+def test_kseries_lhs_against_theta_sum_reference():
+    # k = 1 and 2 on the rectangles L <= A - k + 1, M <= P, A = P(k+1) - 2,
+    # where the family-specific rows are nonzero
+    for w, family in ((1, "E8-flower"), (2, "E7-flower2"), (3, "E6-monster")):
+        P = fermionic._FAMILIES[w].P
+        for k in (1, 2):
+            A = P * (k + 1) - 2
+            for L in range(A - k + 2):
+                for M in range(P + 1):
+                    assert bosonic.kseries_lhs(family, k, L, M) == theta_sum_reference(
+                        w, k, L, M), (family, k, L, M)
 
 
 # Every character and branching label the registry's series identities use.

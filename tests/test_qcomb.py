@@ -259,9 +259,10 @@ def test_refined_at_the_support_edge_against_reference(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("kernel called outside the support")
-    monkeypatch.setattr(qcomb, "positive_sum", refuse)
-    # outside the support the shared zero comes before the cache, which
-    # gains no entry
+    # _refined packs its Gaussians and unpacks its sum; outside the support
+    # the shared zero comes before its cache, which gains no entry
+    monkeypatch.setattr(qcomb, "_packed", refuse)
+    monkeypatch.setattr(qcomb, "_unpacked", refuse)
     qcomb._refined.cache_clear()
     for L, M, a, b in edge:
         if abs(a) > L or abs(b) > M:
@@ -398,6 +399,62 @@ def test_positive_sum_at_odd_starts_against_reference(args):
         got, want = positive_sum(terms, den, cut), want.truncate(cut)
         assert got.order == cut
     assert got == want and str(got) == str(want)
+
+
+@st.composite
+def _mixed_terms(draw):
+    # terms over 2 whose factors are Gaussians and refinements, zero ones
+    # inside the support included, and a truncation order or none
+    gauss = st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    refinement = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+        lambda LM: st.tuples(st.just(LM[0]), st.just(LM[1]), st.integers(-LM[0], LM[0]),
+                             st.integers(-LM[1], LM[1])))
+    term = st.tuples(st.integers(-6, 12), st.lists(gauss | refinement, max_size=3).map(tuple))
+    cut = st.none() | st.builds(Fraction, st.integers(-4, 40), st.sampled_from((1, 2)))
+    return draw(st.lists(term, min_size=1, max_size=5)), draw(cut)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+@settings(max_examples=40, deadline=None)
+@given(_mixed_terms())
+def test_mixed_factors_at_each_slot_width_against_reference(w, args):
+    # Gaussian and refinement factors in one kernel call, packed at least w
+    # bytes wide, which is exact when w is wider than needed: 1, 2, 4 and 8
+    # take the array paths, 9 and 16 the byte-slice path
+    terms, cut = args
+    slot_bytes = qcomb._slot_bytes
+    want = positive_sum_reference(terms, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcomb, "_slot_bytes", lambda bound: max(slot_bytes(bound), w))
+        if cut is None:
+            got = positive_sum(terms, 2)
+        else:
+            got, want = positive_sum(terms, 2, cut), want.truncate(cut)
+    assert got == want and str(got) == str(want)
+
+
+def test_refinement_factor_reads_refined_T():
+    # a refinement's coefficients from its least exponent, which a caller
+    # folds into the term's exponent, and their sum as its bound at q = 1
+    for args in ((3, 1, 2, 0), (4, 4, 1, -2), (8, 6, 0, 3), (26, 26, 0, 0)):
+        e, c, t = qcomb._refined(*args)
+        assert t is refined_T(*args)
+        assert t == QPoly.from_coeffs(c, Fraction(e, 2)) and c[0] == 1
+        assert t.min_exponent() == Fraction(e, 2)
+        assert qcomb._cut_value(args) == sum(c) == t.eval_q1()
+        assert positive_sum([(e, (args,))], 2) == t
+    # zero inside the support: L - |a| odd and M = 0
+    assert qcomb._refined(3, 0, 0, 0) == (0, (), QPoly.zero())
+    assert refined_T(3, 0, 0, 0) == QPoly.zero()
+
+
+def test_invariance_sum_against_reference_up_to_12():
+    for L in range(13):
+        for M in range(13):
+            for a in (-3, -1, 0, 2, 4):
+                for b in (-3, -1, 0, 2, 4):
+                    assert invariance_sum(L, M, a, b) == invariance_sum_reference(
+                        L, M, a, b), (L, M, a, b)
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])

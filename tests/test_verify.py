@@ -226,6 +226,14 @@ def test_compare_sides_at_the_ceiling(monkeypatch):
     for same in (over, series_over):
         with pytest.raises(verify.RunawayComputation):
             verify.compare_sides(same, same)
+    # the ceiling counts nonzero terms: 1 + q + q^3 spans a row of four
+    # entries but has three terms, and is compared
+    gap = QPoly.from_coeffs([1, 1, 0, 1])
+    assert len(gap) == 3
+    assert verify.compare_sides(gap, QPoly.from_coeffs([1, 1, 0, 1])) is None
+    assert verify.compare_sides(gap, gap) is None
+    assert verify.compare_sides(gap, QPoly.from_coeffs([1, 1, 0, 2])) == (3, 1, 2)
+    assert verify.compare_sides(gap.truncate(9), gap.truncate(9)) is None
 
 
 def test_full_level_report_is_pinned():
