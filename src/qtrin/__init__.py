@@ -9,15 +9,7 @@ verification engine with a command line front end.
 
 import sys
 
-from .qpoly import (
-    DivergentProduct,
-    NonUnitConstantTerm,
-    QPoly,
-    QSeries,
-    euler_inverse,
-    pochhammer,
-    pochhammer_multi,
-)
+from .qpoly import QPoly, QSeries, euler_inverse, product_series
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 from .liealg import DimensionMismatch, LieAlgebra, UnknownAlgebra, algebra
 from .mnsys import (
@@ -70,13 +62,11 @@ def clear_caches() -> None:
 
 __all__ = [
     "DimensionMismatch",
-    "DivergentProduct",
     "IdentityDescriptor",
     "InvalidBranchLabel",
     "InvalidCharLabel",
     "LieAlgebra",
     "MNSolution",
-    "NonUnitConstantTerm",
     "QPoly",
     "QSeries",
     "REGISTRY",
@@ -97,8 +87,7 @@ __all__ = [
     "kseries_rhs",
     "mod3_filter",
     "parity_filter",
-    "pochhammer",
-    "pochhammer_multi",
+    "product_series",
     "qbinomial",
     "qtrinomial2",
     "qtrinomial_T",

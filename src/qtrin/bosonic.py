@@ -77,8 +77,9 @@ def string_function(sigma: int, order: Fraction | int) -> QSeries:
     q^{n^2/2}/(q)_n, one kernel call, divided by (q)_inf.
 
     This is the large-L limit of T(L,a) with L+a+sigma even.  The tests
-    check it against the Pochhammer and product representations and the
-    reference n-sum, each dividing by the tests' own partition series
+    check it against the Pochhammer representation, in the reference term
+    maps alone, the product representation and the reference n-sum, each
+    dividing by the tests' own partition series
     (``qpoly_reference.euler_inverse``: the finite product (q)_n, n =
     ceil(order), inverted), not by ``euler_inverse``.
     """

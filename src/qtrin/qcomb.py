@@ -17,11 +17,10 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import ceil, comb
 from typing import Iterable, Sequence
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _over_one_minus, _times_one_minus
 
 
 def _gauss(n: int, a: int, k: int | None = None) -> tuple[int, ...]:
@@ -70,8 +69,8 @@ def _build(n: int, a: int, h: int | None) -> tuple[int, ...]:
     lies in [0, 2^(8w)), so the residue mod 2^(8wm) is the packed quotient.
     Times (1 - q^s) is one shift and subtract; divided by (1 - q^j) is times
     (1 + q^j)(1 + q^(2j))(1 + q^(4j))... below q^m, one shift and add each.
-    Above it the build is a list, where each division is a running sum at
-    stride j.
+    Above it the build is a list, stepped by qpoly's two list steps, which
+    ``product_series`` takes too.
     """
     b = n - a
     whole = h is None
@@ -95,12 +94,9 @@ def _build(n: int, a: int, h: int | None) -> tuple[int, ...]:
         c = [1]
         for j in range(1, a + 1):
             m = min(h, j * b + 1)
-            s = b + j
             c += [0] * (m - len(c))
-            if s < m:  # times (1 - q^s)
-                c[s:] = [x - y for x, y in zip(c[s:], c)]
-            for r in range(j):  # divided by (1 - q^j)
-                c[r::j] = accumulate(c[r::j])
+            _times_one_minus(c, b + j)
+            _over_one_minus(c, j)
     if whole:
         c += c[:a * b + 1 - h][::-1]
     return tuple(c)

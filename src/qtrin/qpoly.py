@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Union
@@ -31,10 +31,6 @@ from typing import Union
 Exponent = Union[int, Fraction]
 Terms = Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]]]
 Row = tuple[int, int, int, tuple[int, ...]]
-
-
-class NonUnitConstantTerm(Exception):
-    """Series inversion requires a constant term of +1 or -1."""
 
 
 # -- the row kernel ---------------------------------------------------
@@ -475,67 +471,50 @@ class QSeries(QPoly):
     def one(order: Exponent) -> "QSeries":
         return QSeries([(0, 1)], order)
 
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse up to the truncation order.
 
-        Requires exponents >= 0 and constant term +1 or -1; Newton-free
-        direct recursion, one coefficient at a time in increasing order.  A
-        series truncated at order <= 0 keeps no terms, and neither does its
-        inverse.
-        """
-        d, lo, s, c = self._row
-        if c and lo < 0:
-            raise ValueError("series inversion needs exponents >= 0, "
-                             f"got q^{self.min_exponent()}")
-        if self.order <= 0:
-            return QSeries.zero(self.order)
-        c0 = c[0] if c and lo == 0 else 0
-        if c0 not in (1, -1):
-            raise NonUnitConstantTerm(
-                f"constant term is {c0}, need +1 or -1 for series inversion"
-            )
-        # The series is one in x = q^(s/d), and so is its inverse t: for
-        # 0 < m the coefficient of x^m in the product vanishes, so
-        # c0*t_m = -sum over j >= 1 of c_j*t_(m-j), with 1/c0 == c0.
-        src = c[1:]
-        t = [c0]
-        for _ in range(1, (_bound(self.order, d) + s - 1) // s):
-            t.append(-c0 * sum(map(mul, src, reversed(t))))
-        return QPoly._of(_canonical(d, 0, s, t), self.order)
+def _times_one_minus(c: list[int], j: int) -> None:
+    """c times (1 - q^j), mod q^len(c), in place."""
+    c[j:] = [x - y for x, y in zip(c[j:], c)]
 
 
-class DivergentProduct(Exception):
-    """Infinite Pochhammer product whose terms do not converge under truncation."""
+def _over_one_minus(c: list[int], j: int) -> None:
+    """c divided by (1 - q^j), mod q^len(c), in place: a running sum per
+    residue mod j while j^2 < len(c), else one block of j at a time."""
+    if j * j < len(c):
+        for r in range(j):
+            c[r::j] = accumulate(c[r::j])
+    else:
+        for i in range(j, len(c), j):
+            c[i:i + j] = map(add, c[i:i + j], c[i - j:i])
 
 
-def pochhammer(a_exponent: Exponent, a_sign: int, step: Exponent,
-               order: Exponent) -> QSeries:
-    """Truncated (sign * q^a ; q^step)_infinity = prod_{j >= 0} (1 - sign *
-    q^(a + j*step)).  Requires step > 0 and a_exponent > 0, so that all but
-    finitely many factors are 1 below the truncation order."""
-    a = Fraction(a_exponent)
-    step = Fraction(step)
+def product_series(up: Iterable[int], down: Iterable[int], order: Exponent,
+                   start: QPoly | None = None) -> QSeries:
+    """``start`` (1 when None) times prod_{j in up} (1 - q^j) over
+    prod_{j in down} (1 - q^j) below q^order, for integers j >= 1: one int
+    list of the start's entries below the order, on the step 1/d of its
+    exponents, multiplied and divided in place.  A start known below a
+    lesser order cuts the product there."""
+    up, down = tuple(up), tuple(down)
+    if any(j < 1 for j in up + down):
+        raise ValueError("a factor (1 - q^j) needs an integer j >= 1")
     order = Fraction(order)
-    if a_sign not in (1, -1):
-        raise ValueError("a_sign must be +1 or -1")
-    if step <= 0 or a <= 0:
-        raise DivergentProduct("infinite product needs step > 0 and a_exponent > 0")
-    result = QSeries.one(order)
-    while a < order:
-        result = result * QSeries(((0, 1), (a, -a_sign)), order)
-        a += step
-    return result
-
-
-def pochhammer_multi(exponents: Iterable[Exponent], step: Exponent,
-                     order: Exponent) -> QSeries:
-    """(q^a1, q^a2, ...; q^step)_infinity, truncated."""
-    if order <= 0:  # nothing is known, and a product would lower the order
+    if start is None:
+        start = QPoly.one()
+    elif start.order is not None:
+        order = min(order, start.order)
+    d, lo, s, c = start._row
+    n = _bound(order, d) - lo  # the entries from q^(lo/d) up
+    if n <= 0:
         return QSeries.zero(order)
-    result = QSeries.one(order)
-    for a in exponents:
-        result = result * pochhammer(a, 1, step, order)
-    return result
+    x = [0] * n
+    c = c[:(n - 1) // s + 1]
+    x[:len(c) * s:s] = c
+    for j in up:
+        _times_one_minus(x, j * d)
+    for j in down:
+        _over_one_minus(x, j * d)
+    return QPoly._of(_canonical(d, lo, 1, x), order)
 
 
 @lru_cache(maxsize=None)

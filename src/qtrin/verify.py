@@ -13,15 +13,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import ceil, isqrt
 from typing import Callable, Mapping, Sequence
 
 from . import bosonic, fermionic
 from .qcomb import (_euler_pairs, _refined_terms, _start, _trinomial2_terms, _trinomial_terms,
                     invariance_sum, positive_sum, qbinomial, qtrinomial2, qtrinomial_T,
                     refined_T, refinement_sum)
-from .qpoly import (QPoly, QSeries, euler_inverse, pochhammer, pochhammer_multi,
-                    row_length)
+from .qpoly import QPoly, QSeries, euler_inverse, product_series, row_length
 
 
 class UnknownIdentity(Exception):
@@ -203,8 +202,9 @@ def _ev_E8(p: Params, order: Fraction) -> SidePair:
     if p["form"] == 0:
         rhs = bosonic.virasoro_char(3, 4, 1, 1, order)
     else:
-        rhs = (pochhammer_multi((3, 4, 5), 8, order)
-               * pochhammer_multi((2, 14), 16, order)).inverse()
+        # 1/((q^3, q^4, q^5; q^8)_inf (q^2, q^14; q^16)_inf)
+        rhs = product_series((), [j for j in range(1, ceil(order))
+                                  if j % 8 in (3, 4, 5) or j % 16 in (2, 14)], order)
     return lhs, rhs
 
 
@@ -238,14 +238,17 @@ def _ev_B46_s0(p: Params, order: Fraction) -> SidePair:
 def _ev_B46_s1(p: Params, order: Fraction) -> SidePair:
     lhs = bosonic.branching_function(4, 6, 1, 1, 1, order)
     inner = order - Fraction(3, 2)
+    if inner <= 0:  # nothing is known, and a product would lower the order
+        return lhs, QSeries.zero(order)
     if p["form"] == 0:
         theta = [(6 * j * (j + 1), 1) for j in range(int(inner) + 1)]
-        rhs = (QSeries(theta, inner) * euler_inverse(inner)).shift(Fraction(3, 2))
+        rhs = QSeries(theta, inner) * euler_inverse(inner)
     else:
-        rhs = (pochhammer(24, 1, 24, inner)
-               * pochhammer(12, 1, 24, inner).inverse()
-               * euler_inverse(inner)).shift(Fraction(3, 2))
-    return lhs, rhs
+        # Gauss: (q^24; q^24)_inf / (q^12; q^24)_inf = sum_j q^(6j(j+1))
+        n = ceil(inner)
+        rhs = product_series(range(24, n, 24), range(12, n, 24), inner,
+                             euler_inverse(inner))
+    return lhs, rhs.shift(Fraction(3, 2))
 
 
 def _ev_D6B46(p: Params, order: Fraction) -> SidePair:

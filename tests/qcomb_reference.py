@@ -19,7 +19,7 @@ from itertools import product
 from math import isqrt
 
 from mn_reference import cartan_adjugate
-from qpoly_reference import euler_inverse, pochhammer
+from qpoly_reference import euler_inverse, inverse, pochhammer
 from qtrin import fermionic
 from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn, solve_mn_filtered
@@ -215,10 +215,12 @@ def kseries_rhs_reference(family: str, k: int, L: int, M: int) -> QPoly:
 # -- series sums, with 1/(q)_n the inverse of the finite product -------
 
 
+@lru_cache(maxsize=None)
 def euler_inverse_reference(order, n: int) -> QSeries:
-    """1/(q;q)_n below q^order."""
+    """1/(q;q)_n below q^order, cached: the series sums ask for each (order,
+    n) many times."""
     order = Fraction(order)
-    return QSeries(pochhammer(1, 1, 1, n, order), order).inverse()
+    return QSeries(inverse(pochhammer(1, 1, 1, n, order), order), order)
 
 
 @lru_cache(maxsize=None)

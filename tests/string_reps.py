@@ -2,14 +2,17 @@
 
 ``qtrin.bosonic.string_function`` computes c_sigma from the
 parity-restricted n-sum only; these are the oracles it is checked against.
-Their 1/(q)_inf is ``qpoly_reference.euler_inverse``, not qtrin's.
+The Pochhammer form is written in ``qpoly_reference`` alone; the product
+form divides ``qpoly_reference.euler_inverse`` by its mod-8 and mod-16
+factors through ``qtrin.qpoly.product_series``.
 """
 
 from fractions import Fraction
+from math import ceil
 
 import qpoly_reference as ref
 from qtrin.bosonic import string_function
-from qtrin.qpoly import QSeries, pochhammer, pochhammer_multi
+from qtrin.qpoly import QSeries, product_series
 
 
 class RepresentationMismatch(Exception):
@@ -18,23 +21,23 @@ class RepresentationMismatch(Exception):
 
 def pochhammer_form(sigma: int, order: Fraction) -> QSeries:
     """((-q^{1/2}; q)_inf +- (q^{1/2}; q)_inf) / (2 (q)_inf)."""
-    plus = pochhammer(Fraction(1, 2), -1, 1, order)   # (-q^{1/2}; q)_inf
-    minus = pochhammer(Fraction(1, 2), 1, 1, order)   # (q^{1/2}; q)_inf
-    num = plus + minus if sigma == 0 else plus - minus
-    assert all(c % 2 == 0 for c in num.terms.values())
-    half = QSeries({e: c // 2 for e, c in num.terms.items()}, order)
-    return half * QSeries(ref.euler_inverse(order), order)
+    n = ceil(order)  # every factor below the order
+    plus = ref.pochhammer(Fraction(1, 2), -1, 1, n, order)   # (-q^{1/2}; q)_inf
+    minus = ref.pochhammer(Fraction(1, 2), 1, 1, n, order)   # (q^{1/2}; q)_inf
+    num = ref.add(plus, minus if sigma == 0 else ref.neg(minus))
+    assert all(c % 2 == 0 for c in num.values())
+    half = {e: c // 2 for e, c in num.items()}
+    return QSeries(ref.mul(half, ref.euler_inverse(order), order), order)
 
 
 def product_form(sigma: int, order: Fraction) -> QSeries:
     """q^{sigma/2} over (q)_inf and the mod-8 and mod-16 products."""
     shift = Fraction(sigma, 2)
     inner = order - shift
-    den = QSeries(ref.euler_inverse(inner), inner)
-    den = den * pochhammer_multi(
-        (3 - 2 * sigma, 4, 5 + 2 * sigma), 8, inner).inverse()
-    den = den * pochhammer_multi(
-        (2 + 4 * sigma, 14 - 4 * sigma), 16, inner).inverse()
+    down = [j for j in range(1, ceil(inner))
+            if j % 8 in (3 - 2 * sigma, 4, 5 + 2 * sigma)
+            or j % 16 in (2 + 4 * sigma, 14 - 4 * sigma)]
+    den = product_series((), down, inner, QSeries(ref.euler_inverse(inner), inner))
     return den.shift(shift)
 
 

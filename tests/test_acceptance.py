@@ -6,7 +6,7 @@ are exact; series checks are exact per coefficient up to the stated order.
 import time
 from fractions import Fraction
 
-from qtrin.qpoly import QPoly, QSeries
+from qtrin.qpoly import QPoly, QSeries, product_series
 from qtrin.qcomb import qbinomial, qtrinomial_T, refined_T
 from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn
@@ -164,12 +164,14 @@ def test_criterion_15_property_suites():
         ok &= a * (b + c) == a * b + a * c
         ok &= (a * b) * c == a * (b * c)
         ok &= a.substitute_qinv().substitute_qinv() == a
+    # the product routine divides out each factor it multiplies by
     for _ in range(20):
-        terms = {Fraction(0): 1}
-        terms.update({Fraction(rng.randint(1, 8), 2): rng.randint(-4, 4)
-                      for _ in range(4)})
+        js = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
+        terms = {Fraction(rng.randint(0, 8), 2): rng.randint(-4, 4)
+                 for _ in range(4)}
         s = QSeries(terms, Fraction(9))
-        ok &= s * s.inverse() == QSeries.one(Fraction(9))
+        ok &= product_series(js, js, Fraction(9)) == QSeries.one(Fraction(9))
+        ok &= product_series(js, (), 9, product_series((), js, 9, s)) == s
     # enumeration completeness against the box oracle
     for name, i in (("A5", 3), ("D6", 5)):
         g = algebra(name)

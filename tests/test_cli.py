@@ -294,7 +294,8 @@ def test_verify_order_below_one_is_a_usage_error(capsys):
     "name", [n for n, d in REGISTRY.items() if d.kind == "series-truncated"])
 def test_verify_series_identity_at_order_one(capsys, name):
     # Order 1 cuts some inner series at an order <= 0 (B46-simplification-s1
-    # inverts a Pochhammer product at order -1/2); their inverse is empty.
+    # shifts a product at order -1/2 by q^(3/2)); nothing is known there, and
+    # the side is the empty series at the asked order.
     code, out, _ = _capture(capsys, ["verify", name, "--order", "1"])
     assert code == 0 and "PASS" in out
 

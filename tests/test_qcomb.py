@@ -14,24 +14,22 @@ from qcomb_reference import (abp_lhs_reference, con10_lhs_reference,
                              positive_sum_reference,
                              qtrinomial2_reference, qtrinomial_T_reference,
                              refined_T_reference, refinement_sum_reference)
-from qpoly_reference import pochhammer
+from qpoly_reference import inverse, mul, pochhammer
 from qtrin import qcomb, verify
-from qtrin.qpoly import QPoly, QSeries
+from qtrin.qpoly import QPoly
 from qtrin.qcomb import (_gauss, _slot_bytes, invariance_sum, positive_sum,
                          qbinomial, qtrinomial2, qtrinomial_T, refined_T,
                          refinement_sum)
 
 
 def _qbin_oracle(n, a):
-    """(q)_n / ((q)_a (q)_{n-a}) via exact series division."""
+    """(q)_n / ((q)_a (q)_{n-a}) via exact series division in the reference
+    term maps, below q^(a(n-a) + 1), which holds the whole quotient."""
     if a < 0 or a > n:
         return QPoly.zero()
-    order = Fraction(n * n + 1)
-    num = QSeries(pochhammer(1, 1, 1, n, order), order)
-    den = QSeries(pochhammer(1, 1, 1, a, order), order) \
-        * QSeries(pochhammer(1, 1, 1, n - a, order), order)
-    quot = num * den.inverse()
-    return QPoly(quot.terms)
+    order = a * (n - a) + 1
+    den = mul(pochhammer(1, 1, 1, a, order), pochhammer(1, 1, 1, n - a, order), order)
+    return QPoly(mul(pochhammer(1, 1, 1, n, order), inverse(den, order), order))
 
 
 def test_qbinomial_against_factorial_formula():

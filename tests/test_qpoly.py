@@ -1,4 +1,3 @@
-import signal
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -6,15 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrin.qpoly import (
-    DivergentProduct,
-    NonUnitConstantTerm,
-    QPoly,
-    QSeries,
-    euler_inverse,
-    pochhammer,
-    pochhammer_multi,
-)
+from qtrin.qpoly import QPoly, QSeries, euler_inverse, product_series
 
 import qpoly_reference as ref
 
@@ -105,40 +96,6 @@ def test_eval_q1_is_ring_hom(a, b):
     assert (a + b).eval_q1() == a.eval_q1() + b.eval_q1()
 
 
-@given(polys)
-@settings(max_examples=40)
-def test_series_inverse_roundtrip(p):
-    # arrange a unit constant term
-    terms = {e: c for e, c in p.terms.items() if e > 0}
-    terms[Fraction(0)] = 1
-    s = QSeries(terms, Fraction(8))
-    assert s * s.inverse() == QSeries.one(Fraction(8))
-
-
-def test_series_inverse_needs_unit():
-    with pytest.raises(NonUnitConstantTerm):
-        QSeries({Fraction(0): 2}, Fraction(5)).inverse()
-    with pytest.raises(NonUnitConstantTerm):
-        QSeries({Fraction(1): 1}, Fraction(5)).inverse()
-
-
-def test_series_inverse_rejects_negative_exponents():
-    # the exponents of such an inverse have no lower bound; a regression
-    # would search them until memory runs out, so it is cut after 1 s
-    def timeout(signum, frame):
-        raise TimeoutError("QSeries.inverse did not return")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(1)
-    try:
-        for order in (5, 0):
-            with pytest.raises(ValueError, match="exponents >= 0"):
-                QSeries({0: 1, -1: 1}, order).inverse()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_series_addition_takes_min_order():
     a = QSeries({Fraction(0): 1}, Fraction(5))
     b = QSeries({Fraction(0): 1}, Fraction(3))
@@ -156,20 +113,80 @@ def test_pochhammer_finite_matches_product():
     # a first factor 1 - q^0 makes the product vanish; 1 + q^0 is 2
     assert ref.pochhammer(0, 1, 1, 2, 5) == {}
     assert QSeries(ref.pochhammer(0, -1, 1, 2, 5), 5) == QSeries([(0, 2), (1, 2)], 5)
-    # the package's pochhammer is the infinite product alone
-    with pytest.raises(TypeError):
-        pochhammer(1, 1, 1, 3, 20)
 
 
 def test_pochhammer_truncation_compatibility():
-    lo = pochhammer(1, 1, 1, 10)
-    hi = pochhammer(1, 1, 1, 25).truncate(10)
-    assert lo == hi
+    # (q;q)_inf, and the E8 product side's quotient, at order 10 are the
+    # ones at order 25 cut at 10
+    e8 = [j for j in range(1, 25) if j % 8 in (3, 4, 5) or j % 16 in (2, 14)]
+    for up, down in ((range(1, 25), ()), ((), e8), (range(1, 25), e8)):
+        lo = product_series(up, down, 10)
+        assert lo == product_series(up, down, 25).truncate(10)
+        assert lo.order == 10 and lo.coeff(0) == 1
 
 
 def test_infinite_product_requires_positive_exponent():
-    with pytest.raises(DivergentProduct):
-        pochhammer(0, 1, 1, 10)
+    # a factor 1 - q^j with j < 1 has no infinite product below any order
+    for up, down in (((0,), ()), ((), (1, -3)), ((2, 0), (2,))):
+        with pytest.raises(ValueError, match="j >= 1"):
+            product_series(up, down, 10)
+
+
+# the j of factors (1 - q^j), and starts of any exponents and sign, or none
+factor_lists = st.lists(st.integers(1, 40), max_size=6)
+starts = st.one_of(st.none(), polys, st.builds(QSeries, term_maps, orders))
+
+
+@given(factor_lists, factor_lists, orders, starts)
+@example([], [], Fraction(0), None)
+@example([3], [3, 4, 5, 2, 14], Fraction(37, 2), None)
+@example([1], [2], Fraction(-5, 2), QPoly({-3: 1, Fraction(-1, 2): 2}))
+@settings(max_examples=60)
+def test_product_series_matches_reference(up, down, order, start):
+    # the reference: the finite product of each factor, the down factors'
+    # product inverted, all below the order less the start's least
+    # exponent, where the start's terms times them stay below the order
+    want_order = order if start is None or start.order is None else min(order, start.order)
+    base = {Fraction(0): 1} if start is None else ref.clean(start.terms.items(), start.order)
+    cut = want_order - min(min(base, default=0), 0)
+    up_product, down_product = ref.clean([(0, 1)], cut), ref.clean([(0, 1)], cut)
+    for j in up:
+        up_product = ref.mul(up_product, ref.pochhammer(j, 1, j, 1, cut), cut)
+    for j in down:
+        down_product = ref.mul(down_product, ref.pochhammer(j, 1, j, 1, cut), cut)
+    quotient = ref.mul(up_product, ref.inverse(down_product, cut), cut) if cut > 0 else {}
+    want = ref.mul(base, quotient, want_order)
+    got = product_series(up, down, order, start)
+    assert type(got) is QSeries and got.order == want_order
+    assert got.terms == want and str(got) == f"{ref.fmt(want)} + O(q^{want_order})"
+
+
+@given(factor_lists, orders, starts)
+def test_product_series_up_equals_down_is_one(js, order, start):
+    # each factor divided out again, in one call or in two
+    assert product_series(js, js, order) == QSeries.one(order)
+    if start is not None:
+        back = product_series(js, (), order, product_series((), js, order, start))
+        assert back == product_series(js, js, order, start) == start.truncate(
+            order if start.order is None else min(order, start.order))
+
+
+def test_product_series_on_both_division_branches():
+    # division by 1 - q^j runs per residue mod j while j^2 < n (n the
+    # entries below the order) and one block of j at a time otherwise
+    for order, n in ((30, 30), (Fraction(37, 2), 19), (60, 60)):
+        js = (1, 2, 5, 6, 9, 10, 11, 18, 19, 29, 30, 45)
+        assert {j * j < n for j in js} == {True, False}
+        for j in js:
+            got = product_series((), (j,), order)
+            want = ref.inverse(ref.pochhammer(j, 1, j, 1, order), order)
+            assert got.terms == want and got.order == order, (order, j)
+            # and times the factor again, through a start
+            assert product_series((j,), (), order, got) == QSeries.one(order)
+        den = {Fraction(0): 1}
+        for j in js:
+            den = ref.mul(den, ref.pochhammer(j, 1, j, 1, order), order)
+        assert product_series((), js, order).terms == ref.inverse(den, order)
 
 
 def test_euler_inverse_counts_partitions():
@@ -185,22 +202,16 @@ def test_euler_inverse_against_references(order):
     # Two references: the partition counts by counting change, and the path
     # the pentagonal recurrence replaced, the finite product (q;q)_n
     # inverted.  That path is qpoly_reference.euler_inverse, whose
-    # dict products grow as the cube of the order, so at 600 it is qtrin's
-    # own Pochhammer product and series inverse (kept for the product forms).
+    # dict products grow as the cube of the order, so at 600 it is
+    # product_series dividing by every 1 - q^j, j < 600, in turn.
     got = euler_inverse(order)
     counts = ref.clean(enumerate(ref.partition_counts(max(ceil(order), 0))))
     old = (ref.euler_inverse(order) if order <= 130
-           else pochhammer(1, 1, 1, order).inverse().terms)
+           else product_series((), range(1, ceil(order)), order).terms)
     for want in (counts, old):
         assert got.terms == want
         assert str(got) == f"{ref.fmt(want)} + O(q^{Fraction(order)})"
     assert got.order == Fraction(order)
-
-
-def test_pochhammer_multi_is_product_of_factors():
-    a = pochhammer_multi((3, 4, 5), 8, 20)
-    b = pochhammer(3, 1, 8, 20) * pochhammer(4, 1, 8, 20) * pochhammer(5, 1, 8, 20)
-    assert a == b
 
 
 def test_series_str_shows_order():
@@ -321,23 +332,15 @@ def test_product_order_with_negative_exponents():
     # the unknown terms of two series meet at the sum of their orders
     assert str(QSeries.zero(-1) * QSeries.zero(-1)) == "0 + O(q^-2)"
     assert str(QSeries({-3: 1}, -1) * QSeries.zero(-1)) == "0 + O(q^-4)"
-    # so a product of series at an order <= 0 starts from the empty series
+    # so at an order <= 0 a product over factors 1 - q^j is the empty
+    # series, and a start's negative powers alone are known
     for order in (0, -1, Fraction(-5, 2)):
-        assert pochhammer_multi((1, 2), 3, order) == QSeries.zero(order)
+        assert product_series((1, 4), (2, 5), order) == QSeries.zero(order)
+        assert product_series((1, 4), (2,), order, euler_inverse(5)) == QSeries.zero(order)
+    assert str(product_series((1,), (2,), 0, QPoly({-2: 1}))) == "q^-2 - q^-1 + O(q^0)"
     # with exponents >= 0 a product keeps the lesser order
     assert (QSeries({0: 1, 1: 1}, 5) * QSeries({2: 1}, 3)).order == 3
     assert (QSeries({1: 1}, 4) * QPoly({3: 1})).order == 4
-
-
-@given(term_maps, st.sampled_from([1, -1]),
-       st.builds(Fraction, st.integers(-4, 8), st.sampled_from(DENOMINATORS)))
-@settings(max_examples=40)
-def test_series_inverse_matches_reference(a, c0, order):
-    unit = {**{e: c for e, c in a.items() if e > 0}, Fraction(0): c0}
-    s = QSeries(unit, order)
-    inv = s.inverse()
-    assert inv.order == order
-    assert inv.terms == ref.inverse(ref.clean(unit.items()), order)
 
 
 @given(st.lists(st.integers(-3, 3), max_size=8),

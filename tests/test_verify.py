@@ -3,10 +3,12 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 
 import pins
+import qpoly_reference as ref
 from qtrin.qpoly import QPoly, QSeries
 from qtrin import verify
 
@@ -152,6 +154,44 @@ def test_order_override():
     r = verify.verify_identity("abp", order=6)
     assert r.order == 6
     assert r.passed
+
+
+def test_series_sides_keep_the_asked_order_at_low_orders():
+    # at orders 1 and 2 some inner series is cut at an order <= 0; a side
+    # built there must still be known up to the asked order, or the
+    # comparison would check nothing below it
+    for name, d in verify.REGISTRY.items():
+        if d.kind != "series-truncated":
+            continue
+        for values in product(*d.grid.values()):
+            params = dict(zip(d.grid, values))
+            if d.point_filter is not None and not d.point_filter(params):
+                continue
+            for order in (Fraction(1), Fraction(2)):
+                lhs, rhs = d.evaluate(params, order)
+                assert (lhs.order, rhs.order) == (order, order), (name, params, order)
+
+
+def test_product_sides_against_reference_products():
+    # both product forms' sides, through the registry, against the finite
+    # products of their factors in the reference term maps, inverted there
+    def factors(js, cut):
+        out = ref.clean([(0, 1)], cut)
+        for j in js:
+            out = ref.mul(out, ref.pochhammer(j, 1, j, 1, cut), cut)
+        return out
+
+    for order in (Fraction(37, 2), Fraction(40)):
+        n = ceil(order)
+        e8 = [j for j in range(1, n) if j % 8 in (3, 4, 5) or j % 16 in (2, 14)]
+        _, rhs = verify.REGISTRY["E8"].evaluate({"form": 1}, order)
+        assert rhs.terms == ref.inverse(factors(e8, order), order) and rhs.order == order
+        inner = order - Fraction(3, 2)
+        gauss = ref.mul(factors(range(24, n, 24), inner),
+                        ref.inverse(factors(range(12, n, 24), inner), inner), inner)
+        want = ref.shift(ref.mul(gauss, ref.euler_inverse(inner), inner), Fraction(3, 2))
+        _, rhs = verify.REGISTRY["B46-simplification-s1"].evaluate({"form": 1}, order)
+        assert rhs.terms == want and rhs.order == order
 
 
 def test_verify_all_quick_green():
