@@ -1,8 +1,9 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
 Exit codes: 0 success, 1 verification failure or a failed write to
-standard output (a closed pipe included), 2 usage error or a computation
-past the term-count ceiling (verify.TERM_CEILING).
+standard output (a closed pipe included), 2 usage error, a grid with no
+point to check or a computation past the term-count ceiling
+(verify.TERM_CEILING).
 All output is deterministic.
 """
 
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check registered identities")
     v.add_argument("name", help="identity name, or 'all'")
-    v.add_argument("--level", choices=("quick", "full"), default="quick")
+    v.add_argument("--level", choices=verify.LEVELS, default="full")
     v.add_argument("--grid", metavar="SPEC",
                    help="comma-separated var=lo..hi overrides")
     v.add_argument("--order", type=int)

@@ -97,7 +97,6 @@ def _cone(name: str, M: int, sigma: int) -> tuple[tuple[int, tuple, int], ...]:
         for sol in solve_mn_filtered(g, 2 * M, p, *_filters(name, sigma)))
 
 
-@lru_cache(maxsize=None)
 def f_poly(name: str, M: int, sigma: int) -> QPoly:
     """F polynomial of A5, D6 or E7: sum over the (m,n)-system with N = 2M at
     the marked vertex p, of q^{n.C^{-1}.n} [m+n choose n]; one kernel call."""
@@ -215,6 +214,8 @@ def fermionic_char_sum(family: str, order: Fraction | int, sigma: int = 0) -> QS
     (q)_n = prod_j (q)_{n_j}; one kernel call."""
     if family not in CHAR_FAMILIES:
         raise ValueError(f"unknown fermionic family {family!r}")
+    if sigma not in (0, 1):
+        raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)
     name = family.split("-")[0]
     g = algebra(name)
@@ -238,6 +239,8 @@ def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> Q
         raise ValueError("family must be 1, 2 or 3")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if sigma not in (0, 1):
+        raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)
     g = algebra(_FAMILIES[family].small)
     den = lcm(2, g.invcartan_den)

@@ -102,9 +102,9 @@ def _build(n: int, a: int, h: int | None) -> tuple[int, ...]:
     return tuple(c)
 
 
-@lru_cache(maxsize=None)
 def qbinomial(n: int, a: int) -> QPoly:
-    """Gaussian polynomial [n, a]; zero unless 0 <= a <= n.  Cached by (n, a)."""
+    """Gaussian polynomial [n, a]; zero unless 0 <= a <= n.  Its coefficients
+    are read from the cached build (_build)."""
     return QPoly.from_coeffs(_gauss(n, a))
 
 
@@ -223,18 +223,24 @@ def _sum(terms: list[tuple[int, Sequence[tuple[int, ...]], int | None]], den: in
     """positive_sum of (e, factors, k) terms, each cut to its first k slots
     (whole when k is None).  A cut term's factors and partial products are
     cut to its k slots, and its bound is the product of its cut factors'
-    values at q = 1, which bounds every coefficient that is kept."""
+    values at q = 1, which bounds every coefficient that is kept.  A term
+    with a zero factor (a refinement zero inside its support) is dropped."""
     if not terms:
         return QPoly.zero()
     e0 = terms[0][0]
     bound = 0
+    zero = False
     for e, factors, k in terms:
         if e < e0:
             e0 = e
         v = 1
         for f in factors:  # an uncut Gaussian's value needs no cache
             v *= comb(*f) if k is None and len(f) == 2 else _cut_value(f, k)
+        if not v:
+            zero = True
         bound += v
+    if zero:  # a zero refinement's term: the slots are not sized for its other factors
+        return _sum([t for t in terms if all(_cut_value(f, t[2]) for f in t[1])], den)
     w = _slot_bytes(bound)
     slot = 8 * w
     total = 0

@@ -400,10 +400,6 @@ class QPoly:
             return QPoly._of(_shift(self._row, r)) if self._row[3] else self
         return QPoly._of(_shift(self._row, r), self.order + r)
 
-    def eval_q1(self) -> int:
-        """Sum of all coefficients (the q -> 1 specialization)."""
-        return sum(self._row[3])
-
     def coeff(self, e: Exponent) -> int:
         return _coeff(self._row, e)
 

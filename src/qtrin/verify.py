@@ -37,6 +37,9 @@ TERM_CEILING = 500_000
 # a size: each registered grid lists every value the evaluator understands.
 CHOICE_PARAMS = ("form", "point", "sigma", "s")
 
+# Accepted values of verify_identity's level; both run the registry grids.
+LEVELS = ("quick", "full")
+
 Params = dict[str, int]
 SidePair = tuple[QPoly, QPoly]
 
@@ -49,8 +52,6 @@ class IdentityDescriptor:
     grid: dict[str, tuple[int, ...]]
     evaluate: Callable[[Params, Fraction], SidePair]
     order: int = 12           # default truncation order for series kind
-    quick_grid: dict[str, tuple[int, ...]] | None = None
-    quick_order: int | None = None
     point_filter: Callable[[Params], bool] | None = None
     note: str = ""
 
@@ -365,81 +366,69 @@ def _rng(lo: int, hi: int) -> tuple[int, ...]:
 def _build_registry() -> dict[str, IdentityDescriptor]:
     reg: list[IdentityDescriptor] = []
     big = {"L": _rng(0, 8), "M": _rng(0, 8), "a": _rng(-4, 4), "b": _rng(-4, 4)}
-    small = {"L": _rng(0, 4), "M": _rng(0, 4), "a": _rng(-2, 2), "b": _rng(-2, 2)}
     reg.append(IdentityDescriptor(
-        "dual", "polynomial-exact", "proved-in-paper", big, _ev_dual,
-        quick_grid=small))
+        "dual", "polynomial-exact", "proved-in-paper", big, _ev_dual))
     reg.append(IdentityDescriptor(
-        "symmetry", "polynomial-exact", "proved-in-paper", big, _ev_symmetry,
-        quick_grid=small))
+        "symmetry", "polynomial-exact", "proved-in-paper", big, _ev_symmetry))
     reg.append(IdentityDescriptor(
         "vanish", "polynomial-exact", "proved-in-paper",
         {"L": _rng(0, 8), "M": _rng(0, 8), "a": _rng(-12, 12), "b": _rng(-12, 12)},
         _ev_vanish,
-        quick_grid={"L": _rng(0, 4), "M": _rng(0, 4),
-                    "a": _rng(-6, 6), "b": _rng(-6, 6)},
         point_filter=lambda p: abs(p["a"]) > p["L"] or abs(p["b"]) > p["M"]))
     tri_grid = {"L": _rng(0, 8), "a": _rng(0, 8), "b": _rng(0, 8)}
-    tri_quick = {"L": _rng(0, 5), "a": _rng(0, 5), "b": _rng(0, 5)}
     tri_filter = lambda p: p["b"] <= p["a"] <= p["L"]
     reg.append(IdentityDescriptor(
         "mTtoT", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mT(False),
-        quick_grid=tri_quick, point_filter=tri_filter))
+        point_filter=tri_filter))
     reg.append(IdentityDescriptor(
         "mTtot", "polynomial-exact", "proved-in-paper", tri_grid, _ev_mT(True),
-        quick_grid=tri_quick, point_filter=tri_filter))
+        point_filter=tri_filter))
     reg.append(IdentityDescriptor(
         "thm1", "polynomial-exact", "proved-in-paper",
         {"L": _rng(0, 8), "M": _rng(0, 8), "a": _rng(0, 4), "b": _rng(0, 4),
-         "s": (1, -1)},
-        _ev_thm1,
-        quick_grid={"L": _rng(0, 4), "M": _rng(0, 4), "a": _rng(0, 2),
-                    "b": _rng(0, 2), "s": (1, -1)}))
+         "s": (1, -1)}, _ev_thm1))
     reg.append(IdentityDescriptor(
         "con10", "polynomial-exact", "proved-in-paper",
         {"L": _rng(0, 8), "b": _rng(-8, 8)}, _ev_con,
-        quick_grid={"L": _rng(0, 5), "b": _rng(-5, 5)},
         point_filter=lambda p: abs(p["b"]) <= p["L"]))
     reg.append(IdentityDescriptor(
         "abp", "series-truncated", "proved-in-paper",
-        {"b": _rng(-4, 4)}, _ev_abp, order=12, quick_order=8))
+        {"b": _rng(-4, 4)}, _ev_abp, order=12))
     for w in (1, 2, 3):
         reg.append(IdentityDescriptor(
             f"conj{w}", "polynomial-exact", "conjectured-in-paper",
-            {"L": _rng(0, 5), "M": _rng(0, 5)}, _ev_conj(w),
-            quick_grid={"L": _rng(0, 3), "M": _rng(0, 3)}))
+            {"L": _rng(0, 5), "M": _rng(0, 5)}, _ev_conj(w)))
     for f in fermionic._FAMILIES.values():
         for k in (1, 2):
             reg.append(IdentityDescriptor(
                 f"{f.name.split('-')[1]}-k{k}", "polynomial-exact",
                 "conjectured-in-paper",
-                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(f.name, k),
-                quick_grid={"L": _rng(0, 2), "M": _rng(0, 2)}))
+                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(f.name, k)))
     reg.append(IdentityDescriptor(
         "E8", "series-truncated", "proved-in-paper",
-        {"form": (0, 1)}, _ev_E8, order=12, quick_order=8))
+        {"form": (0, 1)}, _ev_E8, order=12))
     for s in (0, 1):
         reg.append(IdentityDescriptor(
             f"E7conj-s{s}", "series-truncated", "conjectured-in-paper",
-            {"point": (0,)}, _ev_E7conj(s), order=12, quick_order=8))
+            {"point": (0,)}, _ev_E7conj(s), order=12))
     reg.append(IdentityDescriptor(
         "E6", "series-truncated", "conjectured-in-paper",
-        {"point": (0,)}, _ev_E6, order=12, quick_order=8))
+        {"point": (0,)}, _ev_E6, order=12))
     reg.append(IdentityDescriptor(
         "B35-eq-chi45", "series-truncated", "proved-in-paper",
-        {"sigma": (0, 1)}, _ev_B35, order=15, quick_order=10))
+        {"sigma": (0, 1)}, _ev_B35, order=15))
     reg.append(IdentityDescriptor(
         "B46-simplification-s0", "series-truncated", "conjectured-in-paper",
-        {"point": (0,)}, _ev_B46_s0, order=20, quick_order=10))
+        {"point": (0,)}, _ev_B46_s0, order=20))
     reg.append(IdentityDescriptor(
         "B46-simplification-s1", "series-truncated", "conjectured-in-paper",
-        {"form": (0, 1)}, _ev_B46_s1, order=20, quick_order=10))
+        {"form": (0, 1)}, _ev_B46_s1, order=20))
     reg.append(IdentityDescriptor(
         "D6-B46-fermionic", "series-truncated", "conjectured-in-paper",
-        {"sigma": (0, 1)}, _ev_D6B46, order=12, quick_order=8))
+        {"sigma": (0, 1)}, _ev_D6B46, order=12))
     reg.append(IdentityDescriptor(
         "A5-B68-fermionic", "series-truncated", "conjectured-in-paper",
-        {"sigma": (0, 1)}, _ev_A5B68, order=12, quick_order=8))
+        {"sigma": (0, 1)}, _ev_A5B68, order=12))
     for fam in (1, 2, 3):
         for k in (1, 2):
             note = ""
@@ -450,25 +439,22 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
                 note = "run with the A5 polynomial; no discrepancy found"
             reg.append(IdentityDescriptor(
                 f"fam{fam}-k{k}", "series-truncated", "conjectured-in-paper",
-                {"sigma": (0, 1)}, _ev_fam(fam, k), order=8, quick_order=6,
-                note=note))
+                {"sigma": (0, 1)}, _ev_fam(fam, k), order=8, note=note))
     for fam in (1, 2, 3):
         for k in (2, 3):
             reg.append(IdentityDescriptor(
                 f"X{fam if fam > 1 else ''}-k{k}", "series-truncated", "conjectured-in-paper",
-                {"point": (0,)}, _ev_x(fam, k), order=8, quick_order=6))
+                {"point": (0,)}, _ev_x(fam, k), order=8))
     reg.append(IdentityDescriptor(
         "limit-tlim", "series-truncated", "proved-in-paper",
-        {"a": (0, 1, 2), "form": (0, 1)}, _ev_limit_tlim,
-        order=10, quick_order=6))
+        {"a": (0, 1, 2), "form": (0, 1)}, _ev_limit_tlim, order=10))
     reg.append(IdentityDescriptor(
         "limit-Tlim", "series-truncated", "proved-in-paper",
         {"a": (0, 1, 2), "sigma": (0, 1), "form": (0, 1)}, _ev_limit_Tlim,
-        order=10, quick_order=6))
+        order=10))
     reg.append(IdentityDescriptor(
         "limit-mTlim", "series-truncated", "proved-in-paper",
-        {"point": (0, 1, 2), "form": (0, 1)}, _ev_limit_mTlim,
-        order=10, quick_order=6))
+        {"point": (0, 1, 2), "form": (0, 1)}, _ev_limit_mTlim, order=10))
     return {d.name: d for d in reg}
 
 
@@ -481,34 +467,28 @@ def verify_identity(
     order: int | None = None,
     level: str = "full",
 ) -> VerificationReport:
-    """Evaluate one registered identity over its grid and report failures."""
+    """Evaluate one registered identity over its grid, with ``grid``'s
+    parameters in place of the registry's, at ``order`` or the registry's
+    order, and report failures.  Every level in LEVELS runs the same grid; a
+    grid with no point to check is an error, not a PASS."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {', '.join(LEVELS)}, got {level!r}")
     if name not in REGISTRY:
         raise UnknownIdentity(f"no identity named {name!r}")
     d = REGISTRY[name]
-    use_grid: Mapping[str, Sequence[int]]
-    if grid is not None:
-        use_grid = dict(d.grid)
-        for key, vals in grid.items():
-            if key not in use_grid:
-                raise UnknownIdentity(
-                    f"identity {name!r} has no grid parameter {key!r}")
-            if key in CHOICE_PARAMS and not set(vals) <= set(d.grid[key]):
-                raise ValueError(
-                    f"identity {name!r} takes {key} in {sorted(d.grid[key])}, "
-                    f"got {min(set(vals) - set(d.grid[key]))}")
-            use_grid[key] = tuple(vals)
-    elif level == "quick" and d.quick_grid is not None:
-        use_grid = d.quick_grid
-    else:
-        use_grid = d.grid
-    if order is not None:
-        if order < 1:
-            raise ValueError(f"order must be a positive integer, got {order}")
-        use_order = Fraction(order)
-    elif level == "quick" and d.quick_order is not None:
-        use_order = Fraction(d.quick_order)
-    else:
-        use_order = Fraction(d.order)
+    use_grid = dict(d.grid)
+    for key, vals in (grid or {}).items():
+        if key not in use_grid:
+            raise UnknownIdentity(
+                f"identity {name!r} has no grid parameter {key!r}")
+        if key in CHOICE_PARAMS and not set(vals) <= set(d.grid[key]):
+            raise ValueError(
+                f"identity {name!r} takes {key} in {sorted(d.grid[key])}, "
+                f"got {min(set(vals) - set(d.grid[key]))}")
+        use_grid[key] = tuple(vals)
+    if order is not None and order < 1:
+        raise ValueError(f"order must be a positive integer, got {order}")
+    use_order = Fraction(d.order if order is None else order)
     start = time.perf_counter()
     points = 0
     failures: list[Failure] = []
@@ -529,6 +509,8 @@ def verify_identity(
             if diff is not None:
                 e, cl, cr = diff
                 failures.append(Failure(params, str(e), cl, cr))
+    if not points:
+        raise ValueError(f"no point of this grid lies in the domain of {name!r}")
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         identity=name,
@@ -543,7 +525,7 @@ def verify_identity(
     )
 
 
-def verify_all(level: str = "quick") -> list[VerificationReport]:
+def verify_all(level: str = "full") -> list[VerificationReport]:
     """Run every registered identity; nothing is skipped."""
     return [verify_identity(name, level=level) for name in sorted(REGISTRY)]
 

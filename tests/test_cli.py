@@ -140,6 +140,20 @@ def test_verify_grid_variable_given_twice_is_a_usage_error(monkeypatch, capsys):
         assert usage.startswith("usage: ")
 
 
+def test_verify_grid_with_no_point_is_one_error_line(tmp_path, capsys):
+    # a grid whose every point the identity's filter drops compares nothing,
+    # which is not a PASS: exit 2, one error line and no report
+    report = tmp_path / "report.json"
+    for argv in (["vanish", "--grid", "L=0..0,M=0..0,a=0..0,b=0..0"],
+                 ["con10", "--grid", "L=0..1,b=5..6"],
+                 ["mTtoT", "--grid", "L=0..1,a=3..4"]):
+        for extra in ([], ["--json", str(report)]):
+            code, out, err = _capture(capsys, ["verify", *argv, *extra])
+            assert (code, out) == (2, "")
+            assert err == f"error: no point of this grid lies in the domain of {argv[0]!r}\n"
+    assert not report.exists()
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import dataclasses
     from fractions import Fraction

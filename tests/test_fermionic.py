@@ -96,6 +96,17 @@ def test_bad_family_names():
         fermionic.fermionic_char_sum("nope", Fraction(5))
 
 
+def test_sigma_outside_0_1_is_rejected():
+    # the cone filters read sigma mod 2, so sigma = 3 would give the sigma = 1
+    # sums under another name
+    for sigma in (-1, 2, 3):
+        for call in (lambda: fermionic.fermionic_char_sum("E7", 5, sigma=sigma),
+                     lambda: fermionic.fsum_family_lhs(1, 1, sigma, 5),
+                     lambda: fermionic.f_poly("E7", 2, sigma)):
+            with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
+                call()
+
+
 def test_family_table_pairs_each_algebra_with_its_cut_diagram():
     # each family's small algebra is its large one with the marked source
     # vertex removed, labels kept in order

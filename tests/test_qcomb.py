@@ -5,7 +5,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
@@ -94,7 +94,7 @@ def test_qbinomial_on_each_side_of_the_packed_size():
     for n, row in _qpascal_rows(176, 30):
         if n in size:
             assert _gauss(n, 30) == tuple(row[30]), n
-            assert qbinomial(n, 30).eval_q1() == math.comb(n, 30)
+            assert sum(qbinomial(n, 30).terms.values()) == math.comb(n, 30)
 
 
 def test_cut_builds_are_prefixes_of_the_whole(build_path):
@@ -166,7 +166,7 @@ def test_qbinomial_large_case_shape():
     assert p == QPoly(enumerate(coeffs))  # degree a(n-a), nothing below 0
     assert coeffs[0] == coeffs[-1] == 1
     assert coeffs == coeffs[::-1]
-    assert p.eval_q1() == math.comb(n, a)
+    assert sum(p.terms.values()) == math.comb(n, a)
 
 
 def test_qbinomial_edge_cases():
@@ -180,7 +180,7 @@ def test_qbinomial_edge_cases():
 def test_qbinomial_symmetry_and_counting(n, a):
     assert qbinomial(n, a) == qbinomial(n, n - a if a <= n else -1)
     if 0 <= a <= n:
-        assert qbinomial(n, a).eval_q1() == math.comb(n, a)
+        assert sum(qbinomial(n, a).terms.values()) == math.comb(n, a)
 
 
 def test_trinomial_counting_at_q1():
@@ -195,8 +195,8 @@ def test_trinomial_counting_at_q1():
                 nxt[i + 2] += c
             coeffs = nxt
         for a in range(-L, L + 1):
-            assert qtrinomial2(L, a).eval_q1() == coeffs[L + a]
-            assert qtrinomial_T(L, a).eval_q1() == coeffs[L + a]
+            assert sum(qtrinomial2(L, a).terms.values()) == coeffs[L + a]
+            assert sum(qtrinomial_T(L, a).terms.values()) == coeffs[L + a]
 
 
 @given(st.integers(0, 8), st.integers(-8, 8))
@@ -299,7 +299,7 @@ def test_refined_wide_coefficients_against_reference():
 ])
 def test_refined_near_slot_boundaries_against_reference(args, at_1, top):
     t = refined_T(*args)
-    assert (t.eval_q1(), max(t.terms.values())) == (at_1, top)
+    assert (sum(t.terms.values()), max(t.terms.values())) == (at_1, top)
     assert t == refined_T_reference(*args)
 
 
@@ -338,7 +338,7 @@ def test_packed_sum_slot_width_boundaries(x, y):
     ((3, 3), 1), ((3, 6), 2), ((6, 21), 4), ((15, 33), 8), ((26, 26), 10)])
 def test_refined_at_each_slot_width_against_reference(args, width):
     t = refined_T(*args, 0, 0)
-    assert _slot_bytes(t.eval_q1()) == width
+    assert _slot_bytes(sum(t.terms.values())) == width
     assert t == refined_T_reference(*args, 0, 0)
 
 
@@ -415,6 +415,11 @@ def _mixed_terms(draw):
 @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
 @settings(max_examples=40, deadline=None)
 @given(_mixed_terms())
+# a zero refinement next to a factor wider than the other terms' slots,
+# uncut and cut at an order
+@example(([(0, ()), (0, ((1, 0, 0, 0), (5, 5, 0, 0)))], None))
+@example(([(0, ((40, 20), (1, 0, 0, 0)))], None))
+@example(([(0, ()), (2, ((1, 0, 0, 0), (40, 20)))], Fraction(30)))
 def test_mixed_factors_at_each_slot_width_against_reference(w, args):
     # Gaussian and refinement factors in one kernel call, packed at least w
     # bytes wide, which is exact when w is wider than needed: 1, 2, 4 and 8
@@ -439,7 +444,7 @@ def test_refinement_factor_reads_refined_T():
         assert t is refined_T(*args)
         assert t == QPoly.from_coeffs(c, Fraction(e, 2)) and c[0] == 1
         assert t.min_exponent() == Fraction(e, 2)
-        assert qcomb._cut_value(args) == sum(c) == t.eval_q1()
+        assert qcomb._cut_value(args) == sum(c) == sum(t.terms.values())
         assert positive_sum([(e, (args,))], 2) == t
     # zero inside the support: L - |a| odd and M = 0
     assert qcomb._refined(3, 0, 0, 0) == (0, (), QPoly.zero())
@@ -465,7 +470,7 @@ def test_cut_sum_at_each_slot_width_against_reference(w):
     terms = [(2 * (X - j), ((2, 1),) * (8 * w)) for j in range(8 * w)]
     got = positive_sum(terms, 2, X + 1)
     assert got.coeff(X) == max(got.terms.values()) == 2 ** (8 * w) - 1
-    assert _slot_bytes(positive_sum(terms, 2).eval_q1()) > w
+    assert _slot_bytes(sum(positive_sum(terms, 2).terms.values())) > w
     assert got == positive_sum_reference(terms, 2).truncate(X + 1)
 
 

@@ -90,12 +90,6 @@ def test_shared_zero_stays_zero():
     assert str(zero) == "0" and len(zero) == 0 and zero.min_exponent() is None
 
 
-@given(polys, polys)
-def test_eval_q1_is_ring_hom(a, b):
-    assert (a * b).eval_q1() == a.eval_q1() * b.eval_q1()
-    assert (a + b).eval_q1() == a.eval_q1() + b.eval_q1()
-
-
 def test_series_addition_takes_min_order():
     a = QSeries({Fraction(0): 1}, Fraction(5))
     b = QSeries({Fraction(0): 1}, Fraction(3))

@@ -200,18 +200,32 @@ def test_verify_all_quick_green():
     assert [r.identity for r in reports] == sorted(EXPECTED)
     bad = [r.identity for r in reports if not r.passed]
     assert not bad, bad
+    # each identity has one grid and one order, which every level runs
+    untimed = lambda r: {**r.to_dict(), "millis": 0}
+    assert list(map(untimed, reports)) == list(map(untimed, verify.verify_all(level="full")))
+
+
+def test_unknown_level_and_a_grid_with_no_point_are_errors():
+    for level in ("deep", "Quick", ""):
+        with pytest.raises(ValueError, match="^level must be one of quick, full, got "):
+            verify.verify_identity("conj1", level=level)
+    # a grid whose points all fall outside the identity's filter compares
+    # nothing, and an empty range has no point at all
+    for name, grid in (("vanish", {"L": (0,), "M": (0,), "a": (0,), "b": (0,)}),
+                       ("con10", {"L": (0, 1), "b": (5, 6)}),
+                       ("mTtoT", {"L": (0, 1), "a": (3, 4)}),
+                       ("thm1", {"L": ()})):
+        with pytest.raises(ValueError) as exc:
+            verify.verify_identity(name, grid=grid)
+        assert str(exc.value) == f"no point of this grid lies in the domain of {name!r}"
 
 
 def test_clear_caches_empties_every_cache():
     import sys
 
     import qtrin
-    from qtrin import cli
 
-    verify.verify_all(level="quick")
-    # no identity calls f_poly; the CLI's `compute F` fills its cache, so the
-    # test passes alone as well as after other modules
-    assert cli.run(["compute", "F", "E7", "2", "0"]) == 0
+    verify.verify_all()
     caches = {f"{obj.__module__}.{obj.__qualname__}": obj
               for name, module in list(sys.modules.items())
               if name.startswith("qtrin.")
@@ -339,8 +353,7 @@ def test_full_level_points_are_pinned(monkeypatch):
 def test_grid_loop_visits_each_point_in_order_with_its_own_dict(
         monkeypatch, name, level, grid):
     d = verify.REGISTRY[name]
-    use = (d.quick_grid or d.grid) if level == "quick" else d.grid
-    use = {**use, **(grid or {})}
+    use = {**d.grid, **(grid or {})}
     expected = [dict(zip(use, v)) for v in product(*use.values())]
     if d.point_filter is not None:
         expected = [p for p in expected if d.point_filter(p)]
