@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bosonic, fermionic, verify
 from .liealg import UnknownAlgebra, algebra
-from .mnsys import linear_filter, solve_mn_filtered
+from .mnsys import basis_lines, linear_filter, solve_mn_filtered
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
@@ -265,14 +265,14 @@ def _cmd_mn_solve(args) -> int:
         raise UsageError(f"vertex must be in 1..{g.rank} for {g.name}")
     if args.N < 0:
         raise UsageError("N must be nonnegative")
-    predicates = []
+    filters = []
     for expr, modulus in ((args.parity, 2), (args.mod3, 3)):
-        if expr:
+        if expr is not None:
             coeffs, const = _linear_form(expr, g.rank)
-            predicates.append(linear_filter(coeffs, modulus, const))
-    solutions = solve_mn_filtered(g, args.N, args.vertex, *predicates)
+            filters.append(linear_filter(coeffs, modulus, const))
+    solutions = solve_mn_filtered(g, args.N, args.vertex, *filters)
     if solutions:
-        print("\n".join([sol.basis_str() for sol in solutions]))
+        print("\n".join(basis_lines(solutions)))
     return 0
 
 

@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import ceil, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, algebra
-from .mnsys import MNSolution, mod3_filter, parity_filter, solve_mn, solve_mn_filtered
+from .mnsys import mod3_filter, parity_filter, solve_mn, solve_mn_filtered
 from .qcomb import _euler_pairs, positive_sum
 from .qpoly import QPoly, QSeries
 
@@ -72,9 +72,9 @@ def _filters(name: str, sigma: int = 0) -> tuple:
     raise ValueError(f"no cone filters for {name}")
 
 
-def _pairs(sol: MNSolution) -> tuple[tuple[int, int], ...]:
+def _pairs(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """[m+n choose n] = prod_j [m_j + n_j, n_j] as kernel pairs."""
-    return tuple((mj + nj, nj) for mj, nj in zip(sol.m, sol.n))
+    return tuple(zip(map(add, m, n), n))
 
 
 @lru_cache(maxsize=None)
@@ -89,12 +89,12 @@ def _cone(name: str, M: int, sigma: int) -> tuple[tuple[int, tuple, int], ...]:
     the system's definition, so den * n.C^{-1}.n = (N^2 num_pp - den (N m_p
     + 2 n.m)) / 4, here M^2 num_pp - den (M m_p + n.m) / 2."""
     g = algebra(name)
-    p = g.p
-    c = M * M * g.invcartan_num[p - 1][p - 1]
+    p = g.p - 1
+    c = M * M * g.invcartan_num[p][p]
+    den = g.invcartan_den
     return tuple(
-        (c - g.invcartan_den * (M * sol.m[p - 1] + sum(map(mul, sol.n, sol.m))) // 2,
-         _pairs(sol), sol.m[p - 1])
-        for sol in solve_mn_filtered(g, 2 * M, p, *_filters(name, sigma)))
+        (c - den * (M * m[p] + sum(map(mul, n, m))) // 2, _pairs(m, n), m[p])
+        for m, n in solve_mn_filtered(g, 2 * M, p + 1, *_filters(name, sigma)))
 
 
 def f_poly(name: str, M: int, sigma: int) -> QPoly:
@@ -139,7 +139,7 @@ def _inner_terms(family: int, top: int, bound: int) -> tuple:
     for sol in solve_mn_filtered(g, bound, f.vertex, *_filters(f.large)):
         md = sol.m[f.vertex - 1]
         if md % 2 == 0 and top - md // 2 >= bound:
-            out.append((g.quad_form_cartan(sol.m), ((top - md // 2, bound),) + _pairs(sol)))
+            out.append((g.quad_form_cartan(sol.m), ((top - md // 2, bound),) + _pairs(*sol)))
     return tuple(out)
 
 
@@ -290,6 +290,6 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
             if any(top < bottom for top, bottom in chain):
                 continue  # a chain Gaussian vanishes
             yield (e4 + g.quad_form_cartan(sol.m),
-                   chain + _pairs(sol) + _euler_pairs((r[1],), order))
+                   chain + _pairs(*sol) + _euler_pairs((r[1],), order))
 
     return positive_sum(terms([0], 0), 4, order)

@@ -185,14 +185,22 @@ def _cut_value(f: tuple[int, ...], k: int | None = None) -> int:
     return sum(_factor(f, k))
 
 
-def _unpacked(total: int, size: int, w: int) -> list[int]:
-    """The ``size`` w-byte slots of ``total``, least significant first."""
+def _slots(data: bytes, w: int) -> list[int]:
+    """The little-endian w-byte slots of ``data``, in order: one array cast
+    for a machine word."""
     code = _WORDS.get(w)
     if code is None:
-        data = total.to_bytes(size * w, "little")
-        return [int.from_bytes(data[i:i + w], "little") for i in range(0, size * w, w)]
-    out = memoryview(total.to_bytes(size * w, sys.byteorder)).cast(code).tolist()
-    return out[::-1] if _BIG else out
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+    if _BIG:
+        words = array(code, data)
+        words.byteswap()
+        return words.tolist()
+    return memoryview(data).cast(code).tolist()
+
+
+def _unpacked(total: int, size: int, w: int) -> list[int]:
+    """The ``size`` w-byte slots of ``total``, least significant first."""
+    return _slots(total.to_bytes(size * w, "little"), w)
 
 
 def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, ...]]]],

@@ -1,6 +1,6 @@
 """Output pins: sha256 digests of qtrin's printed results.
 
-Five digests, each pinned to the value computed before the code it covers
+Six digests, each pinned to the value computed before the code it covers
 was last reworked; a rework must leave every byte as it is.
 
 - ``report``: the full-level JSON report with every ``millis`` set to 0
@@ -16,6 +16,9 @@ was last reworked; a rework must leave every byte as it is.
 - ``mn``: the lines ``qtrin mn-solve`` prints for every vertex of all five
   algebras at N <= 10, each without a filter and with a ``--parity`` form,
   and for E8 at vertex 1 and N = 26..29.
+- ``mn-filters``: the lines ``qtrin mn-solve`` prints for every vertex of A5
+  and E6 at N <= 12 under the mod-3 form n1-n2+n4-n5, alone and with the
+  parity form n1+n3+n5 or n1+n3+n5+1.
 
 Standard library only.  Run ``PYTHONPATH=src python tests/pins.py`` from the
 repository root: it prints each digest and exits nonzero on a mismatch.
@@ -40,6 +43,7 @@ PINS = {
     "deep": "5341de100d6ce82259609284ad3a02cabc5da365c7ded9b61b052a9264df53fe",
     "chars": "1ad7ed17400e57a7eddcd9c1e02164902a416c82f9a469c400d6bc3e1ce37fea",
     "mn": "568433708db48d0655512e42d7a029b6dd347e30383b30b326a3b74f4d2b09f6",
+    "mn-filters": "dbf3e5f86231572f046d15e85aec41dd42b238d6bbaf30596533b9d507dc7d41",
 }
 
 # The minimal models (p, p') that ``compute chi`` requests draw from.
@@ -127,9 +131,22 @@ def mn_requests():
         yield ["mn-solve", "E8", str(N), "1"]
 
 
-def mn_digest() -> str:
+def mn_filter_requests():
+    """The ``mn-solve`` argv lists of the ``mn-filters`` digest: for every
+    vertex of A5 and E6 and N <= 12, the mod-3 form alone and with each
+    parity form n1+n3+n5 and n1+n3+n5+1."""
+    for name in ("A5", "E6"):
+        for i in range(1, algebra(name).rank + 1):
+            for N in range(13):
+                base = ["mn-solve", name, str(N), str(i), "--mod3", "n1-n2+n4-n5"]
+                yield base
+                for parity in ("n1+n3+n5", "n1+n3+n5+1"):
+                    yield base + ["--parity", parity]
+
+
+def _cli_digest(requests) -> str:
     h = hashlib.sha256()
-    for argv in mn_requests():
+    for argv in requests:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.run(argv)
@@ -137,9 +154,17 @@ def mn_digest() -> str:
     return h.hexdigest()
 
 
+def mn_digest() -> str:
+    return _cli_digest(mn_requests())
+
+
+def mn_filters_digest() -> str:
+    return _cli_digest(mn_filter_requests())
+
+
 def main() -> int:
     got = {"report": report_digest(), "sides": sides_digest()[0], "deep": deep_digest(),
-           "chars": chars_digest(), "mn": mn_digest()}
+           "chars": chars_digest(), "mn": mn_digest(), "mn-filters": mn_filters_digest()}
     bad = 0
     for name, digest in got.items():
         ok = digest == PINS[name]

@@ -334,6 +334,15 @@ def test_mn_solve_index_out_of_range(capsys):
         assert err.startswith("error: ") and "n7" in err.splitlines()[0]
 
 
+@pytest.mark.parametrize("flag", ["--parity", "--mod3"])
+def test_mn_solve_empty_form_is_a_usage_error(capsys, flag):
+    # an empty form is the same error as a blank one, not "no filter"
+    for expr in ("", " "):
+        code, out, err = _capture(capsys, ["mn-solve", "E7", "4", "1", flag, expr])
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: empty term in linear form {expr!r}"
+
+
 def test_parses_are_independent(capsys):
     from qtrin import bosonic, fermionic
 

@@ -326,6 +326,13 @@ def test_mn_solve_output_is_pinned():
     assert pins.mn_digest() == pins.PINS["mn"]
 
 
+def test_mn_solve_filtered_output_is_pinned():
+    # sha256 of the lines `qtrin mn-solve` prints for every vertex of A5 and
+    # E6 at N <= 12 under the mod-3 form, alone and with a parity form,
+    # computed while the filters ran over the finished solution list
+    assert pins.mn_filters_digest() == pins.PINS["mn-filters"]
+
+
 def test_full_level_points_are_pinned(monkeypatch):
     # every point the engine counts is evaluated, so a speed-up cannot come
     # from evaluating fewer points
