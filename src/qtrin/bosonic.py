@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .fermionic import _FAMILIES, _kfamily
-from .qcomb import _euler_pairs, _refined, positive_sum
+from .qcomb import _euler_pairs, _refined, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries, euler_inverse
 
 
@@ -47,9 +47,8 @@ def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
         ja, jb = _span(A, a0, L), _span(P, b0, M)
         for j in range(max(ja.start, jb.start), min(ja.stop, jb.stop)):
             a, b = A * j + a0, P * j + b0
-            e, coeffs, _ = _refined(L, M, a, b)
-            if coeffs:
-                sides[sign].append((a * b + 2 * c * j + d + e, ((L, M, a, b),)))
+            for e, f in _side_factors(_refined, (L, M, a, b)):
+                sides[sign].append((a * b + 2 * c * j + d + e, (f,)))
     return positive_sum(sides[1], 2) - positive_sum(sides[-1], 2)
 
 

@@ -63,17 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("M", type=int)
     s.add_argument("sigma", type=int, choices=(0, 1))
 
-    s = csub.add_parser("rhs", help="fermionic side of a polynomial identity")
-    s.add_argument("name", choices=_IDENTITY_SIDES)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--L", type=int, required=True)
-    s.add_argument("--M", type=int, required=True)
-
-    s = csub.add_parser("lhs", help="bosonic side of a polynomial identity")
-    s.add_argument("name", choices=_IDENTITY_SIDES)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--L", type=int, required=True)
-    s.add_argument("--M", type=int, required=True)
+    for side, kind in (("rhs", "fermionic"), ("lhs", "bosonic")):
+        s = csub.add_parser(side, help=f"{kind} side of a polynomial identity")
+        s.add_argument("name", choices=_IDENTITY_SIDES)
+        s.add_argument("--k", type=int, help="depth of a k-series family (default 1)")
+        s.add_argument("--L", type=int, required=True)
+        s.add_argument("--M", type=int, required=True)
 
     s = csub.add_parser("ferm", help="fermionic character series")
     s.add_argument("family", choices=fermionic.CHAR_FAMILIES)
@@ -188,15 +183,18 @@ def _cmd_compute(args) -> int:
     elif w in ("rhs", "lhs"):
         name = args.name
         if name.startswith("conj"):
+            if args.k is not None:
+                raise UsageError(f"--k applies to a k-series family, not {name}")
             which = int(name[4:])
             fn = fermionic.conj_rhs if w == "rhs" else bosonic.conj_lhs
             print(fn(which, args.L, args.M))
         else:
             fam = _KSERIES[name]
-            if args.k < 1:
+            k = 1 if args.k is None else args.k
+            if k < 1:
                 raise UsageError("--k must be a positive integer")
             fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
-            print(fn(fam, args.k, args.L, args.M))
+            print(fn(fam, k, args.L, args.M))
     elif w == "ferm":
         print(fermionic.fermionic_char_sum(
             args.family, Fraction(args.order), sigma=args.sigma))

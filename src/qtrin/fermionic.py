@@ -4,11 +4,12 @@ k-series sums, and the fermionic character series.
 Every sum here is manifestly positive: q-powers times products of Gaussian
 polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by free
 nonnegative vectors cut off at the truncation order.  Each is one call to
-qtrin.qcomb.positive_sum, with exponents over the inverse Cartan denominator
-(n.C^{-1}.n), over 4 (m.C.m/4 and the chains' squares over 2) or over
-lcm(2, that denominator).  A series sum passes its truncation order, and each
-1/(q)_n as a Gaussian that equals it below the order.  No QSeries is
-multiplied here.
+qtrin.qcomb's kernel, with exponents over the inverse Cartan denominator
+(n.C^{-1}.n), over 2 (the k-series and X-series: m.C.m/4 and squares over
+2) or over lcm(2, that denominator).  A series sum passes its truncation order,
+and each 1/(q)_n as a Gaussian that equals it below the order.  No QSeries
+is multiplied, and no chain is enumerated: the chain sums of the k-series
+and X-series are one recursion over the depth (_kside; README).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, algebra
-from .mnsys import mod3_filter, parity_filter, solve_mn, solve_mn_filtered
-from .qcomb import _euler_pairs, positive_sum
+from .mnsys import mod3_filter, parity_filter, solve_mn_filtered
+from .qcomb import _euler_pairs, _parts, _poly, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries
 
 
@@ -32,15 +33,14 @@ class _Family(NamedTuple):
     vertex: int     # its marked vertex, the source of those systems
     small: str      # the diagram left after removing the marked vertex
     name: str       # k-series family name; the CLI uses the part after "-"
-    x_odd: tuple[int, ...]  # coordinates of the primed parity in the chain sums
 
 
 # The three identity families E8 -> E7, E7 -> D6, E6 -> A5; the polynomial
 # conjectures conj1..conj3 are their depth k = 0 case.
 _FAMILIES = {
-    1: _Family(5, "E8", 1, "E7", "E8-flower", (2, 4, 8)),
-    2: _Family(6, "E7", 6, "D6", "E7-flower2", (1, 3, 5)),
-    3: _Family(8, "E6", 6, "A5", "E6-monster", (1, 3, 5)),
+    1: _Family(5, "E8", 1, "E7", "E8-flower"),
+    2: _Family(6, "E7", 6, "D6", "E7-flower2"),
+    3: _Family(8, "E6", 6, "A5", "E6-monster"),
 }
 
 # Fermionic character families: each algebra's cone, the D6 and A5 ones
@@ -128,54 +128,57 @@ def conj_rhs(which: int, L: int, M: int) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def _inner_terms(family: int, top: int, bound: int) -> tuple:
-    """The sum over the large algebra's (m,n)-system at N = bound of
-    q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source
-    vertex, as kernel terms over the denominator 4.  A solution with m_v odd
-    (a half-integer top index) or top - m_v/2 < bound contributes nothing."""
+def _vertex_classes(family: int, N: int) -> dict[int, list]:
+    """The filtered solutions of the large algebra's (m,n)-system at N by m_v/2,
+    v the source vertex; the cone filters make m_v even (checked in the tests)."""
     f = _FAMILIES[family]
-    g = algebra(f.large)
-    out = []
-    for sol in solve_mn_filtered(g, bound, f.vertex, *_filters(f.large)):
-        md = sol.m[f.vertex - 1]
-        if md % 2 == 0 and top - md // 2 >= bound:
-            out.append((g.quad_form_cartan(sol.m), ((top - md // 2, bound),) + _pairs(*sol)))
-    return tuple(out)
+    out: dict[int, list] = {}
+    for sol in solve_mn_filtered(algebra(f.large), N, f.vertex, *_filters(f.large)):
+        out.setdefault(sol.m[f.vertex - 1] // 2, []).append(sol)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kside(family: int, k: int, L: int, M: int) -> tuple:
+    """K_k(L, M), the family's fermionic side at depth k, as kernel parts
+    over the denominator 2 (qtrin.qcomb._parts), by the recursion
+        K_k(L, M) = sum over i <= min(L, M) of q^{i^2/2} [L+M-i, L] K_{k-1}(L-i, i)
+    from K_0(L, M), the inner algebra sum's part at N = L+M with m_v = 2M
+    over q^{M^2/2}: q^{(LM - m.n)/2} [m+n choose n], as m.C.m = N m_v - 2 m.n
+    (C m = N e_v - 2n).  Lower sides are read as factors, and _fill caches
+    them first, so a call never recurses (README)."""
+    if k == 0:
+        terms = [(L * M - sum(map(mul, *sol)), _pairs(*sol), None)
+                 for sol in _vertex_classes(family, L + M).get(M, ())]
+    else:
+        terms = [(i * i + e, ((L + M - i, L), f), None)
+                 for i in range(min(L, M) + 1)
+                 for e, f in _side_factors(_kside, (family, k - 1, L - i, i))]
+    return _parts(terms, 2)
+
+
+def _fill(family: int, k: int, cells: list[tuple[int, int]]) -> None:
+    """Cache K_d (_kside), d = 0..k, at every cell K_k at ``cells`` reads,
+    lowest depth first: K_d at (L, M) reads K_{d-1} at (L-i, i), i <= min(L, M)."""
+    levels = [set(cells)]
+    for _ in range(k):
+        levels.append({(L - i, i) for L, M in levels[-1] for i in range(min(L, M) + 1)})
+    for d, level in enumerate(reversed(levels)):
+        for L, M in level:
+            _kside(family, d, L, M)
 
 
 def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
-    """Right-hand side of the iterated identity at depth k.
-
-    Nested sum over r in Z_+^{k-1} with r_0 = L, r_{-1} = L+M, of the chain of
-    q^{(r_a - r_{a+1})^2/2} [r_{a-1}-r_a+r_{a+1} choose r_a] factors times the
-    inner algebra sum with top r_{k-2} and bound r_{k-1}: one kernel call
-    over chains times inner terms, exponents over the denominator 4.
-    """
+    """Right-hand side of the iterated identity at depth k: the chain sum
+    K_k(L, M) (_kside).  At every depth k >= 1 it is T-invariance's sum over
+    the side of depth k-1, by construction."""
     w = _kfamily(family)
     if k < 1:
         raise ValueError("k must be >= 1")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-
-    # r_{-1} = L+M, r_0 = L, then r_1..r_{k-1}; the chain binomials force
-    # r monotonically nonincreasing, so each r_a ranges over 0..r_{a-1}.
-    # A stack entry is (a, r_{a-1}, r_a, exponent, pairs); the chains are
-    # walked depth first, each r_{a+1} in increasing order, at any depth k.
-    def terms():
-        stack = [(0, L + M, L, 0, ())]
-        while stack:
-            a, prev, cur, e, pairs = stack.pop()
-            if a == k - 1:
-                for ei, inner in _inner_terms(w, prev, cur):
-                    yield e + ei, pairs + inner
-                continue
-            for nxt in range(cur, -1, -1):
-                top = prev - cur + nxt
-                if top >= cur:
-                    stack.append((a + 1, cur, nxt, e + 2 * (cur - nxt) ** 2,
-                                  pairs + ((top, cur),)))
-
-    return positive_sum(terms(), 4)
+    _fill(w, k, [(L, M)])
+    return _poly(_kside(w, k, L, M), 2)
 
 
 def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
@@ -259,37 +262,22 @@ def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> Q
 
 
 def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
-    """The dual-limit series: sum over r in Z_+^{k-1} and (m,n)-system
-    solutions at N = r_{k-1}, with the primed parity restriction on m
-    (listed coordinates congruent to r_{k-1} mod 2, all others even), of
-    q^{sum_a (r_a - r_{a-1})^2/2 + m.C.m/4} times the chain Gaussians, [m+n
-    choose n] and 1/(q)_{r_1}; one kernel call over the denominator 4."""
+    """The dual-limit series X_k: the sum over L >= 0 of q^{L^2/2}/(q)_L
+    S_k(L), S_k(L) = sum over i <= L of q^{i^2/2} K_{k-2}(L-i, i), one cut
+    kernel call that reads the sides as factors: S_k(L)/(q)_L is
+    K_{k-1}(L, M) as M -> oo, where [L+M-i, L] tends to 1/(q)_L (README).
+    The cone filters of K_0 are the X-series' primed parity on m at every
+    N, which the tests check residue by residue."""
     if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 2:
         raise ValueError("k must be >= 2")
     order = Fraction(order)
-    f = _FAMILIES[family]
-    g = algebra(f.large)
-    cap = isqrt(max(int(2 * order), 0)) + 1  # no step r_a - r_{a-1} reaches it
-
-    def terms(r: list[int], e4: int):
-        # r = [r_0 = 0, r_1, ...] and e4 = 2 sum_a (r_a - r_{a-1})^2 < 4 order
-        if len(r) < k:
-            for v in range(r[-1] + cap + 1):
-                if e4 + 2 * (v - r[-1]) ** 2 < 4 * order:
-                    yield from terms(r + [v], e4 + 2 * (v - r[-1]) ** 2)
-            return
-        for sol in solve_mn(g, r[-1], f.vertex):
-            if any((mj - r[-1] * (j in f.x_odd)) % 2 for j, mj in enumerate(sol.m, 1)):
-                continue
-            # so m_v is even: the vertex is not in x_odd (checked in the tests)
-            rfull = r + [r[-1] - sol.m[f.vertex - 1] // 2]
-            chain = tuple((rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])
-                          for a in range(2, k))
-            if any(top < bottom for top, bottom in chain):
-                continue  # a chain Gaussian vanishes
-            yield (e4 + g.quad_form_cartan(sol.m),
-                   chain + _pairs(*sol) + _euler_pairs((r[1],), order))
-
-    return positive_sum(terms([0], 0), 4, order)
+    # (L, i) with q^{(L^2 + i^2)/2} below the order
+    cells = [(L, i) for L in range(isqrt(max(int(2 * order), 0)) + 1)
+             for i in range(L + 1) if L * L + i * i < 2 * order]
+    _fill(family, k - 2, [(L - i, i) for L, i in cells])
+    return positive_sum(((L * L + i * i + e, _euler_pairs((L,), order) + (f,))
+                         for L, i in cells
+                         for e, f in _side_factors(_kside, (family, k - 2, L - i, i))),
+                        2, order)

@@ -4,8 +4,8 @@ All results are exact QPoly values.  The q-trinomials, the refined
 coefficient and the sums of refinements that the paper's invariance
 identities take are evaluated straight from their defining sums on one
 positive-sum kernel, ``positive_sum``, with no recurrences; a sum over
-cached refinements, such as T-invariance's left side or a theta sum, takes
-each refinement as one kernel factor.  Cut at a truncation order, with
+cached sides, such as T-invariance's left side, a theta sum or a k-series
+side, takes each side as kernel factors.  Cut at a truncation order, with
 1/(q)_n as a Gaussian (``_euler_pairs``), the same kernel evaluates every
 positive series sum: the fermionic sides of qtrin.fermionic, the string
 functions' n-sum and two series sides of qtrin.verify.
@@ -134,13 +134,14 @@ def qtrinomial_T(L: int, a: int) -> QPoly:
 #
 # A term (e, factors) of a sum over the exponent denominator d stands for
 # q^(e/d) times the product of its factors.  A factor is the key of a cached
-# positive coefficient list (_factor): a Gaussian polynomial (n, a), or a
-# refinement (L, M, a, b), refined_T's coefficients from its least exponent,
-# which its caller folds into e over 2 (_refined).  Every such product, and
-# so every sum of them, has nonnegative coefficients, none above its value
-# at q = 1.  The kernel sizes its slots by that value (a product of each
-# factor's sum of coefficients), which is what makes Kronecker substitution
-# sign-free here.
+# positive coefficient list (_factor): a Gaussian polynomial (n, a), or part
+# j of a cached side (side, args, j), a kernel sum kept as its parts, one
+# (e, c) per class mod 1 (_parts), such as refined_T (_refined) or a k-series
+# side.  A part's c start at its least exponent e, which the caller folds
+# into its own (_side_factors).  Every such product, and so every sum of
+# them, has nonnegative coefficients, none above its value at q = 1.  The
+# kernel sizes its slots by that value (a product of each factor's sum of
+# coefficients), which is what makes Kronecker substitution sign-free here.
 
 # unsigned array typecodes by itemsize: the slot widths of one machine word
 _WORDS = {array(code).itemsize: code for code in "BHILQ"}
@@ -156,18 +157,24 @@ def _slot_bytes(bound: int) -> int:
     return w if w > 8 else 1 << (w - 1).bit_length()
 
 
-def _factor(f: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
+def _factor(f: tuple, k: int | None = None) -> tuple[int, ...]:
     """The coefficients of the kernel factor ``f`` from its least exponent,
-    all of them or the first k: those of [n, a] for a Gaussian (n, a), read
-    from its cut build (_gauss), and of refined_T(L, M, a, b) for a
-    refinement (L, M, a, b) inside its support (_refined)."""
+    all of them or the first k: of [n, a] for a Gaussian (n, a), read from
+    its cut build (_gauss), or of part j of side(*args) for (side, args, j)."""
     if len(f) == 2:
         return _gauss(*f, k)
-    return _refined(*f)[1][:k]
+    side, args, j = f
+    return side(*args)[j][1][:k]
+
+
+def _side_factors(side, args: tuple) -> list[tuple[int, tuple]]:
+    """(e, (side, args, j)) for each part j of the cached side side(*args),
+    at q^(e/den): its kernel factor and the exponent a caller adds."""
+    return [(part[0], (side, args, j)) for j, part in enumerate(side(*args))]
 
 
 @lru_cache(maxsize=None)
-def _packed(f: tuple[int, ...], w: int, k: int | None = None) -> int:
+def _packed(f: tuple, w: int, k: int | None = None) -> int:
     """The kernel factor ``f`` at q = 2^(8w): one integer with a w-byte slot
     per coefficient, of its first k coefficients (all when k is None)."""
     c = _factor(f, k)
@@ -178,10 +185,10 @@ def _packed(f: tuple[int, ...], w: int, k: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cut_value(f: tuple[int, ...], k: int | None = None) -> int:
+def _cut_value(f: tuple, k: int | None = None) -> int:
     """The sum of the first k coefficients of the kernel factor ``f``, all of
     them when k is None: the kernel's bound for one factor of a term cut to
-    k slots, or of an uncut refinement (an uncut [n, a] sums to comb(n, a))."""
+    k slots, or of an uncut side's part (an uncut [n, a] sums to comb(n, a))."""
     return sum(_factor(f, k))
 
 
@@ -203,80 +210,85 @@ def _unpacked(total: int, size: int, w: int) -> list[int]:
     return _slots(total.to_bytes(size * w, "little"), w)
 
 
-def positive_sum(terms: Iterable[tuple[int, Sequence[tuple[int, ...]]]],
+def positive_sum(terms: Iterable[tuple[int, Sequence[tuple]]],
                  den: int, order: Fraction | int | None = None) -> QPoly:
     """Sum over (e, factors) of q^(e/den) times the product of the kernel
-    factors of ``factors``: Gaussians (n, a), 0 <= a <= n, and refinements
-    (L, M, a, b) inside their support; with an ``order``, the QSeries of
-    that sum below q^order.  Exponents that differ by non-integers are
-    summed one class mod 1 at a time.
+    factors of ``factors``: Gaussians (n, a), 0 <= a <= n, and parts of
+    cached sides (side, args, j); with an ``order``, the QSeries of that sum
+    below q^order.  Exponents that differ by non-integers are summed one
+    class mod 1 at a time.
 
     Kronecker substitution: q becomes 2^(8w), with w bytes enough for the
     sum's value at q = 1, which bounds every coefficient of the sum and of
     each partial product, so no slot carries into the next.  Each factor is
     one cached integer, each term one big-integer product shifted to its
     slot, and the sum is unpacked once.  Under an order each term keeps only
-    its slots below it (see _sum).
+    its slots below it (see _parts).
     """
     if order is None:
-        return _sum([(e, factors, None) for e, factors in terms], den)
+        return _poly(_parts([(e, factors, None) for e, factors in terms], den), den)
     order = Fraction(order)
     num, od = order.numerator * den, order.denominator
     # a term at q^(e/den) keeps its first k = ceil(order - e/den) slots
-    return _sum([(e, factors, k) for e, factors in terms
-                 if (k := (num - e * od - 1) // (od * den) + 1) > 0], den).truncate(order)
+    return _poly(_parts([(e, factors, k) for e, factors in terms
+                         if (k := (num - e * od - 1) // (od * den) + 1) > 0], den),
+                 den).truncate(order)
 
 
-def _sum(terms: list[tuple[int, Sequence[tuple[int, ...]], int | None]], den: int) -> QPoly:
+def _parts(terms: list[tuple[int, Sequence[tuple], int | None]],
+           den: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """positive_sum of (e, factors, k) terms, each cut to its first k slots
-    (whole when k is None).  A cut term's factors and partial products are
-    cut to its k slots, and its bound is the product of its cut factors'
-    values at q = 1, which bounds every coefficient that is kept.  A term
-    with a zero factor (a refinement zero inside its support) is dropped."""
-    if not terms:
-        return QPoly.zero()
-    e0 = terms[0][0]
-    bound = 0
-    zero = False
-    for e, factors, k in terms:
-        if e < e0:
-            e0 = e
-        v = 1
-        for f in factors:  # an uncut Gaussian's value needs no cache
-            v *= comb(*f) if k is None and len(f) == 2 else _cut_value(f, k)
-        if not v:
-            zero = True
-        bound += v
-    if zero:  # a zero refinement's term: the slots are not sized for its other factors
-        return _sum([t for t in terms if all(_cut_value(f, t[2]) for f in t[1])], den)
-    w = _slot_bytes(bound)
-    slot = 8 * w
-    total = 0
-    rest = []  # terms of other classes mod 1
-    for t in terms:
-        e, factors, k = t
-        s, part = divmod(e - e0, den)
-        if part:
-            rest.append(t)
-            continue
-        p = 1
-        if k is None:
-            for f in factors:
-                p *= _packed(f, w)
-        else:
-            top = 0  # the degree of the product so far
-            for f in factors:  # the factor's degree over its least exponent
-                d = f[1] * (f[0] - f[1]) if len(f) == 2 else len(_refined(*f)[1]) - 1
-                top += d
-                if top < k:
+    (whole when k is None), as its parts: one (e, c) per class of exponents
+    mod 1, from the least one's up, for q^(e/den) times the polynomial with
+    the coefficients c from q^0 up, c[0] and c[-1] nonzero.  A cut term's
+    factors and partial products are cut to its k slots, and its bound, the
+    product of its cut factors' values at q = 1, bounds every kept coefficient."""
+    parts = []
+    while terms:
+        e0 = terms[0][0]
+        bound = 0
+        for e, factors, k in terms:
+            if e < e0:
+                e0 = e
+            v = 1
+            for f in factors:  # an uncut Gaussian's value needs no cache
+                v *= comb(*f) if k is None and len(f) == 2 else _cut_value(f, k)
+            bound += v
+        w = _slot_bytes(bound)
+        slot = 8 * w
+        total = 0
+        rest = []  # terms of other classes mod 1
+        for t in terms:
+            e, factors, k = t
+            s, part = divmod(e - e0, den)
+            if part:
+                rest.append(t)
+                continue
+            p = 1
+            if k is None:
+                for f in factors:
                     p *= _packed(f, w)
-                else:  # cut the factor and the product to k slots
-                    p = p * _packed(f, w, k if k <= d else None) & ((1 << (slot * k)) - 1)
-                    top = k - 1
-        total += p << (slot * s)
-    # no slot carries, so the top nonzero slot holds the sum's highest bit
-    out = QPoly.from_coeffs(_unpacked(total, -(-total.bit_length() // slot), w), _start(e0, den))
-    return out + _sum(rest, den) if rest else out
+            else:
+                top = 0  # the degree of the product so far
+                for f in factors:  # the factor's degree over its least exponent
+                    d = f[1] * (f[0] - f[1]) if len(f) == 2 else len(_factor(f)) - 1
+                    top += d
+                    if top < k:
+                        p *= _packed(f, w)
+                    else:  # cut the factor and the product to k slots
+                        p = p * _packed(f, w, k if k <= d else None) & ((1 << (slot * k)) - 1)
+                        top = k - 1
+            total += p << (slot * s)
+        # no slot carries, so the top nonzero slot holds the sum's highest bit
+        parts.append((e0, tuple(_unpacked(total, -(-total.bit_length() // slot), w))))
+        terms = rest
+    return tuple(parts)
+
+
+def _poly(parts: Sequence[tuple[int, Sequence[int]]], den: int) -> QPoly:
+    """The QPoly of a kernel sum's parts (_parts) over the denominator den."""
+    polys = [QPoly.from_coeffs(c, _start(e, den)) for e, c in parts]
+    return sum(polys[1:], polys[0]) if polys else QPoly.zero()
 
 
 def _euler_pairs(ns: Iterable[int], order: Fraction) -> tuple[tuple[int, int], ...]:
@@ -328,15 +340,17 @@ def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
         raise ValueError("L and M must be nonnegative")
     if abs(a) > L or abs(b) > M:
         return QPoly.zero()
-    return _refined(L, M, a, b)[2]
+    parts = _refined(L, M, a, b)
+    return parts[0][2] if parts else QPoly.zero()
 
 
 @lru_cache(maxsize=None)
-def _refined(L: int, M: int, a: int, b: int) -> tuple[int, tuple[int, ...], QPoly]:
-    """refined_T inside its support as (e, c, its QPoly): q^(e/2) times the
-    polynomial with the coefficients c from q^0 up, c[0] nonzero; (0, (),
-    zero) when it is zero.  Cached: the kernel factor (L, M, a, b) reads c,
-    and the QPoly shares it.
+def _refined(L: int, M: int, a: int, b: int) -> tuple[tuple[int, tuple[int, ...], QPoly], ...]:
+    """refined_T inside its support as a side over 2 of one part (_parts)
+    that also holds its QPoly: ((e, c, q^(e/2) times the polynomial with the
+    coefficients c from q^0 up),), c[0] nonzero; () when it is zero.  The
+    kernel factor (_refined, (L, M, a, b), 0) reads c, and refined_T returns
+    the QPoly, which shares it.
 
     Its terms (_refined_terms) have one shape, three Gaussians, and one
     class mod 1 (n has the parity of L + a), so they are summed here
@@ -346,7 +360,7 @@ def _refined(L: int, M: int, a: int, b: int) -> tuple[int, tuple[int, ...], QPol
     """
     terms = _refined_terms(L, M, a, b)
     if not terms:
-        return 0, (), QPoly.zero()
+        return ()
     w = _slot_bytes(sum([comb(*f) * comb(*g) * comb(*h) for _, (f, g, h) in terms]))
     slot = 8 * w
     e0 = terms[0][0]
@@ -354,7 +368,7 @@ def _refined(L: int, M: int, a: int, b: int) -> tuple[int, tuple[int, ...], QPol
     for e, (f, g, h) in terms:
         total += _packed(f, w) * _packed(g, w) * _packed(h, w) << (slot * ((e - e0) // 2))
     c = tuple(_unpacked(total, -(-total.bit_length() // slot), w))
-    return e0, c, QPoly.from_coeffs(c, _start(e0, 2))
+    return ((e0, c, QPoly.from_coeffs(c, _start(e0, 2))),)
 
 
 def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
@@ -363,11 +377,10 @@ def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
     kernel call whose terms are a Gaussian times a refinement factor."""
     terms = []
     for i in range(abs(b), min(L - abs(a), M) + 1):
-        f = (L - i, i, a, b)
-        e, c, _ = _refined(*f)
-        if c:
-            terms.append((i * i + e, ((L + M - i, L), f), None))
-    return _sum(terms, 2)
+        args = (L - i, i, a, b)
+        for e, _, _ in _refined(*args):  # keyed here, saving a _side_factors call per i
+            terms.append((i * i + e, ((L + M - i, L), (_refined, args, 0)), None))
+    return _poly(_parts(terms, 2), 2)
 
 
 def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:

@@ -20,7 +20,7 @@ from math import isqrt
 
 from mn_reference import cartan_adjugate
 from qpoly_reference import euler_inverse, inverse, pochhammer
-from qtrin import fermionic
+from qtrin import fermionic, qcomb
 from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn, solve_mn_filtered
 from qtrin.qcomb import qbinomial
@@ -29,8 +29,9 @@ from qtrin.qpoly import QPoly, QSeries
 
 def positive_sum_reference(terms, den: int) -> QPoly:
     """Sum over (e, factors) of q^{e/den} times the product of the factors:
-    [n, a] for a pair (n, a), and for a refinement (L, M, a, b)
-    refined_T_reference(L, M, a, b) divided by its least power of q."""
+    [n, a] for a pair (n, a), and for a refinement (qcomb._refined, (L, M,
+    a, b), 0), a nonzero side of one part, refined_T_reference(L, M, a, b)
+    divided by its least power of q."""
     out = QPoly.zero()
     for e, factors in terms:
         t = QPoly.one()
@@ -38,8 +39,10 @@ def positive_sum_reference(terms, den: int) -> QPoly:
             if len(f) == 2:
                 t = t * qbinomial(*f)
             else:
-                r = refined_T_reference(*f)
-                t = t * (r.shift(-r.min_exponent()) if r else r)
+                side, args, j = f
+                assert side is qcomb._refined and j == 0, f
+                r = refined_T_reference(*args)
+                t = t * r.shift(-r.min_exponent())
         out = out + t.shift(Fraction(e, den))
     return out
 
@@ -286,10 +289,15 @@ def fsum_family_lhs_reference(family: int, k: int, sigma: int, order) -> QSeries
     return out
 
 
+# The primed parity of the X-series, per family: the coordinates of m
+# congruent to N mod 2, every other coordinate even.
+X_ODD = {1: (2, 4, 8), 2: (1, 3, 5), 3: (1, 3, 5)}
+
+
 def x_series_lhs_reference(family: int, k: int, order) -> QSeries:
     """Sum over r_1..r_{k-1} >= 0 and the (m,n)-system at N = r_{k-1}, with
-    the primed parity on m, of q^{sum (r_a - r_{a-1})^2/2 + m.C.m/4} times
-    the chain Gaussians, [m+n choose n] and 1/(q)_{r_1}."""
+    the primed parity on m (X_ODD), of q^{sum (r_a - r_{a-1})^2/2 +
+    m.C.m/4} times the chain Gaussians, [m+n choose n] and 1/(q)_{r_1}."""
     order = Fraction(order)
     f = fermionic._FAMILIES[family]
     g = algebra(f.large)
@@ -300,7 +308,7 @@ def x_series_lhs_reference(family: int, k: int, order) -> QSeries:
         base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, k)), 2)
         rk1 = r[k - 1]
         for sol in solve_mn(g, rk1, f.vertex):
-            if any(sol.m[j - 1] % 2 != (rk1 % 2 if j in f.x_odd else 0)
+            if any(sol.m[j - 1] % 2 != (rk1 % 2 if j in X_ODD[family] else 0)
                    for j in range(1, g.rank + 1)):
                 continue
             e = base + Fraction(g.quad_form_cartan(sol.m), 4)

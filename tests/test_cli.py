@@ -261,6 +261,25 @@ def test_compute_lhs_rhs_agree(capsys):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_compute_conjecture_with_a_depth_is_a_usage_error(capsys, side):
+    # a conjecture has no depth: --k is refused, not ignored
+    for k in ("-3", "1", "2"):
+        code, out, err = _capture(capsys, ["compute", side, "conj1", "--k", k,
+                                           "--L", "2", "--M", "1"])
+        assert code == 2 and out == ""
+        first, usage = err.splitlines()
+        assert first == "error: --k applies to a k-series family, not conj1"
+        assert usage.startswith("usage: ")
+    # without it the conjecture's side, and a k-series family takes depth 1
+    code, out, _ = _capture(capsys, ["compute", side, "conj1", "--L", "2", "--M", "1"])
+    assert (code, out) == (0, "1 + q + q^2\n")
+    code, out, _ = _capture(capsys, ["compute", side, "flower", "--L", "2", "--M", "1"])
+    code1, out1, _ = _capture(capsys, ["compute", side, "flower", "--k", "1",
+                                       "--L", "2", "--M", "1"])
+    assert code == code1 == 0 and out == out1
+
+
 @pytest.mark.parametrize("sigma", ["0", "1"])
 def test_compute_string_function_order_zero(capsys, sigma):
     code, out, _ = _capture(capsys, ["compute", "c", sigma, "--order", "0"])

@@ -1,13 +1,18 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import lcm
+from operator import mul
 
 import pytest
 
-from qcomb_reference import (conj_rhs_reference, f_poly_reference,
+from mn_reference import cartan_adjugate
+from qcomb_reference import (X_ODD, conj_rhs_reference, f_poly_reference,
                              fermionic_char_sum_reference, fsum_family_lhs_reference,
                              kseries_rhs_reference, small_qform_reference,
                              x_series_lhs_reference)
 from qtrin.liealg import algebra
+from qtrin.mnsys import solve_mn, solve_mn_filtered
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
 from qtrin import bosonic, fermionic
@@ -136,10 +141,45 @@ def test_conj_rhs_prefactor_top_is_integral():
 
 
 def test_chain_sums_keep_the_vertex_coordinate_even():
-    # x_series_lhs halves m_v; its parity restriction makes m_v even only
-    # because the source vertex is not among the primed coordinates
-    for f in fermionic._FAMILIES.values():
-        assert f.vertex not in f.x_odd, f.name
+    # the chain sums halve m_v; the X-series' primed parity makes m_v even
+    # only because the source vertex is not among the primed coordinates
+    for w, f in fermionic._FAMILIES.items():
+        assert f.vertex not in X_ODD[w], f.name
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_x_series_parity_is_the_inner_condition_at_every_residue(family):
+    # x_series_lhs sums the solutions whose n passes the cone filters (K_0),
+    # where the X-series asks for the primed parity on m, and the chain sums
+    # halve m_v, which the filters keep even.  With m = adj(N e_v - 2n)/det,
+    # m mod 2 is fixed by N mod 2 det and n mod det, and the filters by n
+    # mod their moduli: agreement at every residue where m is integral
+    # proves both claims at every N
+    f = fermionic._FAMILIES[family]
+    g = algebra(f.large)
+    adj, det = cartan_adjugate(g)
+    filters = fermionic._filters(f.large)
+    v = f.vertex - 1
+    checked = 0
+    for N in range(2 * det):
+        for n in product(range(lcm(det, *(p.modulus for p in filters))), repeat=g.rank):
+            slack = [N * row[v] - 2 * sum(map(mul, row, n)) for row in adj]
+            if any(x % det for x in slack):
+                continue
+            m = [x // det for x in slack]
+            primed = all(mj % 2 == (N % 2 if j in X_ODD[family] else 0)
+                         for j, mj in enumerate(m, 1))
+            inner = all(p(n) for p in filters)
+            assert primed == inner and (m[v] % 2 == 0 or not inner), (N, n)
+            checked += 1
+    assert checked >= 2
+    # and the solution sets themselves agree at small N
+    for N in range(13):
+        primed = [s for s in solve_mn(g, N, f.vertex)
+                  if all(mj % 2 == (N % 2 if j in X_ODD[family] else 0)
+                         for j, mj in enumerate(s.m, 1))]
+        assert primed == solve_mn_filtered(g, N, f.vertex, *filters), N
+        assert all(s.m[v] % 2 == 0 for s in primed), N
 
 
 # -- the kernel sums against term-by-term QPoly references ---------------
@@ -186,13 +226,102 @@ def test_cone_terms(name):
                 assert mp == sol.m[g.p - 1]
 
 
-@pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
+# The k-series reference grids: M <= 4 and L up to past the point where the
+# families' outputs first differ, (5, 3) at k = 1, (8, 3) at k = 2 and
+# (11, 3) at k = 3.
+KSERIES_GRIDS = {1: 6, 2: 9, 3: 12}
+KSERIES_FAMILIES = ["E8-flower", "E7-flower2", "E6-monster"]
+
+
+@pytest.mark.parametrize("family", KSERIES_FAMILIES)
 def test_kseries_rhs_against_reference(family):
-    for k in (1, 2, 3):
-        for L in range(7):
+    for k, top in KSERIES_GRIDS.items():
+        for L in range(top + 1):
             for M in range(5):
                 assert (fermionic.kseries_rhs(family, k, L, M)
                         == kseries_rhs_reference(family, k, L, M)), (k, L, M)
+
+
+def test_kseries_grids_tell_the_families_apart():
+    # a grid on which the three families agree everywhere would pass the
+    # reference check with the wrong family's rows
+    for k, top in KSERIES_GRIDS.items():
+        assert any(len({str(fermionic.kseries_rhs(fam, k, L, M)) for fam in KSERIES_FAMILIES}) > 1
+                   for L in range(top + 1) for M in range(5)), k
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_depth_one_side_is_T_of_the_conjecture_side(family):
+    # The large algebra's system at N = L+M with m_v = 2M is the small
+    # one's at N = 2M with the vertex Gaussian [(L+M+m_p)/2, 2M] (each
+    # diagram is the next one down with the marked vertex removed), so the
+    # depth-0 side the recursion starts from is conj_rhs, and the depth-1
+    # side is T-invariance's sum over it
+    name = fermionic._FAMILIES[family].name
+    for L in range(11):
+        for M in range(7):
+            T = QPoly.zero()
+            for i in range(min(L, M) + 1):
+                T = T + (qbinomial(L + M - i, L)
+                         * fermionic.conj_rhs(family, L - i, i)).shift(Fraction(i * i, 2))
+            assert fermionic.kseries_rhs(name, 1, L, M) == T, (L, M)
+
+
+# Large-diagram vertex -> small-diagram vertex, per family: the large
+# diagram without its source vertex v is the small one, v's neighbour
+# going to the small one's marked vertex p.
+VERTEX_MAPS = {1: {2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7},
+               2: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6},
+               3: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}}
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_depth_zero_filters_are_the_conjecture_filters_at_every_residue(family):
+    # K_0 at (L, M) keeps the large system's solutions at N = L+M with
+    # m_v = 2M whose n passes the large cone filters.  Without v they are
+    # the small system's at 2M from p, with n_v = (L+M+m_p)/2 - 2M, which
+    # must be an integer; conj_rhs keeps those passing the small filters at
+    # sigma = L.  With m' = adj(2M e_p - 2n')/det both conditions are
+    # congruences in L mod 2, M mod det and n' mod lcm(det, the moduli), so
+    # agreement at every residue where m' is integral proves them equal at
+    # every L and M; and (C^{-1})_pp = 3/2 makes the exponents equal
+    f = fermionic._FAMILIES[family]
+    big, small = algebra(f.large), algebra(f.small)
+    v, phi = f.vertex, VERTEX_MAPS[family]
+    for i, hi in phi.items():
+        assert big.incidence[v - 1][i - 1] == (hi == small.p)
+        for j, hj in phi.items():
+            assert big.incidence[i - 1][j - 1] == small.incidence[hi - 1][hj - 1]
+    big_filters = fermionic._filters(f.large)
+    assert all(j != v - 1 for flt in big_filters for j, _ in flt.terms)  # n_v is free
+    adj, det = cartan_adjugate(small)
+    p = small.p - 1
+    assert Fraction(adj[p][p], det) == Fraction(3, 2)
+    moduli = [flt.modulus for flt in big_filters + fermionic._filters(f.small)]
+    checked = 0
+    for L in (0, 1):
+        for M in range(det):
+            for n in product(range(lcm(det, *moduli)), repeat=small.rank):
+                slack = [2 * M * row[p] - 2 * sum(map(mul, row, n)) for row in adj]
+                if any(x % det for x in slack):
+                    continue
+                big_n = [0] * big.rank
+                for i, hi in phi.items():
+                    big_n[i - 1] = n[hi - 1]
+                large = ((L + M + slack[p] // det) % 2 == 0
+                         and all(flt(big_n) for flt in big_filters))
+                assert large == all(flt(n) for flt in fermionic._filters(f.small, L)), (L, M, n)
+                checked += 1
+    assert checked
+
+
+def test_kseries_rhs_on_the_monster_k4_rectangle():
+    # the depth-4 rectangle of the grid rule, L <= A - k + 1 = 35 and
+    # M <= P = 8: the recursion over depth against the theta-sum side
+    for L in range(36):
+        for M in range(9):
+            assert (fermionic.kseries_rhs("E6-monster", 4, L, M)
+                    == bosonic.kseries_lhs("E6-monster", 4, L, M)), (L, M)
 
 
 # -- the series sums against QSeries references, 1/(q)_n the inverse of
@@ -221,9 +350,9 @@ def test_fsum_family_lhs_against_reference(family, k):
 
 
 @pytest.mark.parametrize("family", [1, 2, 3])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_x_series_lhs_against_reference(family, k):
-    for order in (0, 1, Fraction(7, 2), 8, 20):
+    for order in (0, 1, Fraction(7, 2), 8) + ((20,) if k < 4 else ()):
         got = fermionic.x_series_lhs(family, k, order)
         want = x_series_lhs_reference(family, k, order)
         assert got == want and str(got) == str(want), order
@@ -231,8 +360,8 @@ def test_x_series_lhs_against_reference(family, k):
 
 @pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
 def test_kseries_rhs_at_depth_1000(family):
-    # the chains are walked without recursion, so a depth past Python's
-    # recursion limit still gives the theta-sum side
+    # the sides are filled from depth 0 up, so no call recurses, and a depth
+    # past Python's recursion limit still gives the theta-sum side
     assert (fermionic.kseries_rhs(family, 1000, 2, 2)
             == bosonic.kseries_lhs(family, 1000, 2, 2)
             == _q(0) + _q(1, 2) + _q(2, 4) + _q(3, 2) + _q(4))

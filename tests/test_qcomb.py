@@ -399,14 +399,22 @@ def test_positive_sum_at_odd_starts_against_reference(args):
     assert got == want and str(got) == str(want)
 
 
+def _R(*args):
+    """The kernel factor of the refinement refined_T(*args), a nonzero side
+    of one part."""
+    return (qcomb._refined, args, 0)
+
+
 @st.composite
 def _mixed_terms(draw):
-    # terms over 2 whose factors are Gaussians and refinements, zero ones
-    # inside the support included, and a truncation order or none
+    # terms over 2 whose factors are Gaussians and nonzero refinements (a
+    # zero one is a side with no parts, so no factor), and a truncation
+    # order or none
     gauss = st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
     refinement = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
         lambda LM: st.tuples(st.just(LM[0]), st.just(LM[1]), st.integers(-LM[0], LM[0]),
-                             st.integers(-LM[1], LM[1])))
+                             st.integers(-LM[1], LM[1]))).filter(
+        lambda args: refined_T_reference(*args)).map(lambda args: _R(*args))
     term = st.tuples(st.integers(-6, 12), st.lists(gauss | refinement, max_size=3).map(tuple))
     cut = st.none() | st.builds(Fraction, st.integers(-4, 40), st.sampled_from((1, 2)))
     return draw(st.lists(term, min_size=1, max_size=5)), draw(cut)
@@ -415,11 +423,11 @@ def _mixed_terms(draw):
 @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
 @settings(max_examples=40, deadline=None)
 @given(_mixed_terms())
-# a zero refinement next to a factor wider than the other terms' slots,
-# uncut and cut at an order
-@example(([(0, ()), (0, ((1, 0, 0, 0), (5, 5, 0, 0)))], None))
-@example(([(0, ((40, 20), (1, 0, 0, 0)))], None))
-@example(([(0, ()), (2, ((1, 0, 0, 0), (40, 20)))], Fraction(30)))
+# a refinement of one coefficient next to a factor wider than the other
+# terms' slots, uncut and cut at an order
+@example(([(0, ()), (0, (_R(1, 0, 1, 0), _R(5, 5, 0, 0)))], None))
+@example(([(0, ((40, 20), _R(1, 0, 1, 0)))], None))
+@example(([(0, ()), (2, (_R(1, 0, 1, 0), (40, 20)))], Fraction(30)))
 def test_mixed_factors_at_each_slot_width_against_reference(w, args):
     # Gaussian and refinement factors in one kernel call, packed at least w
     # bytes wide, which is exact when w is wider than needed: 1, 2, 4 and 8
@@ -437,17 +445,20 @@ def test_mixed_factors_at_each_slot_width_against_reference(w, args):
 
 
 def test_refinement_factor_reads_refined_T():
-    # a refinement's coefficients from its least exponent, which a caller
-    # folds into the term's exponent, and their sum as its bound at q = 1
+    # a refinement is a side of one part: its coefficients from its least
+    # exponent, which a caller folds into the term's exponent, and their sum
+    # as its bound at q = 1; the part also holds refined_T's QPoly
     for args in ((3, 1, 2, 0), (4, 4, 1, -2), (8, 6, 0, 3), (26, 26, 0, 0)):
-        e, c, t = qcomb._refined(*args)
+        ((e, c, t),) = qcomb._refined(*args)
         assert t is refined_T(*args)
         assert t == QPoly.from_coeffs(c, Fraction(e, 2)) and c[0] == 1
         assert t.min_exponent() == Fraction(e, 2)
-        assert qcomb._cut_value(args) == sum(c) == sum(t.terms.values())
-        assert positive_sum([(e, (args,))], 2) == t
-    # zero inside the support: L - |a| odd and M = 0
-    assert qcomb._refined(3, 0, 0, 0) == (0, (), QPoly.zero())
+        assert qcomb._side_factors(qcomb._refined, args) == [(e, _R(*args))]
+        assert qcomb._cut_value(_R(*args)) == sum(c) == sum(t.terms.values())
+        assert positive_sum([(e, (_R(*args),))], 2) == t
+    # zero inside the support: L - |a| odd and M = 0, a side with no parts
+    assert qcomb._refined(3, 0, 0, 0) == ()
+    assert qcomb._side_factors(qcomb._refined, (3, 0, 0, 0)) == []
     assert refined_T(3, 0, 0, 0) == QPoly.zero()
 
 
