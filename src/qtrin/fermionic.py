@@ -5,11 +5,13 @@ Every sum here is manifestly positive: q-powers times products of Gaussian
 polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by free
 nonnegative vectors cut off at the truncation order.  Each is one call to
 qtrin.qcomb's kernel, with exponents over the inverse Cartan denominator
-(n.C^{-1}.n), over 2 (the k-series and X-series: m.C.m/4 and squares over
-2) or over lcm(2, that denominator).  A series sum passes its truncation order,
-and each 1/(q)_n as a Gaussian that equals it below the order.  No QSeries
-is multiplied, and no chain is enumerated: the chain sums of the k-series
-and X-series are one recursion over the depth (_kside; README).
+(n.C^{-1}.n), over 2 (the conjecture sides, k-series and X-series: there
+n.C^{-1}.n has denominator 2, and squares over 2) or over lcm(2, that
+denominator).  A series sum passes its truncation order, and each 1/(q)_n
+as a Gaussian that equals it below the order.  No QSeries is multiplied,
+and no chain is enumerated: the chain sums of the k-series and X-series
+are one recursion over the depth from the conjecture side (_kside; README).
+Every family sum reads one cached cone per (small algebra, M, sigma).
 """
 
 from __future__ import annotations
@@ -29,18 +31,17 @@ from .qpoly import QPoly, QSeries
 
 class _Family(NamedTuple):
     P: int          # theta period: the bosonic rows step b by P
-    large: str      # E-type algebra of the k-series and chain sums
-    vertex: int     # its marked vertex, the source of those systems
-    small: str      # the diagram left after removing the marked vertex
+    small: str      # algebra of every fermionic side: the paper's E-type
+                    # algebra with its marked source vertex removed
     name: str       # k-series family name; the CLI uses the part after "-"
 
 
 # The three identity families E8 -> E7, E7 -> D6, E6 -> A5; the polynomial
 # conjectures conj1..conj3 are their depth k = 0 case.
 _FAMILIES = {
-    1: _Family(5, "E8", 1, "E7", "E8-flower"),
-    2: _Family(6, "E7", 6, "D6", "E7-flower2"),
-    3: _Family(8, "E6", 6, "A5", "E6-monster"),
+    1: _Family(5, "E7", "E8-flower"),
+    2: _Family(6, "D6", "E7-flower2"),
+    3: _Family(8, "A5", "E6-monster"),
 }
 
 # Fermionic character families: each algebra's cone, the D6 and A5 ones
@@ -113,29 +114,12 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
 
 def conj_rhs(which: int, L: int, M: int) -> QPoly:
     """Right-hand side of conjecture 1, 2 or 3: the F-type sum with the extra
-    Gaussian prefactor [(L+M+m_p)/2 choose 2M]; one kernel call."""
+    Gaussian prefactor [(L+M+m_p)/2 choose 2M], the k-series side at depth 0."""
     if which not in _FAMILIES:
         raise ValueError("conjecture index must be 1, 2 or 3")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-    g = algebra(_FAMILIES[which].small)
-    # the parity restriction makes L+M+m_p even (checked in the tests); the
-    # prefactor vanishes unless (L+M+m_p)/2 >= 2M
-    return positive_sum(
-        ((e, (((L + M + mp) // 2, 2 * M),) + pairs)
-         for e, pairs, mp in _cone(g.name, M, L % 2) if L + M + mp >= 4 * M),
-        g.invcartan_den)
-
-
-@lru_cache(maxsize=None)
-def _vertex_classes(family: int, N: int) -> dict[int, list]:
-    """The filtered solutions of the large algebra's (m,n)-system at N by m_v/2,
-    v the source vertex; the cone filters make m_v even (checked in the tests)."""
-    f = _FAMILIES[family]
-    out: dict[int, list] = {}
-    for sol in solve_mn_filtered(algebra(f.large), N, f.vertex, *_filters(f.large)):
-        out.setdefault(sol.m[f.vertex - 1] // 2, []).append(sol)
-    return out
+    return _poly(_kside(which, 0, L, M), 2)
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +127,17 @@ def _kside(family: int, k: int, L: int, M: int) -> tuple:
     """K_k(L, M), the family's fermionic side at depth k, as kernel parts
     over the denominator 2 (qtrin.qcomb._parts), by the recursion
         K_k(L, M) = sum over i <= min(L, M) of q^{i^2/2} [L+M-i, L] K_{k-1}(L-i, i)
-    from K_0(L, M), the inner algebra sum's part at N = L+M with m_v = 2M
-    over q^{M^2/2}: q^{(LM - m.n)/2} [m+n choose n], as m.C.m = N m_v - 2 m.n
-    (C m = N e_v - 2n).  Lower sides are read as factors, and _fill caches
+    from K_0(L, M) = conj_rhs: the small algebra's cone at M and sigma = L
+    mod 2, each term with the prefactor [(L+M+m_p)/2, 2M].  Its exponent
+    e/den is n.C^{-1}.n = 3M^2/2 - (M m_p + n.m)/2, as (C^{-1})_pp = 3/2, so
+    2e/den is an integer.  Lower sides are read as factors, and _fill caches
     them first, so a call never recurses (README)."""
     if k == 0:
-        terms = [(L * M - sum(map(mul, *sol)), _pairs(*sol), None)
-                 for sol in _vertex_classes(family, L + M).get(M, ())]
+        g = algebra(_FAMILIES[family].small)
+        # the parity filter makes L+M+m_p even (checked in the tests); the
+        # prefactor vanishes unless (L+M+m_p)/2 >= 2M
+        terms = [(2 * e // g.invcartan_den, (((L + M + mp) // 2, 2 * M),) + pairs, None)
+                 for e, pairs, mp in _cone(g.name, M, L % 2) if L + M + mp >= 4 * M]
     else:
         terms = [(i * i + e, ((L + M - i, L), f), None)
                  for i in range(min(L, M) + 1)
@@ -266,8 +254,9 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     S_k(L), S_k(L) = sum over i <= L of q^{i^2/2} K_{k-2}(L-i, i), one cut
     kernel call that reads the sides as factors: S_k(L)/(q)_L is
     K_{k-1}(L, M) as M -> oo, where [L+M-i, L] tends to 1/(q)_L (README).
-    The cone filters of K_0 are the X-series' primed parity on m at every
-    N, which the tests check residue by residue."""
+    K_0 is conj_rhs, whose cone filters are the X-series' primed parity on
+    the large algebra's m at every N, which the tests check residue by
+    residue."""
     if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 2:

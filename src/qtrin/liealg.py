@@ -102,17 +102,6 @@ class LieAlgebra:
                 total += ni * sum(x * nj for x, nj in zip(row, n) if nj)
         return Fraction(total, self.invcartan_den)
 
-    def quad_form_cartan(self, m: Sequence[int]) -> int:
-        """m . C . m (callers apply the quarter factor themselves)."""
-        if len(m) != self.rank:
-            raise DimensionMismatch(f"vector length {len(m)} != rank {self.rank}")
-        total = 0
-        for i, mi in enumerate(m):
-            if mi:
-                row = self.cartan[i]
-                total += mi * sum(row[j] * mj for j, mj in enumerate(m) if mj)
-        return total
-
 
 def _build(name: str) -> LieAlgebra:
     r = _RANK[name]

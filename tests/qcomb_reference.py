@@ -176,20 +176,35 @@ def conj_rhs_reference(which: int, L: int, M: int) -> QPoly:
     return out
 
 
+# The paper's chain sums, per family: the large E-type algebra and its
+# marked source vertex v.  The package sums over the small algebra alone
+# (the large diagram without v), so this table is the references' own.
+LARGE = {1: ("E8", 1), 2: ("E7", 6), 3: ("E6", 6)}
+
+# The primed parity of the X-series, per family: the coordinates of m
+# congruent to N mod 2, every other coordinate even.
+X_ODD = {1: (2, 4, 8), 2: (1, 3, 5), 3: (1, 3, 5)}
+
+
+def _cartan_form(g, m) -> int:
+    """m.C.m from the Cartan matrix."""
+    return sum(mi * cij * mj for mi, row in zip(m, g.cartan) for cij, mj in zip(row, m))
+
+
 def inner_algebra_sum_reference(family: int, top: int, bound: int) -> QPoly:
     """Sum over the large algebra's (m,n)-system at N = bound of
     q^{m.C.m/4} [top - m_v/2 choose bound] [m+n choose n], v the source
     vertex; a solution with m_v odd contributes nothing."""
-    f = fermionic._FAMILIES[family]
-    g = algebra(f.large)
+    name, v = LARGE[family]
+    g = algebra(name)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, bound, f.vertex, *fermionic._filters(f.large)):
-        md = sol.m[f.vertex - 1]
+    for sol in solve_mn_filtered(g, bound, v, *fermionic._filters(name)):
+        md = sol.m[v - 1]
         if md % 2:
             continue
         term = qbinomial(top - md // 2, bound) * _qbinomial_vector(sol.m, sol.n)
         if term:
-            out = out + term.shift(Fraction(g.quad_form_cartan(sol.m), 4))
+            out = out + term.shift(Fraction(_cartan_form(g, sol.m), 4))
     return out
 
 
@@ -289,32 +304,27 @@ def fsum_family_lhs_reference(family: int, k: int, sigma: int, order) -> QSeries
     return out
 
 
-# The primed parity of the X-series, per family: the coordinates of m
-# congruent to N mod 2, every other coordinate even.
-X_ODD = {1: (2, 4, 8), 2: (1, 3, 5), 3: (1, 3, 5)}
-
-
 def x_series_lhs_reference(family: int, k: int, order) -> QSeries:
     """Sum over r_1..r_{k-1} >= 0 and the (m,n)-system at N = r_{k-1}, with
     the primed parity on m (X_ODD), of q^{sum (r_a - r_{a-1})^2/2 +
     m.C.m/4} times the chain Gaussians, [m+n choose n] and 1/(q)_{r_1}."""
     order = Fraction(order)
-    f = fermionic._FAMILIES[family]
-    g = algebra(f.large)
+    name, v = LARGE[family]
+    g = algebra(name)
     out = QSeries.zero(order)
 
     def emit(r: list) -> None:
         nonlocal out
         base = Fraction(sum((r[a] - r[a - 1]) ** 2 for a in range(1, k)), 2)
         rk1 = r[k - 1]
-        for sol in solve_mn(g, rk1, f.vertex):
+        for sol in solve_mn(g, rk1, v):
             if any(sol.m[j - 1] % 2 != (rk1 % 2 if j in X_ODD[family] else 0)
                    for j in range(1, g.rank + 1)):
                 continue
-            e = base + Fraction(g.quad_form_cartan(sol.m), 4)
+            e = base + Fraction(_cartan_form(g, sol.m), 4)
             if e >= order:
                 continue
-            rfull = r + [rk1 - sol.m[f.vertex - 1] // 2]
+            rfull = r + [rk1 - sol.m[v - 1] // 2]
             weight = _qbinomial_vector(sol.m, sol.n)
             for a in range(2, k):
                 weight = weight * qbinomial(rfull[a - 1] - rfull[a] + rfull[a + 1], rfull[a])

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from mn_reference import cartan_adjugate
-from qcomb_reference import (X_ODD, conj_rhs_reference, f_poly_reference,
+from qcomb_reference import (LARGE, X_ODD, conj_rhs_reference, f_poly_reference,
                              fermionic_char_sum_reference, fsum_family_lhs_reference,
                              kseries_rhs_reference, small_qform_reference,
                              x_series_lhs_reference)
@@ -117,10 +117,11 @@ def test_family_table_pairs_each_algebra_with_its_cut_diagram():
     # vertex removed, labels kept in order
     from qtrin.liealg import algebra
 
-    for f in fermionic._FAMILIES.values():
-        big, small = algebra(f.large), algebra(f.small)
-        assert f.vertex in big.marked_vertices
-        keep = [i for i in range(big.rank) if i != f.vertex - 1]
+    for w, f in fermionic._FAMILIES.items():
+        name, v = LARGE[w]
+        big, small = algebra(name), algebra(f.small)
+        assert v in big.marked_vertices
+        keep = [i for i in range(big.rank) if i != v - 1]
         assert ([[big.incidence[i][j] for j in keep] for i in keep]
                 == [list(row) for row in small.incidence])
 
@@ -143,23 +144,24 @@ def test_conj_rhs_prefactor_top_is_integral():
 def test_chain_sums_keep_the_vertex_coordinate_even():
     # the chain sums halve m_v; the X-series' primed parity makes m_v even
     # only because the source vertex is not among the primed coordinates
-    for w, f in fermionic._FAMILIES.items():
-        assert f.vertex not in X_ODD[w], f.name
+    for w, (_, v) in LARGE.items():
+        assert v not in X_ODD[w], w
 
 
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_x_series_parity_is_the_inner_condition_at_every_residue(family):
-    # x_series_lhs sums the solutions whose n passes the cone filters (K_0),
-    # where the X-series asks for the primed parity on m, and the chain sums
-    # halve m_v, which the filters keep even.  With m = adj(N e_v - 2n)/det,
+    # The large system's solutions whose n passes the large cone filters
+    # are the conjecture side's (the depth-0 test below), where the
+    # X-series asks for the primed parity on m, and the chain sums halve
+    # m_v, which the filters keep even.  With m = adj(N e_v - 2n)/det,
     # m mod 2 is fixed by N mod 2 det and n mod det, and the filters by n
     # mod their moduli: agreement at every residue where m is integral
     # proves both claims at every N
-    f = fermionic._FAMILIES[family]
-    g = algebra(f.large)
+    name, vertex = LARGE[family]
+    g = algebra(name)
     adj, det = cartan_adjugate(g)
-    filters = fermionic._filters(f.large)
-    v = f.vertex - 1
+    filters = fermionic._filters(name)
+    v = vertex - 1
     checked = 0
     for N in range(2 * det):
         for n in product(range(lcm(det, *(p.modulus for p in filters))), repeat=g.rank):
@@ -175,10 +177,10 @@ def test_x_series_parity_is_the_inner_condition_at_every_residue(family):
     assert checked >= 2
     # and the solution sets themselves agree at small N
     for N in range(13):
-        primed = [s for s in solve_mn(g, N, f.vertex)
+        primed = [s for s in solve_mn(g, N, vertex)
                   if all(mj % 2 == (N % 2 if j in X_ODD[family] else 0)
                          for j, mj in enumerate(s.m, 1))]
-        assert primed == solve_mn_filtered(g, N, f.vertex, *filters), N
+        assert primed == solve_mn_filtered(g, N, vertex, *filters), N
         assert all(s.m[v] % 2 == 0 for s in primed), N
 
 
@@ -194,36 +196,54 @@ def test_f_poly_against_reference(name):
 
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_conj_rhs_against_reference(which, monkeypatch):
-    # the cone filters run once per (M, L mod 2), not once per point
+    # the cone filters run once per (M, L mod 2), not once per point, and
+    # the k-series and X-series solve no other system: every side starts
+    # from the small algebra's cones at N = 2M
     filtered = Counter()
     solve = fermionic.solve_mn_filtered
 
     def counted(g, N, i, *predicates):
-        filtered[g.name, N] += 1
+        filtered[g.name, N, predicates] += 1
         return solve(g, N, i, *predicates)
     monkeypatch.setattr(fermionic, "solve_mn_filtered", counted)
     fermionic._cone.cache_clear()
+    fermionic._kside.cache_clear()
     for L in range(9):
         for M in range(9):
             assert fermionic.conj_rhs(which, L, M) == conj_rhs_reference(which, L, M)
     small = fermionic._FAMILIES[which].small
-    assert filtered == {(small, 2 * M): 2 for M in range(9)}
+    assert set(filtered.values()) == {1}
+    assert Counter(key[:2] for key in filtered) == {(small, 2 * M): 2 for M in range(9)}
+    for read in (lambda: [fermionic.kseries_rhs(fermionic._FAMILIES[which].name, 2, L, M)
+                          for L in range(9) for M in range(9)],
+                 lambda: fermionic.x_series_lhs(which, 2, 20)):
+        filtered.clear()
+        fermionic._cone.cache_clear()
+        fermionic._kside.cache_clear()
+        read()
+        assert set(filtered.values()) == {1}, filtered
+        assert all(name == small and N % 2 == 0 for name, N, _ in filtered), filtered
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E7"])
 def test_cone_terms(name):
     # each cached term is the solution's exponent den * n.C^{-1}.n, its
-    # [m+n, n] pairs and m_p, for exactly the filtered solutions
+    # [m+n, n] pairs and m_p, for exactly the filtered solutions; and the
+    # k-series read the exponent over 2 as 2e // den, exact as (C^{-1})_pp
+    # = 3/2 gives 2 n.C^{-1}.n = 3M^2 - M m_p - n.m
     g = algebra(name)
-    for M in range(7):
+    den, p = g.invcartan_den, g.p - 1
+    for M in range(11):
         for sigma in (0, 1):
             sols = fermionic.solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(name, sigma))
             terms = fermionic._cone(name, M, sigma)
             assert len(terms) == len(sols)
             for (e, pairs, mp), sol in zip(terms, sols):
-                assert e == g.quad_form_invcartan(sol.n) * g.invcartan_den
+                assert e == g.quad_form_invcartan(sol.n) * den
                 assert pairs == tuple((mj + nj, nj) for mj, nj in zip(sol.m, sol.n))
-                assert mp == sol.m[g.p - 1]
+                assert mp == sol.m[p]
+                assert 2 * e % den == 0, (M, sigma, sol)
+                assert 2 * e // den == 3 * M * M - M * mp - sum(map(mul, sol.n, sol.m))
 
 
 # The k-series reference grids: M <= 4 and L up to past the point where the
@@ -252,11 +272,12 @@ def test_kseries_grids_tell_the_families_apart():
 
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_depth_one_side_is_T_of_the_conjecture_side(family):
-    # The large algebra's system at N = L+M with m_v = 2M is the small
-    # one's at N = 2M with the vertex Gaussian [(L+M+m_p)/2, 2M] (each
-    # diagram is the next one down with the marked vertex removed), so the
-    # depth-0 side the recursion starts from is conj_rhs, and the depth-1
-    # side is T-invariance's sum over it
+    # The recursion starts from conj_rhs, and the depth-1 side is
+    # T-invariance's sum over it.  The paper's depth-1 side is the chain
+    # sum over the large algebra's system at N = L (the reference), which
+    # equals it because the large system at N = L+M with m_v = 2M is the
+    # small one's at N = 2M with the vertex Gaussian [(L+M+m_p)/2, 2M]
+    # (each diagram is the next one down with the marked vertex removed)
     name = fermionic._FAMILIES[family].name
     for L in range(11):
         for M in range(7):
@@ -264,7 +285,9 @@ def test_depth_one_side_is_T_of_the_conjecture_side(family):
             for i in range(min(L, M) + 1):
                 T = T + (qbinomial(L + M - i, L)
                          * fermionic.conj_rhs(family, L - i, i)).shift(Fraction(i * i, 2))
-            assert fermionic.kseries_rhs(name, 1, L, M) == T, (L, M)
+            got = fermionic.kseries_rhs(name, 1, L, M)
+            assert got == T, (L, M)
+            assert got == kseries_rhs_reference(name, 1, L, M), (L, M)
 
 
 # Large-diagram vertex -> small-diagram vertex, per family: the large
@@ -286,13 +309,13 @@ def test_depth_zero_filters_are_the_conjecture_filters_at_every_residue(family):
     # agreement at every residue where m' is integral proves them equal at
     # every L and M; and (C^{-1})_pp = 3/2 makes the exponents equal
     f = fermionic._FAMILIES[family]
-    big, small = algebra(f.large), algebra(f.small)
-    v, phi = f.vertex, VERTEX_MAPS[family]
+    (name, v), phi = LARGE[family], VERTEX_MAPS[family]
+    big, small = algebra(name), algebra(f.small)
     for i, hi in phi.items():
         assert big.incidence[v - 1][i - 1] == (hi == small.p)
         for j, hj in phi.items():
             assert big.incidence[i - 1][j - 1] == small.incidence[hi - 1][hj - 1]
-    big_filters = fermionic._filters(f.large)
+    big_filters = fermionic._filters(name)
     assert all(j != v - 1 for flt in big_filters for j, _ in flt.terms)  # n_v is free
     adj, det = cartan_adjugate(small)
     p = small.p - 1

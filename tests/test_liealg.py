@@ -111,12 +111,6 @@ def test_marked_vertices():
 
 def test_quadratic_forms():
     g = algebra("A5")
-    m = (1, 0, 2, 0, 1)
-    qc = g.quad_form_cartan(m)
-    # m.C.m computed directly
-    direct = sum(m[i] * g.cartan[i][j] * m[j]
-                 for i in range(5) for j in range(5))
-    assert qc == direct
     n = (0, 1, 0, 1, 0)
     qi = g.quad_form_invcartan(n)
     direct = sum(Fraction(n[i]) * g.inverse_cartan[i][j] * n[j]
