@@ -11,13 +11,12 @@ import sys
 
 from .qpoly import QPoly, QSeries, euler_inverse, product_series
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
-from .liealg import DimensionMismatch, LieAlgebra, UnknownAlgebra, algebra
+from .liealg import LieAlgebra, UnknownAlgebra, algebra
 from .mnsys import (
     MNSolution,
     mod3_filter,
     parity_filter,
     solve_mn,
-    solve_mn_filtered,
 )
 from .fermionic import (
     conj_rhs,
@@ -61,7 +60,6 @@ def clear_caches() -> None:
 
 
 __all__ = [
-    "DimensionMismatch",
     "IdentityDescriptor",
     "InvalidBranchLabel",
     "InvalidCharLabel",
@@ -93,7 +91,6 @@ __all__ = [
     "qtrinomial_T",
     "refined_T",
     "solve_mn",
-    "solve_mn_filtered",
     "string_function",
     "verify_all",
     "verify_identity",

@@ -1,9 +1,9 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
 Exit codes: 0 success, 1 verification failure or a failed write to
-standard output (a closed pipe included), 2 usage error, a grid with no
-point to check or a computation past the term-count ceiling
-(verify.TERM_CEILING).
+standard output (a closed pipe included), 2 usage error (an --order given
+to an exact polynomial identity included), a grid with no point to check
+or a computation past the term-count ceiling (verify.TERM_CEILING).
 All output is deterministic.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bosonic, fermionic, verify
 from .liealg import UnknownAlgebra, algebra
-from .mnsys import basis_lines, linear_filter, solve_mn_filtered
+from .mnsys import basis_lines, linear_filter, solve_mn
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
@@ -268,7 +268,7 @@ def _cmd_mn_solve(args) -> int:
         if expr is not None:
             coeffs, const = _linear_form(expr, g.rank)
             filters.append(linear_filter(coeffs, modulus, const))
-    solutions = solve_mn_filtered(g, args.N, args.vertex, *filters)
+    solutions = solve_mn(g, args.N, args.vertex, *filters)
     if solutions:
         print("\n".join(basis_lines(solutions)))
     return 0

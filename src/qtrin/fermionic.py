@@ -24,7 +24,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, algebra
-from .mnsys import mod3_filter, parity_filter, solve_mn_filtered
+from .mnsys import mod3_filter, parity_filter, solve_mn
 from .qcomb import _euler_pairs, _parts, _poly, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries
 
@@ -95,7 +95,7 @@ def _cone(name: str, M: int, sigma: int) -> tuple[tuple[int, tuple, int], ...]:
     den = g.invcartan_den
     return tuple(
         (c - den * (M * m[p] + sum(map(mul, n, m))) // 2, _pairs(m, n), m[p])
-        for m, n in solve_mn_filtered(g, 2 * M, p + 1, *_filters(name, sigma)))
+        for m, n in solve_mn(g, 2 * M, p + 1, *_filters(name, sigma)))
 
 
 def f_poly(name: str, M: int, sigma: int) -> QPoly:

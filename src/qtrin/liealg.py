@@ -19,14 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 
 class UnknownAlgebra(Exception):
-    pass
-
-
-class DimensionMismatch(Exception):
     pass
 
 
@@ -92,16 +87,6 @@ class LieAlgebra:
         d = self.invcartan_den
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.invcartan_num)
 
-    def quad_form_invcartan(self, n: Sequence[int]) -> Fraction:
-        """n . C^{-1} . n as an exact rational."""
-        if len(n) != self.rank:
-            raise DimensionMismatch(f"vector length {len(n)} != rank {self.rank}")
-        total = 0
-        for ni, row in zip(n, self.invcartan_num):
-            if ni:
-                total += ni * sum(x * nj for x, nj in zip(row, n) if nj)
-        return Fraction(total, self.invcartan_den)
-
 
 def _build(name: str) -> LieAlgebra:
     r = _RANK[name]
@@ -132,7 +117,3 @@ def algebra(name: str) -> LieAlgebra:
     if key not in _TABLES:
         raise UnknownAlgebra(f"unknown algebra {name!r}; supported: {sorted(_TABLES)}")
     return _TABLES[key]
-
-
-def algebra_names() -> list[str]:
-    return sorted(_TABLES)

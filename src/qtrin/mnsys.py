@@ -10,22 +10,23 @@ share one integer, a slot per coordinate with a guard bit (SWAR: Lamport,
 "Multiple byte processing with full-word instructions", CACM 1975), so
 raising n_k is one subtraction and the prune one AND.
 
-Integrality and the filters are linear congruences on n.  m is integral when
-den divides every slack N num_ji - 2 (num.n)_j, one congruence mod den per
-row; a ``LinearFilter`` asks that a linear form in n plus a constant be
-divisible by its modulus.  Each congruence is checked at the depth of its last
-nonzero coordinate, where, given the earlier coordinates, it leaves that
-coordinate one residue class (the intersection of the classes when several
-end there, or none): the search steps the coordinate through the class
-instead of testing each value, so every leaf is a solution.  The last
-coordinate loops without recursion and keeps each leaf's integer, which also
-counts n in slots of its own; all leaves are read in one array cast at the
-end, and m and n are those slots over den.
+``solve_mn`` is the one search: integrality and the filters passed to it are
+linear congruences on n.  m is integral when den divides every slack
+N num_ji - 2 (num.n)_j, one congruence mod den per row; a ``LinearFilter``
+asks that a linear form in n plus a constant be divisible by its modulus.
+Each congruence is checked at the depth of its last nonzero coordinate,
+where, given the earlier coordinates, it leaves that coordinate one residue
+class (the intersection of the classes when several end there, or none):
+the search steps the coordinate through the class instead of testing each
+value, so every leaf is a solution.  The last coordinate loops without
+recursion and keeps each leaf's integer, which also counts n in slots of its
+own; all leaves are read in one array cast at the end, and m and n are those
+slots over den.
 Solutions come out strictly increasing in n, with no sort.
 
-``basis_lines`` renders solutions a column at a time: each coordinate's values
-map through a dict of that column's distinct term strings, and each vector is
-joined once.
+``basis_lines``, the one renderer, lists solutions a column at a time: each
+coordinate's values map through a dict of that column's distinct term
+strings, and each vector is joined once.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class MNSolution(NamedTuple):
     m: tuple[int, ...]
     n: tuple[int, ...]
 
-    def basis_str(self) -> str:
-        """Unit-vector notation, e.g. `m=5e1+4e2+e7 n=e5`."""
-        return basis_lines((self,))[0]
-
 
 def _column_text(vectors: Sequence[tuple[int, ...]]) -> list[str]:
     """Each vector as a sum of terms c e_j, with 1 e_j written e_j and the
@@ -58,7 +55,7 @@ def _column_text(vectors: Sequence[tuple[int, ...]]) -> list[str]:
 
 
 def basis_lines(solutions: Sequence[MNSolution]) -> list[str]:
-    """One `m=... n=...` line per solution, as ``MNSolution.basis_str``."""
+    """One line per solution in unit-vector notation, e.g. `m=5e1+4e2+e7 n=e5`."""
     if not solutions:
         return []
     ms, ns = zip(*solutions)
@@ -96,17 +93,13 @@ def mod3_filter() -> LinearFilter:
     return linear_filter({1: 1, 2: -1, 4: 1, 5: -1}, 3)
 
 
-def solve_mn(g: LieAlgebra, N: int, i: int) -> list[MNSolution]:
-    """All solutions with m, n componentwise nonnegative, ordered lexicographically in n.
+def solve_mn(g: LieAlgebra, N: int, i: int, *filters: LinearFilter) -> list[MNSolution]:
+    """All solutions with m, n componentwise nonnegative whose n passes every
+    filter, ordered lexicographically in n; the filters run inside the
+    search, and their order and repeats do not matter.
 
     ``i`` is the 1-based vertex index of the source term N e_i.
     """
-    return list(_solve_mn_cached(g, N, i, ()))
-
-
-def solve_mn_filtered(g: LieAlgebra, N: int, i: int, *filters: LinearFilter) -> list[MNSolution]:
-    """solve_mn restricted to solutions whose n passes every filter; the
-    filters run inside the search."""
     return list(_solve_mn_cached(g, N, i, tuple(sorted(set(filters)))))
 
 

@@ -303,12 +303,6 @@ class QPoly:
         out._row = row
         return out
 
-    @property
-    def terms(self) -> dict[Fraction, int]:
-        """A fresh Fraction exponent -> coefficient dict of the nonzero terms."""
-        d, lo, s, c = self._row
-        return {Fraction(lo + i * s, d): x for i, x in enumerate(c) if x}
-
     def _at(self, order: Fraction | None) -> Row:
         """Row cut at ``order``: None only for a polynomial, otherwise at
         most a series' own order."""
@@ -327,10 +321,6 @@ class QPoly:
     @staticmethod
     def one() -> "QPoly":
         return QPoly._of((1, 0, 1, (1,)))
-
-    @staticmethod
-    def q_power(e: Exponent, coeff: int = 1) -> "QPoly":
-        return QPoly([(e, coeff)])
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int], start: Exponent = 0) -> "QPoly":
@@ -462,10 +452,6 @@ class QSeries(QPoly):
     @staticmethod
     def zero(order: Exponent) -> "QSeries":
         return QPoly._of(_ZERO_ROW, Fraction(order))
-
-    @staticmethod
-    def one(order: Exponent) -> "QSeries":
-        return QSeries([(0, 1)], order)
 
 
 def _times_one_minus(c: list[int], j: int) -> None:

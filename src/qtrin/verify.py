@@ -468,9 +468,10 @@ def verify_identity(
     level: str = "full",
 ) -> VerificationReport:
     """Evaluate one registered identity over its grid, with ``grid``'s
-    parameters in place of the registry's, at ``order`` or the registry's
-    order, and report failures.  Every level in LEVELS runs the same grid; a
-    grid with no point to check is an error, not a PASS."""
+    parameters in place of the registry's, at ``order`` (a series identity
+    only) or the registry's order, and report failures.  Every level in
+    LEVELS runs the same grid; a grid with no point to check is an error,
+    not a PASS."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {', '.join(LEVELS)}, got {level!r}")
     if name not in REGISTRY:
@@ -486,6 +487,8 @@ def verify_identity(
                 f"identity {name!r} takes {key} in {sorted(d.grid[key])}, "
                 f"got {min(set(vals) - set(d.grid[key]))}")
         use_grid[key] = tuple(vals)
+    if order is not None and d.kind == "polynomial-exact":
+        raise ValueError(f"identity {name!r} is an exact polynomial identity and takes no order")
     if order is not None and order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
     use_order = Fraction(d.order if order is None else order)

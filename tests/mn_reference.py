@@ -1,6 +1,6 @@
 """Oracles for ``qtrin.mnsys.solve_mn``: a box enumeration of (m,n)-systems,
-a check of one solution against the defining equations, and the text of
-one solution in unit-vector notation.
+a check of one solution against the defining equations, the text of one
+solution in unit-vector notation, and the form n.C^{-1}.n.
 
 Neither shares code with ``qtrin.liealg``'s inverse.  The box enumeration
 takes m = C^{-1}(N e_i - 2n) from sympy's integer adjugate and determinant of
@@ -10,6 +10,7 @@ all solutions; the check uses only the incidence matrix.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -24,6 +25,12 @@ def cartan_adjugate(g) -> tuple[list[list[int]], int]:
     det(C)."""
     cartan = Matrix(g.cartan)
     return [[int(x) for x in row] for row in cartan.adjugate().tolist()], int(cartan.det())
+
+
+def invcartan_form(g, n) -> Fraction:
+    """n.C^{-1}.n from sympy's adjugate and determinant."""
+    adj, det = cartan_adjugate(g)
+    return Fraction(sum(ni * x * nj for ni, row in zip(n, adj) for x, nj in zip(row, n)), det)
 
 
 def solve_mn_bruteforce(g, N: int, i: int) -> list[MNSolution]:

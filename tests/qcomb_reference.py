@@ -10,19 +10,20 @@ and the sum inside ``string_function`` of ``qtrin.bosonic``, and
 1/(q)_n as the inverse of the finite product (q)_n, and 1/(q)_inf from
 ``qpoly_reference.euler_inverse``.  The fermionic
 references take their (m,n)-system solutions and cone filters from the
-package; the character sums enumerate their own cone, a box filtered by a
-form built from sympy's adjugate and determinant of the Cartan matrix."""
+package, and n.C^{-1}.n from sympy's adjugate and determinant of the Cartan
+matrix (``mn_reference.invcartan_form``); the character sums enumerate their
+own cone, a box filtered by a form built from the same adjugate."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from mn_reference import cartan_adjugate
+from mn_reference import cartan_adjugate, invcartan_form
 from qpoly_reference import euler_inverse, inverse, pochhammer
 from qtrin import fermionic, qcomb
 from qtrin.liealg import algebra
-from qtrin.mnsys import solve_mn, solve_mn_filtered
+from qtrin.mnsys import solve_mn
 from qtrin.qcomb import qbinomial
 from qtrin.qpoly import QPoly, QSeries
 
@@ -157,10 +158,10 @@ def f_poly_reference(name: str, M: int, sigma: int) -> QPoly:
     of q^{n.C^{-1}.n} [m+n choose n]."""
     g = algebra(name)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(g.name, sigma)):
+    for sol in solve_mn(g, 2 * M, g.p, *fermionic._filters(g.name, sigma)):
         term = _qbinomial_vector(sol.m, sol.n)
         if term:
-            out = out + term.shift(g.quad_form_invcartan(sol.n))
+            out = out + term.shift(invcartan_form(g, sol.n))
     return out
 
 
@@ -168,11 +169,11 @@ def conj_rhs_reference(which: int, L: int, M: int) -> QPoly:
     """The F-type sum with the prefactor [(L+M+m_p)/2 choose 2M]."""
     g = algebra(fermionic._FAMILIES[which].small)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, 2 * M, g.p, *fermionic._filters(g.name, L)):
+    for sol in solve_mn(g, 2 * M, g.p, *fermionic._filters(g.name, L)):
         pre = qbinomial((L + M + sol.m[g.p - 1]) // 2, 2 * M)
         term = pre * _qbinomial_vector(sol.m, sol.n)
         if term:
-            out = out + term.shift(g.quad_form_invcartan(sol.n))
+            out = out + term.shift(invcartan_form(g, sol.n))
     return out
 
 
@@ -198,7 +199,7 @@ def inner_algebra_sum_reference(family: int, top: int, bound: int) -> QPoly:
     name, v = LARGE[family]
     g = algebra(name)
     out = QPoly.zero()
-    for sol in solve_mn_filtered(g, bound, v, *fermionic._filters(name)):
+    for sol in solve_mn(g, bound, v, *fermionic._filters(name)):
         md = sol.m[v - 1]
         if md % 2:
             continue

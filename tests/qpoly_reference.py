@@ -105,6 +105,25 @@ def fmt(a):
     return out or "0"
 
 
+def parse(text):
+    """The term map of qtrin's canonical text, the inverse of ``fmt``; a
+    series' ``+ O(q^order)`` tail is dropped (its order is read from
+    ``.order``).  Text that ``fmt`` would not print raises ValueError."""
+    body = text.split(" + O(q^")[0]
+    out = {}
+    for term in body.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coeff, _, power = term.lstrip("-").rpartition("*")
+        if not power.startswith("q"):
+            coeff, power = power, ""
+        e = 0 if not power else 1 if power == "q" else Fraction(power[2:].strip("()"))
+        out[Fraction(e)] = sign * int(coeff or 1)
+    out = {e: c for e, c in out.items() if c}
+    if fmt(out) != body:
+        raise ValueError(f"not in canonical form: {text!r}")
+    return out
+
+
 def row(a):
     """The canonical row (d, lo, s, c) of a term map, from its definition:
     d the least common denominator of the exponents, c[i] the coefficient

@@ -289,10 +289,10 @@ def test_compute_string_function_order_zero(capsys, sigma):
 
 def test_mn_solve_signed_mod3_form(capsys):
     from qtrin.liealg import algebra
-    from qtrin.mnsys import mod3_filter, solve_mn_filtered
+    from qtrin.mnsys import basis_lines, mod3_filter, solve_mn
 
     g = algebra("A5")
-    expect = [s.basis_str() for s in solve_mn_filtered(g, 6, 3, mod3_filter())]
+    expect = basis_lines(solve_mn(g, 6, 3, mod3_filter()))
     code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
                                      "--mod3", "n1-n2+n4-n5"])
     assert code == 0 and expect
@@ -301,9 +301,8 @@ def test_mn_solve_signed_mod3_form(capsys):
     code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
                                      "--mod3", "n1+n2+1"])
     assert code == 0
-    assert out.splitlines() == [
-        s.basis_str() for s in solve_mn_filtered(g, 6, 3)
-        if (s.n[0] + s.n[1] + 1) % 3 == 0]
+    assert out.splitlines() == basis_lines(
+        [s for s in solve_mn(g, 6, 3) if (s.n[0] + s.n[1] + 1) % 3 == 0])
 
 
 def test_mn_solve_signed_form_as_separate_argument(capsys):
@@ -321,6 +320,23 @@ def test_verify_order_below_one_is_a_usage_error(capsys):
         code, out, err = _capture(capsys, ["verify", "abp", "--order", order])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_verify_order_on_an_exact_identity_is_a_usage_error(capsys):
+    # an exact polynomial identity has no truncation order: an order given
+    # to one is refused, not ignored, and a series identity still takes one
+    exact = [n for n, d in REGISTRY.items() if d.kind == "polynomial-exact"]
+    assert len(exact) == 16
+    for name in exact:
+        with pytest.raises(ValueError, match="takes no order"):
+            verify.verify_identity(name, order=5)
+    for name in ("dual", "conj1"):
+        code, out, err = _capture(capsys, ["verify", name, "--order", "5"])
+        assert code == 2 and out == ""
+        assert err == (f"error: identity {name!r} is an exact polynomial identity "
+                       "and takes no order\n")
+    code, out, _ = _capture(capsys, ["verify", "E8", "--order", "5"])
+    assert code == 0 and "PASS" in out
 
 
 @pytest.mark.parametrize(

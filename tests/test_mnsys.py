@@ -4,7 +4,7 @@ import pytest
 
 from mn_reference import basis_text, check_solution, solve_mn_bruteforce
 from qtrin import fermionic, mnsys
-from qtrin.liealg import algebra, algebra_names
+from qtrin.liealg import algebra
 from qtrin.mnsys import (
     LinearFilter,
     MNSolution,
@@ -13,8 +13,9 @@ from qtrin.mnsys import (
     mod3_filter,
     parity_filter,
     solve_mn,
-    solve_mn_filtered,
 )
+
+ALGEBRAS = ("A5", "D6", "E6", "E7", "E8")
 
 # the eleven reference solutions for E7, N=6, source vertex 1,
 # split by the parity of n1+n3+n7
@@ -39,16 +40,16 @@ def test_e7_reference_example():
     g = algebra("E7")
     sols = solve_mn(g, 6, 1)
     assert len(sols) == 11
-    got = {s.basis_str() for s in sols}
+    got = set(basis_lines(sols))
     assert got == set(E7_EVEN) | set(E7_ODD)
 
 
 def test_e7_parity_split():
     g = algebra("E7")
-    even = solve_mn_filtered(g, 6, 1, parity_filter((1, 3, 7), 0))
-    odd = solve_mn_filtered(g, 6, 1, parity_filter((1, 3, 7), 1))
-    assert {s.basis_str() for s in even} == set(E7_EVEN)
-    assert {s.basis_str() for s in odd} == set(E7_ODD)
+    even = solve_mn(g, 6, 1, parity_filter((1, 3, 7), 0))
+    odd = solve_mn(g, 6, 1, parity_filter((1, 3, 7), 1))
+    assert set(basis_lines(even)) == set(E7_EVEN)
+    assert set(basis_lines(odd)) == set(E7_ODD)
 
 
 @pytest.mark.parametrize("name, N, i", [
@@ -56,12 +57,12 @@ def test_e7_parity_split():
 ])
 def test_basis_str_against_reference(name, N, i):
     # every solution of a few systems, each rank, m and n both zero or not;
-    # the listing renders a column at a time, and each of its lines must be
-    # the reference's text of its own solution
+    # the listing renders a column at a time, and each of its lines, alone
+    # or in the whole listing, must be the reference's text of its solution
     sols = solve_mn(algebra(name), N, i)
     assert len(sols) > 10
     for s in sols:
-        assert s.basis_str() == basis_text(s)
+        assert basis_lines([s]) == [basis_text(s)]
     assert basis_lines(sols) == [basis_text(s) for s in sols]
 
 
@@ -72,14 +73,14 @@ def test_column_renderer_hand_built():
             MNSolution((1, 12, 0), (0, 0, 0)),
             MNSolution((-3, 1, -1), (10, 1, 1))]
     lines = basis_lines(sols)
-    assert lines == [basis_text(s) for s in sols] == [s.basis_str() for s in sols]
+    assert lines == [basis_text(s) for s in sols] == [basis_lines([s])[0] for s in sols]
     assert lines[0] == "m=0 n=e1"
     assert lines[1] == "m=-3e1+e3 n=2e2+-1e3"
     assert basis_lines([]) == []
 
 
 def test_solutions_satisfy_system():
-    for name in algebra_names():
+    for name in ALGEBRAS:
         g = algebra(name)
         for i in range(1, g.rank + 1):
             for N in range(9):
@@ -90,7 +91,7 @@ def test_solutions_satisfy_system():
 def test_completeness_against_bruteforce():
     # the solver must find every solution of the box oracle, strictly
     # increasing in n: at every vertex for small N, and at a few deeper points
-    cases = [(name, i, N) for name in algebra_names()
+    cases = [(name, i, N) for name in ALGEBRAS
              for i in range(1, algebra(name).rank + 1)
              for N in range(5 if algebra(name).rank > 6 else 7)]
     for name, i, N in cases + [("A5", 3, 7), ("A5", 3, 8), ("E7", 1, 6)]:
@@ -118,7 +119,7 @@ def test_mod3_filter():
     # at the marked vertex of A5 the constraint is automatically met,
     # so filtering must change nothing there
     for N in range(0, 8):
-        assert solve_mn_filtered(g, N, 3, pred) == solve_mn(g, N, 3)
+        assert solve_mn(g, N, 3, pred) == solve_mn(g, N, 3)
 
 
 # independent predicates for each algebra's cone filters (fermionic._filters)
@@ -154,7 +155,7 @@ def test_filters_inside_the_search_against_bruteforce():
     # every vertex of every algebra, N <= 6 (N <= 4 at rank 7 and 8): each
     # cone's filters at both sigma and each form of _filter_cases, against
     # the box oracle filtered by an independent predicate
-    for name in algebra_names():
+    for name in ALGEBRAS:
         g = algebra(name)
         cone = CONE_PREDICATES[name]
         for i in range(1, g.rank + 1):
@@ -163,14 +164,14 @@ def test_filters_inside_the_search_against_bruteforce():
                 cases = [(fermionic._filters(name, s), lambda n, s=s: cone(n, s)) for s in (0, 1)]
                 for filters, pred in cases + list(_filter_cases(g.rank)):
                     want = [(s.m, s.n) for s in box if pred(s.n)]
-                    got = [(s.m, s.n) for s in solve_mn_filtered(g, N, i, *filters)]
+                    got = [(s.m, s.n) for s in solve_mn(g, N, i, *filters)]
                     assert got == want, (name, i, N, filters)
 
 
 def test_filter_order_and_duplicates_give_one_result():
     g = algebra("A5")
-    a = solve_mn_filtered(g, 12, 2, mod3_filter(), parity_filter((1, 3, 5), 1))
-    b = solve_mn_filtered(g, 12, 2, parity_filter((1, 3, 5), 3), mod3_filter(), mod3_filter())
+    a = solve_mn(g, 12, 2, mod3_filter(), parity_filter((1, 3, 5), 1))
+    b = solve_mn(g, 12, 2, parity_filter((1, 3, 5), 3), mod3_filter(), mod3_filter())
     assert a == b and a
 
 
@@ -187,12 +188,12 @@ def test_filter_modulus_must_be_positive(modulus):
     with pytest.raises(ValueError, match="modulus"):
         linear_filter({1: 1}, modulus)
     with pytest.raises(ValueError, match="modulus"):
-        solve_mn_filtered(algebra("A5"), 4, 3, LinearFilter(((0, 1),), modulus))
+        solve_mn(algebra("A5"), 4, 3, LinearFilter(((0, 1),), modulus))
 
 
 def test_filter_outside_the_rank_is_rejected():
     with pytest.raises(ValueError, match="outside"):
-        solve_mn_filtered(algebra("A5"), 4, 3, parity_filter((1, 7)))
+        solve_mn(algebra("A5"), 4, 3, parity_filter((1, 7)))
 
 
 @pytest.mark.parametrize("name, N, i, solutions", [("A5", 30, 3, 2878), ("E6", 24, 6, 1459)])

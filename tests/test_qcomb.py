@@ -14,7 +14,7 @@ from qcomb_reference import (abp_lhs_reference, con10_lhs_reference,
                              positive_sum_reference,
                              qtrinomial2_reference, qtrinomial_T_reference,
                              refined_T_reference, refinement_sum_reference)
-from qpoly_reference import inverse, mul, pochhammer
+from qpoly_reference import inverse, mul, parse, pochhammer
 from qtrin import qcomb, verify
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import (_gauss, _slot_bytes, invariance_sum, positive_sum,
@@ -94,7 +94,7 @@ def test_qbinomial_on_each_side_of_the_packed_size():
     for n, row in _qpascal_rows(176, 30):
         if n in size:
             assert _gauss(n, 30) == tuple(row[30]), n
-            assert sum(qbinomial(n, 30).terms.values()) == math.comb(n, 30)
+            assert sum(parse(str(qbinomial(n, 30))).values()) == math.comb(n, 30)
 
 
 def test_cut_builds_are_prefixes_of_the_whole(build_path):
@@ -166,7 +166,7 @@ def test_qbinomial_large_case_shape():
     assert p == QPoly(enumerate(coeffs))  # degree a(n-a), nothing below 0
     assert coeffs[0] == coeffs[-1] == 1
     assert coeffs == coeffs[::-1]
-    assert sum(p.terms.values()) == math.comb(n, a)
+    assert sum(parse(str(p)).values()) == math.comb(n, a)
 
 
 def test_qbinomial_edge_cases():
@@ -180,7 +180,7 @@ def test_qbinomial_edge_cases():
 def test_qbinomial_symmetry_and_counting(n, a):
     assert qbinomial(n, a) == qbinomial(n, n - a if a <= n else -1)
     if 0 <= a <= n:
-        assert sum(qbinomial(n, a).terms.values()) == math.comb(n, a)
+        assert sum(parse(str(qbinomial(n, a))).values()) == math.comb(n, a)
 
 
 def test_trinomial_counting_at_q1():
@@ -195,8 +195,8 @@ def test_trinomial_counting_at_q1():
                 nxt[i + 2] += c
             coeffs = nxt
         for a in range(-L, L + 1):
-            assert sum(qtrinomial2(L, a).terms.values()) == coeffs[L + a]
-            assert sum(qtrinomial_T(L, a).terms.values()) == coeffs[L + a]
+            assert sum(parse(str(qtrinomial2(L, a))).values()) == coeffs[L + a]
+            assert sum(parse(str(qtrinomial_T(L, a))).values()) == coeffs[L + a]
 
 
 @given(st.integers(0, 8), st.integers(-8, 8))
@@ -284,7 +284,7 @@ def test_refined_against_reference_sum(args):
 
 def test_refined_wide_coefficients_against_reference():
     t = refined_T(40, 38, 2, -3)
-    assert max(t.terms.values()).bit_length() == 109
+    assert max(parse(str(t)).values()).bit_length() == 109
     assert t == refined_T_reference(40, 38, 2, -3)
 
 
@@ -299,7 +299,7 @@ def test_refined_wide_coefficients_against_reference():
 ])
 def test_refined_near_slot_boundaries_against_reference(args, at_1, top):
     t = refined_T(*args)
-    assert (sum(t.terms.values()), max(t.terms.values())) == (at_1, top)
+    assert (sum(parse(str(t)).values()), max(parse(str(t)).values())) == (at_1, top)
     assert t == refined_T_reference(*args)
 
 
@@ -338,7 +338,7 @@ def test_packed_sum_slot_width_boundaries(x, y):
     ((3, 3), 1), ((3, 6), 2), ((6, 21), 4), ((15, 33), 8), ((26, 26), 10)])
 def test_refined_at_each_slot_width_against_reference(args, width):
     t = refined_T(*args, 0, 0)
-    assert _slot_bytes(sum(t.terms.values())) == width
+    assert _slot_bytes(sum(parse(str(t)).values())) == width
     assert t == refined_T_reference(*args, 0, 0)
 
 
@@ -350,7 +350,7 @@ def test_refined_rejects_negative_bounds():
 
 def test_positive_sum_edge_cases():
     assert positive_sum([], 2) == QPoly.zero()
-    assert positive_sum([(-3, ())], 2) == QPoly.q_power(Fraction(-3, 2))
+    assert positive_sum([(-3, ())], 2) == QPoly([(Fraction(-3, 2), 1)])
     # exponents that differ by non-integers are summed one class at a time
     halves = [(0, ()), (1, ())]
     assert positive_sum(halves, 2) == positive_sum_reference(halves, 2)
@@ -362,7 +362,7 @@ def test_positive_sum_edge_cases():
     # over the denominator 4, against the same sum built by hand
     quarters = positive_sum([(3, ((3, 1), (2, 1))), (7, ((4, 2),)), (-1, ())], 4)
     by_hand = (qbinomial(3, 1) * qbinomial(2, 1)).shift(Fraction(3, 4)) \
-        + qbinomial(4, 2).shift(Fraction(7, 4)) + QPoly.q_power(Fraction(-1, 4))
+        + qbinomial(4, 2).shift(Fraction(7, 4)) + QPoly([(Fraction(-1, 4), 1)])
     assert quarters == by_hand
     assert str(quarters) == str(by_hand)
     # q^(1/6) and q^(1/3) differ by q^(1/6): no one slot grid holds both
@@ -454,7 +454,7 @@ def test_refinement_factor_reads_refined_T():
         assert t == QPoly.from_coeffs(c, Fraction(e, 2)) and c[0] == 1
         assert t.min_exponent() == Fraction(e, 2)
         assert qcomb._side_factors(qcomb._refined, args) == [(e, _R(*args))]
-        assert qcomb._cut_value(_R(*args)) == sum(c) == sum(t.terms.values())
+        assert qcomb._cut_value(_R(*args)) == sum(c) == sum(parse(str(t)).values())
         assert positive_sum([(e, (_R(*args),))], 2) == t
     # zero inside the support: L - |a| odd and M = 0, a side with no parts
     assert qcomb._refined(3, 0, 0, 0) == ()
@@ -480,8 +480,8 @@ def test_cut_sum_at_each_slot_width_against_reference(w):
     X = 8 * w
     terms = [(2 * (X - j), ((2, 1),) * (8 * w)) for j in range(8 * w)]
     got = positive_sum(terms, 2, X + 1)
-    assert got.coeff(X) == max(got.terms.values()) == 2 ** (8 * w) - 1
-    assert _slot_bytes(sum(positive_sum(terms, 2).terms.values())) > w
+    assert got.coeff(X) == max(parse(str(got)).values()) == 2 ** (8 * w) - 1
+    assert _slot_bytes(sum(parse(str(positive_sum(terms, 2))).values())) > w
     assert got == positive_sum_reference(terms, 2).truncate(X + 1)
 
 
@@ -578,7 +578,7 @@ def test_trinomials_output_digest():
 def test_sums_with_wide_coefficients():
     # coefficients above 64 bits take the byte-slice path of the kernel
     t = invariance_sum(25, 25, 1, 0)
-    assert max(t.terms.values()).bit_length() == 66
+    assert max(parse(str(t)).values()).bit_length() == 66
     assert t == invariance_sum_reference(25, 25, 1, 0)
     # the refinement sums against the trinomials they add up to, and the
     # trinomials, a second kernel sum each, against their term-by-term
@@ -586,7 +586,7 @@ def test_sums_with_wide_coefficients():
     for swap, trinomial, reference in ((False, qtrinomial_T, qtrinomial_T_reference),
                                        (True, qtrinomial2, qtrinomial2_reference)):
         t = refinement_sum(48, 2, 1, swap)
-        assert max(t.terms.values()).bit_length() == 65
+        assert max(parse(str(t)).values()).bit_length() == 65
         assert t == trinomial(48, 2)
         assert trinomial(48, 2) == reference(48, 2)
 
