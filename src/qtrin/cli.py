@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = csub.add_parser("ferm", help="fermionic character series")
     s.add_argument("family", choices=fermionic.CHAR_FAMILIES)
     s.add_argument("--order", type=int, default=12)
-    s.add_argument("--sigma", type=int, default=0, choices=(0, 1))
+    s.add_argument("--sigma", type=int, choices=(0, 1), help="cone parity constant (default 0)")
 
     s = csub.add_parser("chi", help="normalized Virasoro character")
     s.add_argument("P", type=int)
@@ -196,8 +196,11 @@ def _cmd_compute(args) -> int:
             fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
             print(fn(fam, k, args.L, args.M))
     elif w == "ferm":
+        name = args.family.split("-")[0]
+        if args.sigma is not None and fermionic._filters(name, 0) == fermionic._filters(name, 1):
+            raise UsageError(f"--sigma applies to a family whose cone depends on it, not {name}")
         print(fermionic.fermionic_char_sum(
-            args.family, Fraction(args.order), sigma=args.sigma))
+            args.family, Fraction(args.order), sigma=args.sigma or 0))
     elif w == "chi":
         print(bosonic.virasoro_char(args.P, args.PP, args.R, args.S,
                                     Fraction(args.order)))

@@ -2,29 +2,28 @@
 k-series sums, and the fermionic character series.
 
 Every sum here is manifestly positive: q-powers times products of Gaussian
-polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by free
-nonnegative vectors cut off at the truncation order.  Each is one call to
-qtrin.qcomb's kernel, with exponents over the inverse Cartan denominator
-(n.C^{-1}.n), over 2 (the conjecture sides, k-series and X-series: there
-n.C^{-1}.n has denominator 2, and squares over 2) or over lcm(2, that
-denominator).  A series sum passes its truncation order, and each 1/(q)_n
-as a Gaussian that equals it below the order.  No QSeries is multiplied,
-and no chain is enumerated: the chain sums of the k-series and X-series
-are one recursion over the depth from the conjecture side (_kside; README).
-Every family sum reads one cached cone per (small algebra, M, sigma).
+polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by the points
+of one walk below the truncation order (_walk), with the cone filters stepped
+inside it.  Each is one call to qtrin.qcomb's kernel, with exponents over the
+inverse Cartan denominator (n.C^{-1}.n), over 2 (the conjecture sides, k-series
+and X-series: there n.C^{-1}.n has denominator 2, and squares over 2) or over
+lcm(2, that denominator).  A series sum passes its truncation order, and each
+1/(q)_n as a Gaussian that equals it below the order.  No QSeries is
+multiplied, and no chain is enumerated: the chain sums of the k-series and
+X-series are one recursion over the depth from the conjecture side (_kside;
+README).  Every family sum reads one cached cone per (small algebra, M, sigma).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from math import ceil, isqrt, lcm
+from math import ceil, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, algebra
-from .mnsys import mod3_filter, parity_filter, solve_mn
+from .liealg import algebra
+from .mnsys import _rules, mod3_filter, parity_filter, solve_mn
 from .qcomb import _euler_pairs, _parts, _poly, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries
 
@@ -169,32 +168,34 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
     return _poly(_kside(w, k, L, M), 2)
 
 
-def _enumerate_small_qform(g: LieAlgebra, order: Fraction):
-    """Yield (n, den * n.C^{-1}.n) for every n in Z_+^rank with n.C^{-1}.n <
-    order, den = g.invcartan_den, lexicographically in n.  The form is
-    strictly increasing in every coordinate on the nonnegative orthant
-    (positive inverse Cartan), so a depth-first scan that stops each
-    coordinate at its first value past the order is complete.  The integer
-    form Q = n.num.n is carried by partial sums, Q(n + e_k) = Q(n) +
-    2 (num.n)_k + num_kk; at level k the later coordinates of n are 0."""
-    num = g.invcartan_num
-    last = g.rank - 1
-    limit = ceil(order * g.invcartan_den)  # Q < den * order, Q an integer
-    n = [0] * g.rank
+def _walk(num, den: int, order: Fraction, filters: tuple = ()):
+    """Yield (n, Q) for every n in Z_+^r with Q = n.num.n < den * order that
+    passes the filters, lexicographically in n.  Every entry of num is
+    positive, so Q rises in every coordinate and each coordinate stops at its
+    first value past the order; with the later coordinates 0, n_k = v adds
+    v (2 (num.n)_k + v num_kk).  Each filter steps its last nonzero coordinate
+    through the residue class it leaves (mnsys._rules): every point is kept."""
+    rules = _rules(len(num), filters)
+    if rules is None:
+        return
+    last = len(num) - 1
+    limit = ceil(order * den)  # Q < den * order, Q an integer
+    n = [0] * len(num)
 
     def rec(k: int, q: int):
-        row = num[k]
-        step = 2 * sum(map(mul, row, n)) + row[k]  # Q(n + e_k) - Q(n)
-        v = 0
-        while q < limit:
+        row, rule = num[k], rules[k]
+        lin = 2 * sum(map(mul, row, n))
+        hit = rule.residues(rule.key(n[:k])) if rule else (0, 1)
+        if not hit:
+            return
+        v, d = hit
+        while (e := q + v * (lin + v * row[k])) < limit:
             n[k] = v
             if k < last:
-                yield from rec(k + 1, q)
+                yield from rec(k + 1, e)
             else:
-                yield tuple(n), q
-            q += step
-            step += 2 * row[k]
-            v += 1
+                yield tuple(n), e
+            v += d
         n[k] = 0
 
     yield from rec(0, 0)
@@ -210,10 +211,9 @@ def fermionic_char_sum(family: str, order: Fraction | int, sigma: int = 0) -> QS
     order = Fraction(order)
     name = family.split("-")[0]
     g = algebra(name)
-    preds = _filters(name, sigma)
     return positive_sum(
         ((e, _euler_pairs(n, order))
-         for n, e in _enumerate_small_qform(g, order) if all(p(n) for p in preds)),
+         for n, e in _walk(g.invcartan_num, g.invcartan_den, order, _filters(name, sigma))),
         g.invcartan_den, order)
 
 
@@ -235,13 +235,11 @@ def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> Q
     order = Fraction(order)
     g = algebra(_FAMILIES[family].small)
     den = lcm(2, g.invcartan_den)
-    cap = isqrt(max(int(2 * order), 0)) + 1
+    # sum of N_a^2 = sum over a, b of min(a, b) n_a n_b (1-based a, b), over 2
+    squares = [[min(a, b) + 1 for b in range(k)] for a in range(k)]
 
     def terms():
-        for nvec in product(range(cap + 1), repeat=k):
-            e2 = sum(x * x for x in accumulate(reversed(nvec)))  # sum of N_a^2
-            if e2 >= 2 * order:
-                continue
+        for nvec, e2 in _walk(squares, 2, order):
             inv = _euler_pairs(nvec[:-1] + (2 * nvec[-1],), order)
             for e, pairs, _ in _cone(g.name, nvec[-1], (sigma + sum(nvec[::2])) % 2):
                 yield e2 * (den // 2) + e * (den // g.invcartan_den), pairs + inv
@@ -262,11 +260,10 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     if k < 2:
         raise ValueError("k must be >= 2")
     order = Fraction(order)
-    # (L, i) with q^{(L^2 + i^2)/2} below the order
-    cells = [(L, i) for L in range(isqrt(max(int(2 * order), 0)) + 1)
-             for i in range(L + 1) if L * L + i * i < 2 * order]
-    _fill(family, k - 2, [(L - i, i) for L, i in cells])
-    return positive_sum(((L * L + i * i + e, _euler_pairs((L,), order) + (f,))
-                         for L, i in cells
-                         for e, f in _side_factors(_kside, (family, k - 2, L - i, i))),
+    # the cells (L, i) = (u + i, i) below the order: L^2 + i^2 = u^2 + 2ui + 2i^2
+    cells = list(_walk(((1, 1), (1, 2)), 2, order))
+    _fill(family, k - 2, [ui for ui, _ in cells])
+    return positive_sum(((e + f_e, _euler_pairs((u + i,), order) + (f,))
+                         for (u, i), e in cells
+                         for f_e, f in _side_factors(_kside, (family, k - 2, u, i))),
                         2, order)

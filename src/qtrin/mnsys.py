@@ -18,11 +18,11 @@ Each congruence is checked at the depth of its last nonzero coordinate,
 where, given the earlier coordinates, it leaves that coordinate one residue
 class (the intersection of the classes when several end there, or none):
 the search steps the coordinate through the class instead of testing each
-value, so every leaf is a solution.  The last coordinate loops without
+value, so every leaf is a solution.  ``_rules`` builds the rules, for this
+search and for qtrin.fermionic's cone walk.  The last coordinate loops without
 recursion and keeps each leaf's integer, which also counts n in slots of its
 own; all leaves are read in one array cast at the end, and m and n are those
-slots over den.
-Solutions come out strictly increasing in n, with no sort.
+slots over den.  Solutions come out strictly increasing in n, with no sort.
 
 ``basis_lines``, the one renderer, lists solutions a column at a time: each
 coordinate's values map through a dict of that column's distinct term
@@ -68,10 +68,6 @@ class LinearFilter(NamedTuple):
     terms: tuple[tuple[int, int], ...]
     modulus: int
     const: int = 0
-
-    def __call__(self, n: Sequence[int]) -> bool:
-        terms, modulus, const = self
-        return (sum(c * n[j] for j, c in terms) + const) % modulus == 0
 
 
 def linear_filter(coeffs: Mapping[int, int], modulus: int, const: int = 0) -> LinearFilter:
@@ -136,6 +132,11 @@ class _Rule(NamedTuple):
     forms: tuple[tuple[tuple[int, ...], int, int, int], ...]
     period: int
 
+    def key(self, prefix: Sequence[int]) -> tuple[int, ...]:
+        """The right-hand sides of the congruences on n_k, given n_0..n_{k-1}
+        = prefix: what ``residues`` reads, in both searches."""
+        return tuple([(c0 + sum(map(mul, neg, prefix))) % mod for neg, c0, _, mod in self.forms])
+
     def residues(self, key: tuple[int, ...]) -> tuple[int, int] | tuple[()]:
         """(first, step) of the values of n_k that satisfy every congruence,
         key holding the right-hand sides; () when none does."""
@@ -148,22 +149,13 @@ class _Rule(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _rules(g: LieAlgebra, i: int, residue: int,
-           filters: tuple[LinearFilter, ...]) -> tuple[_Rule | None, ...] | None:
-    """Per coordinate k, the rule of the congruences on n that end on n_k, or
-    None: the filters, and den dividing every slack at source N e_i for any N
-    = residue mod den.  None in place of the rules when no n passes."""
-    r = g.rank
-    num, den = g.invcartan_num, g.invcartan_den
-    congruences = list(filters)
-    for terms, _, _ in filters:
+def _rules(r: int, congruences: tuple) -> tuple[_Rule | None, ...] | None:
+    """Per coordinate k of n in Z^r, the rule of the congruences (terms, modulus,
+    const) that end on n_k, or None; None in place of the rules when no n passes."""
+    for terms, _, _ in congruences:
         for j, _ in terms:
             if not 0 <= j < r:
                 raise ValueError(f"filter index n{j + 1} is outside n1..n{r}")
-    if den > 1:
-        # den divides slack j: sum_k -2 num_jk n_k + N num_ji == 0 mod den
-        congruences += [(tuple(enumerate(-2 * x for x in row)), den, residue * row[i - 1])
-                        for row in num]
     ending: list[set] = [set() for _ in range(r)]
     for terms, modulus, const in congruences:
         c = _reduced(terms, modulus, const)
@@ -192,7 +184,10 @@ def _solve_mn_cached(g: LieAlgebra, N: int, i: int,
         raise ValueError(f"vertex index {i} out of range for rank {g.rank}")
     r = g.rank
     num, den = g.invcartan_num, g.invcartan_den
-    rules = _rules(g, i, N % den, filters)
+    # den divides slack j: sum_k -2 num_jk n_k + N num_ji == 0 mod den
+    slacks = tuple((tuple(enumerate(-2 * x for x in row)), den, N % den * row[i - 1])
+                   for row in num) if den > 1 else ()
+    rules = _rules(r, filters + slacks)
     if rules is None:
         return ()
     # one stride through a residue class subtracts at most `period` columns
@@ -223,7 +218,7 @@ def _solve_mn_cached(g: LieAlgebra, N: int, i: int,
 
     def admissible(k: int, prefix: tuple[int, ...]):
         rule = rules[k]
-        key = tuple([(c0 + sum(map(mul, neg, prefix))) % mod for neg, c0, _, mod in rule.forms])
+        key = rule.key(prefix)
         hit = memos[k].get(key)
         if hit is None:
             hit = rule.residues(key)

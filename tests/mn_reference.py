@@ -1,6 +1,7 @@
 """Oracles for ``qtrin.mnsys.solve_mn``: a box enumeration of (m,n)-systems,
 a check of one solution against the defining equations, the text of one
-solution in unit-vector notation, and the form n.C^{-1}.n.
+solution in unit-vector notation, the form n.C^{-1}.n, each algebra's cone
+filters as plain predicates, and a filter's congruence read from its fields.
 
 Neither shares code with ``qtrin.liealg``'s inverse.  The box enumeration
 takes m = C^{-1}(N e_i - 2n) from sympy's integer adjugate and determinant of
@@ -80,3 +81,22 @@ def basis_text(s: MNSolution) -> str:
                 text += ("+" if text else "") + coeff + "e" + str(j + 1)
         return text if text else "0"
     return "m=" + vec(s.m) + " n=" + vec(s.n)
+
+
+# independent predicates for each algebra's cone filters (fermionic._filters),
+# called with n and sigma
+CONE_PREDICATES = {
+    "E8": lambda n, s: True,
+    "E7": lambda n, s: (n[0] + n[2] + n[6] + s) % 2 == 0,
+    "E6": lambda n, s: (n[0] + n[3] - n[1] - n[4]) % 3 == 0,
+    "D6": lambda n, s: (n[0] + n[2] + n[5]) % 2 == 0 and (n[0] + n[2] + n[4] + s) % 2 == 0,
+    "A5": lambda n, s: ((n[0] + n[3] - n[1] - n[4]) % 3 == 0
+                        and (n[0] + n[2] + n[4] + s) % 2 == 0),
+}
+
+
+def filter_holds(flt, n) -> bool:
+    """Whether n satisfies the filter (terms, modulus, const): the sum of c *
+    n_j over (j, c) in terms (0-based j), plus const, divisible by modulus."""
+    terms, modulus, const = flt
+    return (sum(c * n[j] for j, c in terms) + const) % modulus == 0

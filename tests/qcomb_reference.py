@@ -12,14 +12,15 @@ and the sum inside ``string_function`` of ``qtrin.bosonic``, and
 references take their (m,n)-system solutions and cone filters from the
 package, and n.C^{-1}.n from sympy's adjugate and determinant of the Cartan
 matrix (``mn_reference.invcartan_form``); the character sums enumerate their
-own cone, a box filtered by a form built from the same adjugate."""
+own cone, a box filtered by a form built from the same adjugate and by the
+plain predicates ``mn_reference.CONE_PREDICATES``."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from mn_reference import cartan_adjugate, invcartan_form
+from mn_reference import CONE_PREDICATES, cartan_adjugate, invcartan_form
 from qpoly_reference import euler_inverse, inverse, pochhammer
 from qtrin import fermionic, qcomb
 from qtrin.liealg import algebra
@@ -263,10 +264,9 @@ def fermionic_char_sum_reference(family: str, order, sigma: int = 0) -> QSeries:
     """Sum of q^{n.C^{-1}.n}/(q)_n over the family's filtered cone."""
     order = Fraction(order)
     name = family.split("-")[0]
-    preds = fermionic._filters(name, sigma)
     out = QSeries.zero(order)
     for n, form in small_qform_reference(name, order):
-        if not all(p(n) for p in preds):
+        if not CONE_PREDICATES[name](n, sigma):
             continue
         term = QSeries([(form, 1)], order)
         for nj in n:

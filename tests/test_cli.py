@@ -378,6 +378,25 @@ def test_mn_solve_empty_form_is_a_usage_error(capsys, flag):
         assert err.splitlines()[0] == f"error: empty term in linear form {expr!r}"
 
 
+def test_compute_ferm_sigma_without_a_sigma_filter_is_a_usage_error(capsys):
+    # the E8 and E6 cones have no sigma-dependent filter, so a --sigma there
+    # would print the sigma = 0 series; the other families take it
+    from qtrin import fermionic
+
+    for family in ("E8", "E6"):
+        for sigma in ("0", "1"):
+            code, out, err = _capture(capsys, ["compute", "ferm", family, "--order", "6",
+                                               "--sigma", sigma])
+            assert code == 2 and out == ""
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                f"error: --sigma applies to a family whose cone depends on it, not {family}"]
+        code, out, _ = _capture(capsys, ["compute", "ferm", family, "--order", "6"])
+        assert (code, out) == (0, f"{fermionic.fermionic_char_sum(family, 6)}\n")
+    for family in ("E7", "D6-B46", "A5-B68"):
+        code, out, _ = _capture(capsys, ["compute", "ferm", family, "--order", "6", "--sigma", "1"])
+        assert (code, out) == (0, f"{fermionic.fermionic_char_sum(family, 6, 1)}\n")
+
+
 def test_parses_are_independent(capsys):
     from qtrin import bosonic, fermionic
 

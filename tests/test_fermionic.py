@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 import pytest
 
-from mn_reference import cartan_adjugate, invcartan_form
+from mn_reference import CONE_PREDICATES, cartan_adjugate, filter_holds, invcartan_form
 from qcomb_reference import (LARGE, X_ODD, conj_rhs_reference, f_poly_reference,
                              fermionic_char_sum_reference, fsum_family_lhs_reference,
                              kseries_rhs_reference, small_qform_reference,
@@ -169,7 +169,7 @@ def test_x_series_parity_is_the_inner_condition_at_every_residue(family):
             m = [x // det for x in slack]
             primed = all(mj % 2 == (N % 2 if j in X_ODD[family] else 0)
                          for j, mj in enumerate(m, 1))
-            inner = all(p(n) for p in filters)
+            inner = all(filter_holds(p, n) for p in filters)
             assert primed == inner and (m[v] % 2 == 0 or not inner), (N, n)
             checked += 1
     assert checked >= 2
@@ -330,8 +330,9 @@ def test_depth_zero_filters_are_the_conjecture_filters_at_every_residue(family):
                 for i, hi in phi.items():
                     big_n[i - 1] = n[hi - 1]
                 large = ((L + M + slack[p] // det) % 2 == 0
-                         and all(flt(big_n) for flt in big_filters))
-                assert large == all(flt(n) for flt in fermionic._filters(f.small, L)), (L, M, n)
+                         and all(filter_holds(flt, big_n) for flt in big_filters))
+                assert large == all(filter_holds(flt, n)
+                                    for flt in fermionic._filters(f.small, L)), (L, M, n)
                 checked += 1
     assert checked
 
@@ -361,7 +362,7 @@ def test_fermionic_char_sum_against_reference(family, sigma):
 
 
 @pytest.mark.parametrize("family", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_fsum_family_lhs_against_reference(family, k):
     for sigma in (0, 1):
         for order in (0, 1, Fraction(7, 2), 8, 20):
@@ -391,12 +392,28 @@ def test_kseries_rhs_at_depth_1000(family):
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])
 def test_cone_enumeration_against_box_filter(name):
     # the cone comes out in the reference box's lexicographic order, and the
-    # integer exponent carried by partial sums is den * n.C^{-1}.n
+    # integer exponent carried by partial sums is den * n.C^{-1}.n; with the
+    # algebra's filters at either sigma stepped inside the walk, it is the box
+    # filtered by the independent predicate
     g = algebra(name)
     for order in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(9),
                   Fraction(40)):
-        got = list(fermionic._enumerate_small_qform(g, order))
-        expect = small_qform_reference(name, order)
-        assert [n for n, _ in got] == [n for n, _ in expect], order
-        for (n, e), (_, form) in zip(got, expect):
-            assert e == form * g.invcartan_den
+        box = list(small_qform_reference(name, order))
+        cases = [((), box)] + [
+            (fermionic._filters(name, s), [(n, f) for n, f in box if CONE_PREDICATES[name](n, s)])
+            for s in (0, 1)]
+        for filters, expect in cases:
+            got = list(fermionic._walk(g.invcartan_num, g.invcartan_den, order, filters))
+            assert [(n, Fraction(e, g.invcartan_den)) for n, e in got] == expect, (order, filters)
+    # fsum_family_lhs's form sum of N_a^2 = sum of min(a, b) n_a n_b over 2,
+    # on 1 to 5 coordinates, against the plain box of Z_+^k, which holds the
+    # cone as n_a^2 <= N_1^2 < 2 order
+    for k in range(1, 6):
+        squares = [[min(a, b) + 1 for b in range(k)] for a in range(k)]
+        for order in (0, 1, Fraction(7, 2), 8, 20):
+            expect = []
+            for n in product(range(isqrt(int(2 * order)) + 1), repeat=k):
+                e = sum(sum(n[a:]) ** 2 for a in range(k))
+                if e < 2 * order:
+                    expect.append((n, e))
+            assert list(fermionic._walk(squares, 2, Fraction(order))) == expect, (k, order)
