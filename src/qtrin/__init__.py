@@ -11,7 +11,7 @@ import sys
 
 from .qpoly import QPoly, QSeries, euler_inverse, product_series
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
-from .liealg import LieAlgebra, UnknownAlgebra, algebra
+from .liealg import LieAlgebra, algebra
 from .mnsys import (
     MNSolution,
     mod3_filter,
@@ -27,8 +27,6 @@ from .fermionic import (
     x_series_lhs,
 )
 from .bosonic import (
-    InvalidBranchLabel,
-    InvalidCharLabel,
     branching_function,
     conj_lhs,
     kseries_lhs,
@@ -39,7 +37,6 @@ from .verify import (
     REGISTRY,
     IdentityDescriptor,
     RunawayComputation,
-    UnknownIdentity,
     VerificationReport,
     verify_all,
     verify_identity,
@@ -61,16 +58,12 @@ def clear_caches() -> None:
 
 __all__ = [
     "IdentityDescriptor",
-    "InvalidBranchLabel",
-    "InvalidCharLabel",
     "LieAlgebra",
     "MNSolution",
     "QPoly",
     "QSeries",
     "REGISTRY",
     "RunawayComputation",
-    "UnknownAlgebra",
-    "UnknownIdentity",
     "VerificationReport",
     "algebra",
     "branching_function",

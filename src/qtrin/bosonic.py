@@ -12,14 +12,6 @@ from .qcomb import _euler_pairs, _refined, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries, euler_inverse
 
 
-class InvalidCharLabel(Exception):
-    pass
-
-
-class InvalidBranchLabel(Exception):
-    pass
-
-
 def _span(c: int, c0: int, bound: int) -> range:
     """The j with |c j + c0| <= bound, for c > 0."""
     return range(-((bound + c0) // c), (bound - c0) // c + 1)
@@ -119,9 +111,9 @@ def virasoro_char(p: int, pp: int, r: int, s: int, order: Fraction | int) -> QSe
     if p > pp:
         p, pp, r, s = pp, p, s, r
     if not (2 <= p < pp and gcd(p, pp) == 1):
-        raise InvalidCharLabel(f"need coprime 2 <= p < p', got ({p},{pp})")
+        raise ValueError(f"need coprime 2 <= p < p', got ({p},{pp})")
     if not (1 <= r <= p - 1 and 1 <= s <= pp - 1):
-        raise InvalidCharLabel(f"labels (r,s)=({r},{s}) out of range for ({p},{pp})")
+        raise ValueError(f"labels (r,s)=({r},{s}) out of range for ({p},{pp})")
     order = Fraction(order)
     alpha = Fraction((pp * r - p * s) ** 2 - 1, 4 * p * pp)
     inner = order - alpha
@@ -137,15 +129,15 @@ def branching_function(
 ) -> QSeries:
     """Coset branching function B^{(p,p')}_{r,s;sigma} as a truncated series."""
     if not (2 <= p < pp):
-        raise InvalidBranchLabel(f"need 2 <= p < p', got ({p},{pp})")
+        raise ValueError(f"need 2 <= p < p', got ({p},{pp})")
     if not (1 <= r <= p - 1 and 1 <= s <= pp - 1):
-        raise InvalidBranchLabel(f"labels (r,s)=({r},{s}) out of range")
+        raise ValueError(f"labels (r,s)=({r},{s}) out of range")
     if (pp - p) % 2 or (r - s) % 2:
-        raise InvalidBranchLabel("p'-p and r-s must both be even")
+        raise ValueError("p'-p and r-s must both be even")
     if gcd((pp - p) // 2, pp) != 1:
-        raise InvalidBranchLabel("need gcd((p'-p)/2, p') = 1")
+        raise ValueError("need gcd((p'-p)/2, p') = 1")
     if sigma not in (0, 1):
-        raise InvalidBranchLabel("sigma must be 0 or 1")
+        raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)
     alpha = Fraction((pp * r - p * s) ** 2 - 4, 8 * p * pp)
     inner = order - alpha

@@ -1,10 +1,12 @@
 """Command line front end: compute / verify / mn-solve / algebra.
 
 Exit codes: 0 success, 1 verification failure or a failed write to
-standard output (a closed pipe included), 2 usage error (an --order given
-to an exact polynomial identity included), a grid with no point to check
-or a computation past the term-count ceiling (verify.TERM_CEILING).
-All output is deterministic.
+standard output (a closed pipe included), 2 refused input.  Input that the
+library or this module refuses raises ValueError (a label, name, depth or
+flag out of range, an --order given to an exact polynomial identity, a grid
+with no point to check); it and a computation past the term-count ceiling
+(verify.TERM_CEILING) print one `error:` line.  argparse's own errors keep
+argparse's format.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import bosonic, fermionic, verify
-from .liealg import UnknownAlgebra, algebra
+from .liealg import algebra
 from .mnsys import basis_lines, linear_filter, solve_mn
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
-
-
-class UsageError(Exception):
-    pass
 
 
 # CLI name -> k-series family: "flower" -> "E8-flower" and so on
@@ -130,7 +128,7 @@ def _linear_form(expr: str, rank: int) -> tuple[dict[int, int], int]:
     sum of terms n1..n<rank> and integers, e.g. `n1-n2+n4-n5+1`."""
     text = expr.replace(" ", "")
     if not re.fullmatch(r"[+-]?[^+-]+([+-][^+-]+)*", text):
-        raise UsageError(f"empty term in linear form {expr!r}")
+        raise ValueError(f"empty term in linear form {expr!r}")
     coeffs: dict[int, int] = {}
     const = 0
     for tok in re.findall(r"[+-]?[^+-]+", text):
@@ -139,12 +137,12 @@ def _linear_form(expr: str, rank: int) -> tuple[dict[int, int], int]:
         if body.startswith("n") and body[1:].isdigit():
             j = int(body[1:])
             if not 1 <= j <= rank:
-                raise UsageError(f"index n{j} in {expr!r} is outside n1..n{rank}")
+                raise ValueError(f"index n{j} in {expr!r} is outside n1..n{rank}")
             coeffs[j] = coeffs.get(j, 0) + sign
         elif body.isdigit():
             const += sign * int(body)
         else:
-            raise UsageError(f"bad term {tok!r} in linear form")
+            raise ValueError(f"bad term {tok!r} in linear form")
     return coeffs, const
 
 
@@ -152,18 +150,18 @@ def _parse_grid(spec: str) -> dict[str, tuple[int, ...]]:
     grid: dict[str, tuple[int, ...]] = {}
     for part in spec.split(","):
         if "=" not in part or ".." not in part:
-            raise UsageError(f"bad grid component {part!r}, want var=lo..hi")
+            raise ValueError(f"bad grid component {part!r}, want var=lo..hi")
         var, rng = part.split("=", 1)
         var = var.strip()
         if var in grid:
-            raise UsageError(f"grid variable {var!r} given twice in {spec!r}")
+            raise ValueError(f"grid variable {var!r} given twice in {spec!r}")
         lo_s, hi_s = rng.split("..", 1)
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise UsageError(f"bad grid bounds in {part!r}") from None
+            raise ValueError(f"bad grid bounds in {part!r}") from None
         if hi < lo:
-            raise UsageError(f"empty grid range in {part!r}")
+            raise ValueError(f"empty grid range in {part!r}")
         grid[var] = tuple(range(lo, hi + 1))
     return grid
 
@@ -184,21 +182,19 @@ def _cmd_compute(args) -> int:
         name = args.name
         if name.startswith("conj"):
             if args.k is not None:
-                raise UsageError(f"--k applies to a k-series family, not {name}")
+                raise ValueError(f"--k applies to a k-series family, not {name}")
             which = int(name[4:])
             fn = fermionic.conj_rhs if w == "rhs" else bosonic.conj_lhs
             print(fn(which, args.L, args.M))
         else:
             fam = _KSERIES[name]
             k = 1 if args.k is None else args.k
-            if k < 1:
-                raise UsageError("--k must be a positive integer")
             fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
             print(fn(fam, k, args.L, args.M))
     elif w == "ferm":
         name = args.family.split("-")[0]
         if args.sigma is not None and fermionic._filters(name, 0) == fermionic._filters(name, 1):
-            raise UsageError(f"--sigma applies to a family whose cone depends on it, not {name}")
+            raise ValueError(f"--sigma applies to a family whose cone depends on it, not {name}")
         print(fermionic.fermionic_char_sum(
             args.family, Fraction(args.order), sigma=args.sigma or 0))
     elif w == "chi":
@@ -217,7 +213,7 @@ def _cmd_verify(args) -> int:
     if args.name == "all":
         for flag, value in (("--grid", grid), ("--order", args.order)):
             if value is not None:
-                raise UsageError(f"{flag} applies to a single identity, not 'all'")
+                raise ValueError(f"{flag} applies to a single identity, not 'all'")
     if args.json_path and args.json_path != "-":
         # fail before the run if the report cannot be written, and leave the
         # file system as it was: mode "a" keeps an existing file's content
@@ -258,14 +254,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mn_solve(args) -> int:
-    try:
-        g = algebra(args.algebra)
-    except UnknownAlgebra as exc:
-        raise UsageError(str(exc)) from None
-    if not 1 <= args.vertex <= g.rank:
-        raise UsageError(f"vertex must be in 1..{g.rank} for {g.name}")
-    if args.N < 0:
-        raise UsageError("N must be nonnegative")
+    g = algebra(args.algebra)
     filters = []
     for expr, modulus in ((args.parity, 2), (args.mod3, 3)):
         if expr is not None:
@@ -278,10 +267,7 @@ def _cmd_mn_solve(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
-    try:
-        g = algebra(args.name)
-    except UnknownAlgebra as exc:
-        raise UsageError(str(exc)) from None
+    g = algebra(args.name)
 
     def show(title, rows, fmt):
         print(title)
@@ -313,9 +299,8 @@ def _attach_forms(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _PARSER
     try:
-        args = parser.parse_args(_attach_forms(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_attach_forms(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
@@ -326,12 +311,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "mn-solve":
             return _cmd_mn_solve(args)
         return _cmd_algebra(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (ValueError, verify.UnknownIdentity, verify.RunawayComputation,
-            bosonic.InvalidCharLabel, bosonic.InvalidBranchLabel) as exc:
+    except (ValueError, verify.RunawayComputation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

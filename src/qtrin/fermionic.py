@@ -164,6 +164,7 @@ def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
         raise ValueError("k must be >= 1")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
+    k = min(k, L + 1)  # K_k(L, M) is the same at every k >= L + 1 (README)
     _fill(w, k, [(L, M)])
     return _poly(_kside(w, k, L, M), 2)
 

@@ -21,10 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 
-class UnknownAlgebra(Exception):
-    pass
-
-
 # Edge lists, 1-based vertex labels.
 _EDGES = {
     "A5": [(1, 2), (2, 3), (3, 4), (4, 5)],
@@ -115,5 +111,5 @@ def algebra(name: str) -> LieAlgebra:
     """Return the validated table for one of A5, D6, E6, E7, E8."""
     key = name.upper()
     if key not in _TABLES:
-        raise UnknownAlgebra(f"unknown algebra {name!r}; supported: {sorted(_TABLES)}")
+        raise ValueError(f"unknown algebra {name!r}; supported: {sorted(_TABLES)}")
     return _TABLES[key]

@@ -23,10 +23,6 @@ from .qcomb import (_euler_pairs, _refined_terms, _start, _trinomial2_terms, _tr
 from .qpoly import QPoly, QSeries, euler_inverse, product_series, row_length
 
 
-class UnknownIdentity(Exception):
-    pass
-
-
 class RunawayComputation(Exception):
     """A single grid point exceeded the configured term-count ceiling."""
 
@@ -475,12 +471,12 @@ def verify_identity(
     if level not in LEVELS:
         raise ValueError(f"level must be one of {', '.join(LEVELS)}, got {level!r}")
     if name not in REGISTRY:
-        raise UnknownIdentity(f"no identity named {name!r}")
+        raise ValueError(f"no identity named {name!r}")
     d = REGISTRY[name]
     use_grid = dict(d.grid)
     for key, vals in (grid or {}).items():
         if key not in use_grid:
-            raise UnknownIdentity(
+            raise ValueError(
                 f"identity {name!r} has no grid parameter {key!r}")
         if key in CHOICE_PARAMS and not set(vals) <= set(d.grid[key]):
             raise ValueError(

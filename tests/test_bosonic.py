@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import ceil
 
@@ -75,11 +76,11 @@ def test_virasoro_vacuum_character_ising():
 
 
 def test_virasoro_label_validation():
-    with pytest.raises(bosonic.InvalidCharLabel):
+    with pytest.raises(ValueError, match=re.escape("need coprime 2 <= p < p', got (2,4)")):
         bosonic.virasoro_char(2, 4, 1, 1, 10)   # gcd > 1
-    with pytest.raises(bosonic.InvalidCharLabel):
+    with pytest.raises(ValueError, match=re.escape("labels (r,s)=(3,1) out of range for (3,4)")):
         bosonic.virasoro_char(3, 4, 3, 1, 10)   # r out of range
-    with pytest.raises(bosonic.InvalidCharLabel):
+    with pytest.raises(ValueError, match=re.escape("labels (r,s)=(1,4) out of range for (3,4)")):
         bosonic.virasoro_char(3, 4, 1, 4, 10)   # s out of range
 
 
@@ -113,9 +114,9 @@ def test_virasoro_swapped_labels_agree():
 
 
 def test_branching_label_validation():
-    with pytest.raises(bosonic.InvalidBranchLabel):
+    with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
         bosonic.branching_function(4, 6, 1, 1, 2, 10)
-    with pytest.raises(bosonic.InvalidBranchLabel):
+    with pytest.raises(ValueError, match=re.escape("labels (r,s)=(0,1) out of range")):
         bosonic.branching_function(4, 6, 0, 1, 0, 10)
 
 

@@ -382,11 +382,29 @@ def test_x_series_lhs_against_reference(family, k):
 
 @pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
 def test_kseries_rhs_at_depth_1000(family):
-    # the sides are filled from depth 0 up, so no call recurses, and a depth
-    # past Python's recursion limit still gives the theta-sum side
+    # K_k(2, 2) is the same at every k >= 3, so this runs at depth 3 against
+    # the theta-sum side at depth 1000
     assert (fermionic.kseries_rhs(family, 1000, 2, 2)
             == bosonic.kseries_lhs(family, 1000, 2, 2)
             == _q(0) + _q(1, 2) + _q(2, 4) + _q(3, 2) + _q(4))
+
+
+@pytest.mark.parametrize("family", KSERIES_FAMILIES)
+def test_kseries_rhs_past_depth_L_plus_one(family):
+    # kseries_rhs computes K_min(k, L+1)(L, M) (README); the theta-sum side
+    # takes the depth asked
+    for L in range(7):
+        for M in range(7):
+            for k in (L + 2, L + 5):
+                assert (fermionic.kseries_rhs(family, k, L, M)
+                        == bosonic.kseries_lhs(family, k, L, M)), (k, L, M)
+
+
+def test_kseries_rhs_past_the_recursion_limit():
+    # depth 350 at L = 350, which the cap leaves as it is: the sides are
+    # filled from depth 0 up, so no call recurses past Python's limit
+    assert (fermionic.kseries_rhs("E8-flower", 350, 350, 1)
+            == bosonic.kseries_lhs("E8-flower", 350, 350, 1))
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])

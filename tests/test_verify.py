@@ -50,9 +50,9 @@ def test_registry_metadata_well_formed():
 
 
 def test_unknown_identity_raises():
-    with pytest.raises(verify.UnknownIdentity):
+    with pytest.raises(ValueError, match="^no identity named 'no-such-identity'$"):
         verify.verify_identity("no-such-identity")
-    with pytest.raises(verify.UnknownIdentity):
+    with pytest.raises(ValueError, match="^identity 'dual' has no grid parameter 'zz'$"):
         verify.verify_identity("dual", grid={"zz": (0, 1)})
 
 
