@@ -19,7 +19,6 @@ from .mnsys import (
     solve_mn,
 )
 from .fermionic import (
-    conj_rhs,
     f_poly,
     fermionic_char_sum,
     fsum_family_lhs,
@@ -28,7 +27,6 @@ from .fermionic import (
 )
 from .bosonic import (
     branching_function,
-    conj_lhs,
     kseries_lhs,
     string_function,
     virasoro_char,
@@ -68,8 +66,6 @@ __all__ = [
     "algebra",
     "branching_function",
     "clear_caches",
-    "conj_lhs",
-    "conj_rhs",
     "euler_inverse",
     "f_poly",
     "fermionic_char_sum",

@@ -1,5 +1,6 @@
-"""Bosonic sides: alternating theta sums over refined trinomials, Virasoro
-characters, string functions and branching functions."""
+"""Bosonic sides: the k-series alternating theta sums over refined trinomials
+(each conjecture's left-hand side their depth 0), Virasoro characters, string
+functions and branching functions."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .fermionic import _FAMILIES, _kfamily
+from .fermionic import _FAMILIES
 from .qcomb import _euler_pairs, _refined, _side_factors, positive_sum
 from .qpoly import QPoly, QSeries, euler_inverse
 
@@ -17,8 +18,9 @@ def _span(c: int, c0: int, bound: int) -> range:
     return range(-((bound + c0) // c), (bound - c0) // c + 1)
 
 
-def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
-    """The family's alternating theta sum at depth k.
+def kseries_lhs(family: int, k: int, L: int, M: int) -> QPoly:
+    """Alternating theta sum of family 1, 2 or 3 at depth k >= 0; depth 0 is
+    the left side of conjecture ``family``.
 
     Each row (sign, a0, b0, c, d) contributes, for every j, the term
     sign * q^{ab/2 + cj + d/2} refined_T(L, M, a, b) with a = A j + a0,
@@ -27,6 +29,10 @@ def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
     over the plus rows and one over the minus rows, with each refinement a
     kernel factor and its least exponent folded into the term's exponent.
     """
+    if family not in _FAMILIES:
+        raise ValueError("family must be 1, 2 or 3")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
     P = _FAMILIES[family].P
@@ -42,21 +48,6 @@ def _theta_sum(family: int, k: int, L: int, M: int) -> QPoly:
             for e, f in _side_factors(_refined, (L, M, a, b)):
                 sides[sign].append((a * b + 2 * c * j + d + e, (f,)))
     return positive_sum(sides[1], 2) - positive_sum(sides[-1], 2)
-
-
-def conj_lhs(which: int, L: int, M: int) -> QPoly:
-    """Alternating theta sum over refined trinomials for conjecture 1, 2 or 3:
-    the k = 0 case of the family's k-series theta sum."""
-    if which not in _FAMILIES:
-        raise ValueError("conjecture index must be 1, 2 or 3")
-    return _theta_sum(which, 0, L, M)
-
-
-def kseries_lhs(family: str, k: int, L: int, M: int) -> QPoly:
-    """Theta-sum side of the three iterated families at depth k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _theta_sum(_kfamily(family), k, L, M)
 
 
 # -- string functions ------------------------------------------------

@@ -23,8 +23,8 @@ from .mnsys import basis_lines, linear_filter, solve_mn
 from .qcomb import qbinomial, qtrinomial2, qtrinomial_T, refined_T
 
 
-# CLI name -> k-series family: "flower" -> "E8-flower" and so on
-_KSERIES = {f.name.split("-")[1]: f.name for f in fermionic._FAMILIES.values()}
+# CLI name -> k-series family index: "flower" -> 1 and so on
+_KSERIES = {f.name: w for w, f in fermionic._FAMILIES.items()}
 _IDENTITY_SIDES = ("conj1", "conj2", "conj3", *_KSERIES)
 
 
@@ -180,17 +180,16 @@ def _cmd_compute(args) -> int:
         print(fermionic.f_poly(args.algebra, args.M, args.sigma))
     elif w in ("rhs", "lhs"):
         name = args.name
-        if name.startswith("conj"):
+        if name.startswith("conj"):  # conjecture w is depth 0 of family w
             if args.k is not None:
                 raise ValueError(f"--k applies to a k-series family, not {name}")
-            which = int(name[4:])
-            fn = fermionic.conj_rhs if w == "rhs" else bosonic.conj_lhs
-            print(fn(which, args.L, args.M))
+            family, k = int(name[4:]), 0
         else:
-            fam = _KSERIES[name]
-            k = 1 if args.k is None else args.k
-            fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
-            print(fn(fam, k, args.L, args.M))
+            family, k = _KSERIES[name], 1 if args.k is None else args.k
+            if k < 1:
+                raise ValueError("k must be >= 1")
+        fn = fermionic.kseries_rhs if w == "rhs" else bosonic.kseries_lhs
+        print(fn(family, k, args.L, args.M))
     elif w == "ferm":
         name = args.family.split("-")[0]
         if args.sigma is not None and fermionic._filters(name, 0) == fermionic._filters(name, 1):

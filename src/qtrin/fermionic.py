@@ -1,5 +1,6 @@
-"""Fermionic sides: F-polynomials, conjecture right-hand sides, the iterated
-k-series sums, and the fermionic character series.
+"""Fermionic sides: F-polynomials, the k-series sums of the three families
+(each conjecture's right-hand side their depth 0), and the fermionic character
+series.
 
 Every sum here is manifestly positive: q-powers times products of Gaussian
 polynomials and of 1/(q)_n, indexed by (m,n)-system solutions or by the points
@@ -10,8 +11,9 @@ and X-series: there n.C^{-1}.n has denominator 2, and squares over 2) or over
 lcm(2, that denominator).  A series sum passes its truncation order, and each
 1/(q)_n as a Gaussian that equals it below the order.  No QSeries is
 multiplied, and no chain is enumerated: the chain sums of the k-series and
-X-series are one recursion over the depth from the conjecture side (_kside;
-README).  Every family sum reads one cached cone per (small algebra, M, sigma).
+X-series are one recursion over the depth from the conjecture side, depth 0
+(_kside; README).  Every family sum reads one cached cone per (small algebra,
+M, sigma).
 """
 
 from __future__ import annotations
@@ -32,28 +34,20 @@ class _Family(NamedTuple):
     P: int          # theta period: the bosonic rows step b by P
     small: str      # algebra of every fermionic side: the paper's E-type
                     # algebra with its marked source vertex removed
-    name: str       # k-series family name; the CLI uses the part after "-"
+    name: str       # k-series family name, as the CLI and the registry give it
 
 
 # The three identity families E8 -> E7, E7 -> D6, E6 -> A5; the polynomial
 # conjectures conj1..conj3 are their depth k = 0 case.
 _FAMILIES = {
-    1: _Family(5, "E7", "E8-flower"),
-    2: _Family(6, "D6", "E7-flower2"),
-    3: _Family(8, "A5", "E6-monster"),
+    1: _Family(5, "E7", "flower"),
+    2: _Family(6, "D6", "flower2"),
+    3: _Family(8, "A5", "monster"),
 }
 
 # Fermionic character families: each algebra's cone, the D6 and A5 ones
 # named after the branching functions they equal.
 CHAR_FAMILIES = ("E8", "E7", "E6", "D6-B46", "A5-B68")
-
-
-def _kfamily(name: str) -> int:
-    """Family index of a k-series family name such as "E8-flower"."""
-    for w, f in _FAMILIES.items():
-        if f.name == name:
-            return w
-    raise ValueError(f"unknown k-series family {name!r}")
 
 
 def _filters(name: str, sigma: int = 0) -> tuple:
@@ -111,25 +105,15 @@ def f_poly(name: str, M: int, sigma: int) -> QPoly:
                         g.invcartan_den)
 
 
-def conj_rhs(which: int, L: int, M: int) -> QPoly:
-    """Right-hand side of conjecture 1, 2 or 3: the F-type sum with the extra
-    Gaussian prefactor [(L+M+m_p)/2 choose 2M], the k-series side at depth 0."""
-    if which not in _FAMILIES:
-        raise ValueError("conjecture index must be 1, 2 or 3")
-    if L < 0 or M < 0:
-        raise ValueError("L and M must be nonnegative")
-    return _poly(_kside(which, 0, L, M), 2)
-
-
 @lru_cache(maxsize=None)
 def _kside(family: int, k: int, L: int, M: int) -> tuple:
     """K_k(L, M), the family's fermionic side at depth k, as kernel parts
     over the denominator 2 (qtrin.qcomb._parts), by the recursion
         K_k(L, M) = sum over i <= min(L, M) of q^{i^2/2} [L+M-i, L] K_{k-1}(L-i, i)
-    from K_0(L, M) = conj_rhs: the small algebra's cone at M and sigma = L
-    mod 2, each term with the prefactor [(L+M+m_p)/2, 2M].  Its exponent
-    e/den is n.C^{-1}.n = 3M^2/2 - (M m_p + n.m)/2, as (C^{-1})_pp = 3/2, so
-    2e/den is an integer.  Lower sides are read as factors, and _fill caches
+    from K_0(L, M), the right side of conjecture ``family``: the small
+    algebra's cone at M and sigma = L mod 2, each term with the prefactor
+    [(L+M+m_p)/2, 2M].  Its exponent e/den is n.C^{-1}.n = 3M^2/2 - (M m_p
+    + n.m)/2, as (C^{-1})_pp = 3/2, so 2e/den is an integer.  Lower sides are read as factors, and _fill caches
     them first, so a call never recurses (README)."""
     if k == 0:
         g = algebra(_FAMILIES[family].small)
@@ -155,18 +139,21 @@ def _fill(family: int, k: int, cells: list[tuple[int, int]]) -> None:
             _kside(family, d, L, M)
 
 
-def kseries_rhs(family: str, k: int, L: int, M: int) -> QPoly:
-    """Right-hand side of the iterated identity at depth k: the chain sum
-    K_k(L, M) (_kside).  At every depth k >= 1 it is T-invariance's sum over
-    the side of depth k-1, by construction."""
-    w = _kfamily(family)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def kseries_rhs(family: int, k: int, L: int, M: int) -> QPoly:
+    """Fermionic side of family 1, 2 or 3 at depth k >= 0, the chain sum
+    K_k(L, M) (_kside).  Depth 0 is the right side of conjecture ``family``,
+    the F-type sum with the extra Gaussian prefactor [(L+M+m_p)/2 choose 2M];
+    at every depth k >= 1 it is T-invariance's sum over the side of depth
+    k-1, by construction."""
+    if family not in _FAMILIES:
+        raise ValueError("family must be 1, 2 or 3")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
     k = min(k, L + 1)  # K_k(L, M) is the same at every k >= L + 1 (README)
-    _fill(w, k, [(L, M)])
-    return _poly(_kside(w, k, L, M), 2)
+    _fill(family, k, [(L, M)])
+    return _poly(_kside(family, k, L, M), 2)
 
 
 def _walk(num, den: int, order: Fraction, filters: tuple = ()):
@@ -253,9 +240,9 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     S_k(L), S_k(L) = sum over i <= L of q^{i^2/2} K_{k-2}(L-i, i), one cut
     kernel call that reads the sides as factors: S_k(L)/(q)_L is
     K_{k-1}(L, M) as M -> oo, where [L+M-i, L] tends to 1/(q)_L (README).
-    K_0 is conj_rhs, whose cone filters are the X-series' primed parity on
-    the large algebra's m at every N, which the tests check residue by
-    residue."""
+    K_0 is the conjecture's right side, whose cone filters are the X-series'
+    primed parity on the large algebra's m at every N, which the tests check
+    residue by residue."""
     if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
     if k < 2:
@@ -263,8 +250,10 @@ def x_series_lhs(family: int, k: int, order: Fraction | int) -> QSeries:
     order = Fraction(order)
     # the cells (L, i) = (u + i, i) below the order: L^2 + i^2 = u^2 + 2ui + 2i^2
     cells = list(_walk(((1, 1), (1, 2)), 2, order))
-    _fill(family, k - 2, [ui for ui, _ in cells])
+    # K_{k-2}(u, i) is the same at every depth >= u + 1 (README)
+    d = min(k - 2, max((u + 1 for (u, _), _ in cells), default=0))
+    _fill(family, d, [ui for ui, _ in cells])
     return positive_sum(((e + f_e, _euler_pairs((u + i,), order) + (f,))
                          for (u, i), e in cells
-                         for f_e, f in _side_factors(_kside, (family, k - 2, u, i))),
+                         for f_e, f in _side_factors(_kside, (family, d, u, i))),
                         2, order)

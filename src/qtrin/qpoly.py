@@ -478,7 +478,7 @@ def product_series(up: Iterable[int], down: Iterable[int], order: Exponent,
     exponents, multiplied and divided in place.  A start known below a
     lesser order cuts the product there."""
     up, down = tuple(up), tuple(down)
-    if any(j < 1 for j in up + down):
+    if any(not isinstance(j, int) or j < 1 for j in up + down):
         raise ValueError("a factor (1 - q^j) needs an integer j >= 1")
     order = Fraction(order)
     if start is None:

@@ -180,14 +180,7 @@ def _ev_abp(p: Params, order: Fraction) -> SidePair:
     return lhs, euler_inverse(order - Fraction(b * b, 2)).shift(Fraction(b * b, 2))
 
 
-def _ev_conj(which: int):
-    def ev(p: Params, order) -> SidePair:
-        return (bosonic.conj_lhs(which, p["L"], p["M"]),
-                fermionic.conj_rhs(which, p["L"], p["M"]))
-    return ev
-
-
-def _ev_kseries(family: str, k: int):
+def _ev_kseries(family: int, k: int):
     def ev(p: Params, order) -> SidePair:
         return (bosonic.kseries_lhs(family, k, p["L"], p["M"]),
                 fermionic.kseries_rhs(family, k, p["L"], p["M"]))
@@ -393,13 +386,12 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     for w in (1, 2, 3):
         reg.append(IdentityDescriptor(
             f"conj{w}", "polynomial-exact", "conjectured-in-paper",
-            {"L": _rng(0, 5), "M": _rng(0, 5)}, _ev_conj(w)))
-    for f in fermionic._FAMILIES.values():
+            {"L": _rng(0, 5), "M": _rng(0, 5)}, _ev_kseries(w, 0)))
+    for w, f in fermionic._FAMILIES.items():
         for k in (1, 2):
             reg.append(IdentityDescriptor(
-                f"{f.name.split('-')[1]}-k{k}", "polynomial-exact",
-                "conjectured-in-paper",
-                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(f.name, k)))
+                f"{f.name}-k{k}", "polynomial-exact", "conjectured-in-paper",
+                {"L": _rng(0, 3), "M": _rng(0, 3)}, _ev_kseries(w, k)))
     reg.append(IdentityDescriptor(
         "E8", "series-truncated", "proved-in-paper",
         {"form": (0, 1)}, _ev_E8, order=12))

@@ -6,7 +6,7 @@ kernel (``positive_sum_reference``) and its callers (``qtrinomial_T``,
 con10's and abp's left sides, limit-mTlim's product form, the theta sums
 and the sum inside ``string_function`` of ``qtrin.bosonic``, and
 ``qtrin.fermionic``'s ``f_poly``,
-``conj_rhs``, ``kseries_rhs`` and series sums).  A series reference takes
+``kseries_rhs`` (at depth 0 too) and series sums).  A series reference takes
 1/(q)_n as the inverse of the finite product (q)_n, and 1/(q)_inf from
 ``qpoly_reference.euler_inverse``.  The fermionic
 references take their (m,n)-system solutions and cone filters from the
@@ -210,18 +210,17 @@ def inner_algebra_sum_reference(family: int, top: int, bound: int) -> QPoly:
     return out
 
 
-def kseries_rhs_reference(family: str, k: int, L: int, M: int) -> QPoly:
+def kseries_rhs_reference(family: int, k: int, L: int, M: int) -> QPoly:
     """Nested sum over r_1..r_{k-1} >= 0 with r_{-1} = L+M, r_0 = L of
     prod_a q^{(r_a - r_{a+1})^2/2} [r_{a-1}-r_a+r_{a+1} choose r_a] times the
     inner algebra sum with top r_{k-2} and bound r_{k-1}, each partial chain
-    a QPoly product."""
-    w = fermionic._kfamily(family)
+    a QPoly product; k >= 1."""
     out = QPoly.zero()
 
     def rec(r: list, prefix: QPoly) -> None:
         nonlocal out
         if len(r) == k + 1:
-            out = out + prefix * inner_algebra_sum_reference(w, r[-2], r[-1])
+            out = out + prefix * inner_algebra_sum_reference(family, r[-2], r[-1])
             return
         for nxt in range(0, r[-1] + 1):
             fac = qbinomial(r[-2] - r[-1] + nxt, r[-1])

@@ -426,7 +426,7 @@ def test_parses_are_independent(capsys):
                       "--L", "1", "--M", "1"])
     _, out, _ = _capture(capsys, ["compute", "lhs", "flower",
                                   "--L", "1", "--M", "1"])
-    assert out == f"{bosonic.kseries_lhs('E8-flower', 1, 1, 1)}\n"
+    assert out == f"{bosonic.kseries_lhs(1, 1, 1, 1)}\n"
 
 
 def test_import_qtrin_leaves_cli_unloaded():

@@ -16,7 +16,7 @@ from qtrin.liealg import algebra
 from qtrin.mnsys import solve_mn
 from qtrin.qpoly import QPoly
 from qtrin.qcomb import qbinomial
-from qtrin import bosonic, fermionic
+from qtrin import bosonic, clear_caches, fermionic
 
 
 def _q(e, c=1):
@@ -55,15 +55,16 @@ def test_f_poly_sigma_parity_of_exponents():
 
 
 def test_conj_rhs_degenerate_cases():
-    assert fermionic.conj_rhs(1, 0, 0) == QPoly.one()
-    assert fermionic.conj_rhs(2, 0, 0) == QPoly.one()
-    assert fermionic.conj_rhs(3, 0, 0) == QPoly.one()
+    # depth 0, the conjecture's right side
+    assert fermionic.kseries_rhs(1, 0, 0, 0) == QPoly.one()
+    assert fermionic.kseries_rhs(2, 0, 0, 0) == QPoly.one()
+    assert fermionic.kseries_rhs(3, 0, 0, 0) == QPoly.one()
 
 
 def test_kseries_rhs_k1_reduces_to_plain_sum():
     # at k=1 there is no r-chain; the two routes must agree at the
     # shared point of the parameter space
-    for fam in ("E8-flower", "E7-flower2", "E6-monster"):
+    for fam in (1, 2, 3):
         p = fermionic.kseries_rhs(fam, 1, 0, 0)
         assert p.coeff(Fraction(0)) == 1
 
@@ -98,8 +99,30 @@ def test_x_series_lhs_unit_start():
 def test_bad_family_names():
     with pytest.raises(ValueError):
         fermionic.kseries_rhs("nope", 1, 1, 1)
+    with pytest.raises(ValueError):  # a family is its index, not its name
+        fermionic.kseries_rhs(fermionic._FAMILIES[1].name, 1, 1, 1)
     with pytest.raises((KeyError, ValueError)):
         fermionic.fermionic_char_sum("nope", Fraction(5))
+
+
+def test_kseries_sides_refuse_a_family_or_depth_out_of_range():
+    for side in (fermionic.kseries_rhs, bosonic.kseries_lhs):
+        for family in (0, 4):
+            with pytest.raises(ValueError, match="^family must be 1, 2 or 3$"):
+                side(family, 1, 1, 1)
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            side(1, -1, 1, 1)
+
+
+def test_x_series_lhs_caps_the_depth_of_its_cells():
+    # every cell (u, i) below order 30 has u <= 7, and K_d(u, i) is the same
+    # at every d >= u + 1: depth 1000 caches what depth 20 does
+    sizes = []
+    for k in (20, 1000):
+        clear_caches()
+        fermionic.x_series_lhs(1, k, 30)
+        sizes.append(fermionic._kside.cache_info().currsize)
+    assert sizes[0] == sizes[1]
 
 
 def test_sigma_outside_0_1_is_rejected():
@@ -128,7 +151,7 @@ def test_family_table_pairs_each_algebra_with_its_cut_diagram():
 
 
 def test_conj_rhs_prefactor_top_is_integral():
-    # conj_rhs takes [(L+M+m_p)/2, 2M] on the premise that the parity
+    # the depth-0 side takes [(L+M+m_p)/2, 2M] on the premise that the parity
     # filter makes L+M+m_p even; its filters depend on L only mod 2
     for f in fermionic._FAMILIES.values():
         g = algebra(f.small)
@@ -208,11 +231,11 @@ def test_conj_rhs_against_reference(which, monkeypatch):
     fermionic._kside.cache_clear()
     for L in range(9):
         for M in range(9):
-            assert fermionic.conj_rhs(which, L, M) == conj_rhs_reference(which, L, M)
+            assert fermionic.kseries_rhs(which, 0, L, M) == conj_rhs_reference(which, L, M)
     small = fermionic._FAMILIES[which].small
     assert set(filtered.values()) == {1}
     assert Counter(key[:2] for key in filtered) == {(small, 2 * M): 2 for M in range(9)}
-    for read in (lambda: [fermionic.kseries_rhs(fermionic._FAMILIES[which].name, 2, L, M)
+    for read in (lambda: [fermionic.kseries_rhs(which, 2, L, M)
                           for L in range(9) for M in range(9)],
                  lambda: fermionic.x_series_lhs(which, 2, 20)):
         filtered.clear()
@@ -248,10 +271,15 @@ def test_cone_terms(name):
 # families' outputs first differ, (5, 3) at k = 1, (8, 3) at k = 2 and
 # (11, 3) at k = 3.
 KSERIES_GRIDS = {1: 6, 2: 9, 3: 12}
-KSERIES_FAMILIES = ["E8-flower", "E7-flower2", "E6-monster"]
+KSERIES_FAMILIES = [1, 2, 3]
 
 
-@pytest.mark.parametrize("family", KSERIES_FAMILIES)
+def _family_id(w: int) -> str:
+    """A family's test id: its large algebra and its name."""
+    return f"{LARGE[w][0]}-{fermionic._FAMILIES[w].name}"
+
+
+@pytest.mark.parametrize("family", KSERIES_FAMILIES, ids=_family_id)
 def test_kseries_rhs_against_reference(family):
     for k, top in KSERIES_GRIDS.items():
         for L in range(top + 1):
@@ -270,22 +298,21 @@ def test_kseries_grids_tell_the_families_apart():
 
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_depth_one_side_is_T_of_the_conjecture_side(family):
-    # The recursion starts from conj_rhs, and the depth-1 side is
+    # The recursion starts from the conjecture side, and the depth-1 side is
     # T-invariance's sum over it.  The paper's depth-1 side is the chain
     # sum over the large algebra's system at N = L (the reference), which
     # equals it because the large system at N = L+M with m_v = 2M is the
     # small one's at N = 2M with the vertex Gaussian [(L+M+m_p)/2, 2M]
     # (each diagram is the next one down with the marked vertex removed)
-    name = fermionic._FAMILIES[family].name
     for L in range(11):
         for M in range(7):
             T = QPoly.zero()
             for i in range(min(L, M) + 1):
                 T = T + (qbinomial(L + M - i, L)
-                         * fermionic.conj_rhs(family, L - i, i)).shift(Fraction(i * i, 2))
-            got = fermionic.kseries_rhs(name, 1, L, M)
+                         * fermionic.kseries_rhs(family, 0, L - i, i)).shift(Fraction(i * i, 2))
+            got = fermionic.kseries_rhs(family, 1, L, M)
             assert got == T, (L, M)
-            assert got == kseries_rhs_reference(name, 1, L, M), (L, M)
+            assert got == kseries_rhs_reference(family, 1, L, M), (L, M)
 
 
 # Large-diagram vertex -> small-diagram vertex, per family: the large
@@ -301,7 +328,7 @@ def test_depth_zero_filters_are_the_conjecture_filters_at_every_residue(family):
     # K_0 at (L, M) keeps the large system's solutions at N = L+M with
     # m_v = 2M whose n passes the large cone filters.  Without v they are
     # the small system's at 2M from p, with n_v = (L+M+m_p)/2 - 2M, which
-    # must be an integer; conj_rhs keeps those passing the small filters at
+    # must be an integer; the depth-0 side keeps those passing the small filters at
     # sigma = L.  With m' = adj(2M e_p - 2n')/det both conditions are
     # congruences in L mod 2, M mod det and n' mod lcm(det, the moduli), so
     # agreement at every residue where m' is integral proves them equal at
@@ -342,8 +369,8 @@ def test_kseries_rhs_on_the_monster_k4_rectangle():
     # M <= P = 8: the recursion over depth against the theta-sum side
     for L in range(36):
         for M in range(9):
-            assert (fermionic.kseries_rhs("E6-monster", 4, L, M)
-                    == bosonic.kseries_lhs("E6-monster", 4, L, M)), (L, M)
+            assert (fermionic.kseries_rhs(3, 4, L, M)
+                    == bosonic.kseries_lhs(3, 4, L, M)), (L, M)
 
 
 # -- the series sums against QSeries references, 1/(q)_n the inverse of
@@ -380,7 +407,7 @@ def test_x_series_lhs_against_reference(family, k):
         assert got == want and str(got) == str(want), order
 
 
-@pytest.mark.parametrize("family", ["E8-flower", "E7-flower2", "E6-monster"])
+@pytest.mark.parametrize("family", KSERIES_FAMILIES, ids=_family_id)
 def test_kseries_rhs_at_depth_1000(family):
     # K_k(2, 2) is the same at every k >= 3, so this runs at depth 3 against
     # the theta-sum side at depth 1000
@@ -389,7 +416,7 @@ def test_kseries_rhs_at_depth_1000(family):
             == _q(0) + _q(1, 2) + _q(2, 4) + _q(3, 2) + _q(4))
 
 
-@pytest.mark.parametrize("family", KSERIES_FAMILIES)
+@pytest.mark.parametrize("family", KSERIES_FAMILIES, ids=_family_id)
 def test_kseries_rhs_past_depth_L_plus_one(family):
     # kseries_rhs computes K_min(k, L+1)(L, M) (README); the theta-sum side
     # takes the depth asked
@@ -403,8 +430,8 @@ def test_kseries_rhs_past_depth_L_plus_one(family):
 def test_kseries_rhs_past_the_recursion_limit():
     # depth 350 at L = 350, which the cap leaves as it is: the sides are
     # filled from depth 0 up, so no call recurses past Python's limit
-    assert (fermionic.kseries_rhs("E8-flower", 350, 350, 1)
-            == bosonic.kseries_lhs("E8-flower", 350, 350, 1))
+    assert (fermionic.kseries_rhs(1, 350, 350, 1)
+            == bosonic.kseries_lhs(1, 350, 350, 1))
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7", "E8"])

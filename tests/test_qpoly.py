@@ -120,8 +120,9 @@ def test_pochhammer_truncation_compatibility():
 
 
 def test_infinite_product_requires_positive_exponent():
-    # a factor 1 - q^j with j < 1 has no infinite product below any order
-    for up, down in (((0,), ()), ((), (1, -3)), ((2, 0), (2,))):
+    # a factor 1 - q^j with j < 1 has no infinite product below any order,
+    # and a j that is no int is refused too, even one of integral value
+    for up, down in (((0,), ()), ((), (1, -3)), ((2, 0), (2,)), ((1.5,), ()), ((), (2.0,))):
         with pytest.raises(ValueError, match="j >= 1"):
             product_series(up, down, 10)
 
