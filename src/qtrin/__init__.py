@@ -34,7 +34,6 @@ from .bosonic import (
 from .verify import (
     REGISTRY,
     IdentityDescriptor,
-    RunawayComputation,
     VerificationReport,
     verify_all,
     verify_identity,
@@ -61,7 +60,6 @@ __all__ = [
     "QPoly",
     "QSeries",
     "REGISTRY",
-    "RunawayComputation",
     "VerificationReport",
     "algebra",
     "branching_function",

@@ -432,13 +432,6 @@ class QPoly:
 _ZERO = QPoly._of(_ZERO_ROW)
 
 
-def row_length(p: QPoly) -> int:
-    """The length of ``p``'s coefficient row: its nonzero terms and the
-    zeros between them on the row's step, so never less than ``len(p)``,
-    and read without a pass over the row."""
-    return len(p._row[3])
-
-
 class QSeries(QPoly):
     """Truncated power series: a ``QPoly`` whose stored exponents are all
     strictly below ``order`` (a Fraction)."""

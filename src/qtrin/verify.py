@@ -20,14 +20,7 @@ from . import bosonic, fermionic
 from .qcomb import (_euler_pairs, _refined_terms, _start, _trinomial2_terms, _trinomial_terms,
                     invariance_sum, positive_sum, qbinomial, qtrinomial2, qtrinomial_T,
                     refined_T, refinement_sum)
-from .qpoly import QPoly, QSeries, euler_inverse, product_series, row_length
-
-
-class RunawayComputation(Exception):
-    """A single grid point exceeded the configured term-count ceiling."""
-
-
-TERM_CEILING = 500_000
+from .qpoly import QPoly, QSeries, euler_inverse, product_series
 
 # Grid parameters that pick a variant (a form, a point, a sign) rather than
 # a size: each registered grid lists every value the evaluator understands.
@@ -105,21 +98,13 @@ def compare_sides(lhs: QPoly, rhs: QPoly):
     """First differing exponent and the two coefficients, or None if equal.
 
     Series are compared coefficientwise up to the smaller truncation order.
-    One object is equal to itself, within the term-count ceiling.
     """
-    if lhs is rhs and row_length(lhs) <= TERM_CEILING:
+    if lhs is rhs:
         return None
     if lhs.order is not None or rhs.order is not None:
         cut = min(s.order for s in (lhs, rhs) if s.order is not None)
         lhs, rhs = lhs.truncate(cut), rhs.truncate(cut)
-    # equal sides have equal lengths, so one of them is checked; a row no
-    # longer than the ceiling has no more terms, and only a longer one's
-    # zeros are counted
-    same = lhs == rhs
-    if (row_length(lhs) > TERM_CEILING and len(lhs) > TERM_CEILING
-            or not same and row_length(rhs) > TERM_CEILING and len(rhs) > TERM_CEILING):
-        raise RunawayComputation(f"term-count ceiling {TERM_CEILING} exceeded")
-    if same:
+    if lhs == rhs:
         return None
     e = (lhs - rhs).min_exponent()
     return e, lhs.coeff(e), rhs.coeff(e)

@@ -127,7 +127,7 @@ def test_branching_b35_matches_characters():
         assert lhs == rhs
 
 
-def test_conj_lhs_against_theta_sum_reference():
+def test_kseries_lhs_depth0_against_theta_sum_reference():
     # every point of L, M <= 8, twice the registry grid, against the sum
     # over a j-window wider than any support
     for which in (1, 2, 3):

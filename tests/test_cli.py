@@ -193,16 +193,14 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "mismatch" in out
 
 
-def test_verify_past_the_term_ceiling_is_one_error_line(monkeypatch, tmp_path, capsys):
-    # a runaway side stops the run with exit 2, not a traceback or the
-    # exit 1 of a failed identity, and leaves no report behind
-    monkeypatch.setattr(verify, "TERM_CEILING", 3)
+def test_verify_refused_inside_the_grid_is_one_error_line(tmp_path, capsys):
+    # an evaluator that refuses a grid point stops the run with exit 2, not
+    # a traceback or the exit 1 of a failed identity, and leaves no report
     report = tmp_path / "report.json"
-    for extra in ([], ["--json", str(report)]):
-        code, out, err = _capture(capsys, ["verify", "mTtoT", "--level", "quick", *extra])
-        assert code == 2 and out == ""
-        assert err == "error: term-count ceiling 3 exceeded\n"
-        assert "Traceback" not in err
+    code, out, err = _capture(capsys, ["verify", "dual", "--grid", "L=-1..0",
+                                       "--json", str(report)])
+    assert code == 2 and out == ""
+    assert err == "error: L and M must be nonnegative\n"
     assert not report.exists()
 
 
@@ -331,6 +329,33 @@ def test_mn_solve_signed_form_as_separate_argument(capsys):
         code, separate, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
                                               flag, expr])
         assert code == 0 and separate == joined
+
+
+def test_mn_solve_applies_every_repeated_form(capsys):
+    from qtrin.liealg import algebra
+    from qtrin.mnsys import basis_lines, linear_filter, parity_filter, solve_mn
+
+    g = algebra("E7")
+    code, out, _ = _capture(capsys, ["mn-solve", "E7", "6", "1",
+                                     "--parity", "n1+n3+n7", "--parity", "n2"])
+    assert code == 0
+    both = basis_lines(solve_mn(g, 6, 1, parity_filter((1, 3, 7)), parity_filter((2,))))
+    assert out.splitlines() == both and len(both) == 4
+    # a signed mod-3 form beside two parity forms, one of them signed, in
+    # any order
+    g = algebra("A5")
+    mod3 = linear_filter({1: -1, 2: 1, 4: -1, 5: 1}, 3)
+    expect = basis_lines(solve_mn(g, 6, 3, mod3, parity_filter((1, 3, 5)),
+                                  linear_filter({1: -1, 2: 1}, 2)))
+    assert len(expect) == 2
+    assert len(solve_mn(g, 6, 3, mod3, parity_filter((1, 3, 5)))) == 4
+    for argv in (["--mod3", "-n1+n2-n4+n5", "--parity", "n1+n3+n5", "--parity", "-n1+n2"],
+                 ["--parity", "-n1+n2", "--mod3", "-n1+n2-n4+n5", "--parity", "n1+n3+n5"]):
+        code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3", *argv])
+        assert code == 0 and out.splitlines() == expect
+    # the forms of one call do not stay on the parser for the next
+    code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3"])
+    assert code == 0 and out.splitlines() == basis_lines(solve_mn(g, 6, 3))
 
 
 def test_verify_order_below_one_is_a_usage_error(capsys):

@@ -56,7 +56,7 @@ def test_e7_parity_split():
 @pytest.mark.parametrize("name, N, i", [
     ("A5", 8, 3), ("D6", 8, 5), ("E6", 8, 6), ("E7", 12, 1), ("E8", 14, 1),
 ])
-def test_basis_str_against_reference(name, N, i):
+def test_basis_lines_against_reference(name, N, i):
     # every solution of a few systems, each rank, m and n both zero or not;
     # the listing renders a column at a time, and each of its lines, alone
     # or in the whole listing, must be the reference's text of its solution
