@@ -232,8 +232,8 @@ def _cmd_verify(args) -> int:
         print(f"{r.identity:26s} {state}  status={r.status} "
               f"points={r.points} millis={r.millis}")
         for f in r.failures[:5]:
-            print(f"  mismatch at {f.params}: q^{f.exponent} "
-                  f"lhs={f.lhs_coeff} rhs={f.rhs_coeff}")
+            print(f"  mismatch at {f['params']}: q^{f['exponent']} "
+                  f"lhs={f['lhs']} rhs={f['rhs']}")
     if args.json_path:
         doc = verify.reports_to_json(reports)
         if args.json_path == "-":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from math import ceil, isqrt
@@ -46,31 +46,18 @@ class IdentityDescriptor:
 
 
 @dataclass
-class Failure:
-    params: Params
-    exponent: str
-    lhs_coeff: int
-    rhs_coeff: int
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "exponent": self.exponent,
-            "lhs": self.lhs_coeff,
-            "rhs": self.rhs_coeff,
-        }
-
-
-@dataclass
 class VerificationReport:
+    """One identity's check, its fields in the order of its JSON record.  A
+    failure is that record's dict of the grid point ``params``, the first
+    differing ``exponent`` and the coefficients ``lhs`` and ``rhs`` there."""
     identity: str
     status: str
     kind: str
     grid: dict[str, list[int]]
-    order: int | None
     points: int
-    failures: list[Failure] = field(default_factory=list)
+    failures: list[dict] = field(default_factory=list)
     millis: int = 0
+    order: int | None = None
     note: str = ""
 
     @property
@@ -78,19 +65,11 @@ class VerificationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "status": self.status,
-            "kind": self.kind,
-            "grid": self.grid,
-            "points": self.points,
-            "failures": [f.to_dict() for f in self.failures],
-            "millis": self.millis,
-        }
-        if self.order is not None:
-            d["order"] = self.order
-        if self.note:
-            d["note"] = self.note
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if d["order"] is None:
+            del d["order"]
+        if not d["note"]:
+            del d["note"]
         return d
 
 
@@ -462,17 +441,17 @@ def verify_identity(
         use_grid[key] = tuple(vals)
     if order is not None and d.kind == "polynomial-exact":
         raise ValueError(f"identity {name!r} is an exact polynomial identity and takes no order")
-    if order is not None and order < 1:
+    if order is not None and (not isinstance(order, int) or order < 1):
         raise ValueError(f"order must be a positive integer, got {order}")
     use_order = Fraction(d.order if order is None else order)
     start = time.perf_counter()
     points = 0
-    failures: list[Failure] = []
+    failures: list[dict] = []
     keep, evaluate = d.point_filter, d.evaluate
     *head, last = use_grid
     # every point of the grid, the last parameter varying fastest: the
     # parameters of each prefix are built once, and each point gets its own
-    # copy, which the evaluator and a Failure may keep
+    # copy, which the evaluator and a failure record may keep
     for prefix in product(*[use_grid[k] for k in head]):
         base = dict(zip(head, prefix))
         for x in use_grid[last]:
@@ -484,7 +463,7 @@ def verify_identity(
             diff = compare_sides(*evaluate(params, use_order))
             if diff is not None:
                 e, cl, cr = diff
-                failures.append(Failure(params, str(e), cl, cr))
+                failures.append({"params": params, "exponent": str(e), "lhs": cl, "rhs": cr})
     if not points:
         raise ValueError(f"no point of this grid lies in the domain of {name!r}")
     millis = int((time.perf_counter() - start) * 1000)

@@ -190,7 +190,11 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
                         dataclasses.replace(orig, evaluate=broken))
     code, out, _ = _capture(capsys, ["verify", "con10"])
     assert code == 1
-    assert "FAIL" in out and "mismatch" in out
+    assert "FAIL" in out
+    # con10 fails at all 81 of its points, and the first five are printed
+    mismatches = [line for line in out.splitlines() if "mismatch" in line]
+    assert len(mismatches) == 5
+    assert mismatches[0] == "  mismatch at {'L': 0, 'b': 0}: q^0 lhs=2 rhs=1"
 
 
 def test_verify_refused_inside_the_grid_is_one_error_line(tmp_path, capsys):
@@ -305,14 +309,17 @@ def test_compute_string_function_order_zero(capsys, sigma):
 
 def test_mn_solve_signed_mod3_form(capsys):
     from qtrin.liealg import algebra
-    from qtrin.mnsys import basis_lines, mod3_filter, solve_mn
+    from qtrin.mnsys import basis_lines, linear_filter, solve_mn
 
     g = algebra("A5")
-    expect = basis_lines(solve_mn(g, 6, 3, mod3_filter()))
+    expect = basis_lines(solve_mn(g, 6, 3, linear_filter({1: 1, 2: -1}, 3)))
     code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
-                                     "--mod3", "n1-n2+n4-n5"])
+                                     "--mod3", "n1-n2"])
     assert code == 0 and expect
     assert out.splitlines() == expect
+    # the form drops solutions: it is applied, not passed over
+    code, unfiltered, _ = _capture(capsys, ["mn-solve", "A5", "6", "3"])
+    assert code == 0 and len(expect) < len(unfiltered.splitlines())
     # the parsed form is applied, not a fixed one
     code, out, _ = _capture(capsys, ["mn-solve", "A5", "6", "3",
                                      "--mod3", "n1+n2+1"])

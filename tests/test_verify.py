@@ -141,19 +141,24 @@ def test_failure_reporting_shape(monkeypatch):
     assert not r.passed
     assert len(r.failures) == r.points
     f = r.failures[0]
-    assert f.exponent == "1/2"
-    assert f.lhs_coeff - f.rhs_coeff == 1
+    assert f["exponent"] == "1/2"
+    assert f["lhs"] - f["rhs"] == 1
     [back] = json.loads(verify.reports_to_json([r]))
     assert back == r.to_dict()
     assert len(back["failures"]) == r.points
-    assert back["failures"][0] == {"params": f.params, "exponent": "1/2",
-                                   "lhs": f.lhs_coeff, "rhs": f.rhs_coeff}
+    assert back["failures"][0] == {"params": f["params"], "exponent": "1/2",
+                                   "lhs": f["lhs"], "rhs": f["rhs"]}
 
 
 def test_order_override():
     r = verify.verify_identity("abp", order=6)
     assert r.order == 6
     assert r.passed
+    # an order that is not an integer >= 1 is refused, not evaluated at one
+    # order and reported at another
+    for bad in (Fraction(5, 2), 2.5, 0):
+        with pytest.raises(ValueError, match=f"order must be a positive integer, got {bad}$"):
+            verify.verify_identity("abp", order=bad)
 
 
 def test_series_sides_keep_the_asked_order_at_low_orders():
@@ -366,5 +371,5 @@ def test_grid_loop_visits_each_point_in_order_with_its_own_dict(
 
     monkeypatch.setitem(verify.REGISTRY, name, dataclasses.replace(d, evaluate=sabotaged))
     report = verify.verify_identity(name, grid=grid, level=level)
-    assert [f.params for f in report.failures] == expected
-    assert [list(f.params.items()) for f in report.failures] == seen
+    assert [f["params"] for f in report.failures] == expected
+    assert [list(f["params"].items()) for f in report.failures] == seen
