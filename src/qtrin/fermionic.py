@@ -35,14 +35,15 @@ class _Family(NamedTuple):
     small: str      # algebra of every fermionic side: the paper's E-type
                     # algebra with its marked source vertex removed
     name: str       # k-series family name, as the CLI and the registry give it
+    char: str       # fermionic character family (CHAR_FAMILIES): the series side at k = 0
 
 
 # The three identity families E8 -> E7, E7 -> D6, E6 -> A5; the polynomial
 # conjectures conj1..conj3 are their depth k = 0 case.
 _FAMILIES = {
-    1: _Family(5, "E7", "flower"),
-    2: _Family(6, "D6", "flower2"),
-    3: _Family(8, "A5", "monster"),
+    1: _Family(5, "E7", "flower", "E7"),
+    2: _Family(6, "D6", "flower2", "D6-B46"),
+    3: _Family(8, "A5", "monster", "A5-B68"),
 }
 
 # Fermionic character families: each algebra's cone, the D6 and A5 ones
@@ -209,15 +210,18 @@ def fsum_family_lhs(family: int, k: int, sigma: int, order: Fraction | int) -> Q
     """The iterated fermionic sum over n_1..n_k >= 0 of
     q^{(N_1^2+...+N_k^2)/2} F_{n_k; m_sigma} / ((q)_{n_1}...(q)_{n_{k-1}} (q)_{2 n_k})
     with N_a = n_a + ... + n_k and m_sigma = sigma + sum of odd-indexed n_a mod 2.
-    One kernel call, each F expanded into its terms over its cone.
+    One kernel call, each F expanded into its terms over its cone.  At k = 0
+    it is the family's character sum, fermionic_char_sum of _Family.char.
 
     Family 3 uses the A5 F-polynomial (the source's F^{D5} is taken to mean
     the algebra paired with E6, i.e. A5).
     """
     if family not in _FAMILIES:
         raise ValueError("family must be 1, 2 or 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return fermionic_char_sum(_FAMILIES[family].char, order, sigma)
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     order = Fraction(order)

@@ -162,13 +162,6 @@ def _ev_E8(p: Params, order: Fraction) -> SidePair:
     return lhs, rhs
 
 
-def _ev_E7conj(sigma: int):
-    def ev(p: Params, order: Fraction) -> SidePair:
-        return (fermionic.fermionic_char_sum("E7", order, sigma=sigma),
-                bosonic.virasoro_char(4, 5, 2 * sigma + 1, 1, order))
-    return ev
-
-
 def _ev_E6(p: Params, order: Fraction) -> SidePair:
     return (fermionic.fermionic_char_sum("E6", order),
             bosonic.virasoro_char(6, 7, 1, 1, order)
@@ -205,24 +198,12 @@ def _ev_B46_s1(p: Params, order: Fraction) -> SidePair:
     return lhs, rhs.shift(Fraction(3, 2))
 
 
-def _ev_D6B46(p: Params, order: Fraction) -> SidePair:
-    s = p["sigma"]
-    return (fermionic.fermionic_char_sum("D6-B46", order, sigma=s),
-            bosonic.branching_function(4, 6, 1, 1, s, order))
-
-
-def _ev_A5B68(p: Params, order: Fraction) -> SidePair:
-    s = p["sigma"]
-    return (fermionic.fermionic_char_sum("A5-B68", order, sigma=s),
-            bosonic.branching_function(6, 8, 1, 1, s, order)
-            + bosonic.branching_function(6, 8, 1, 7, 1 - s, order))
-
-
 def _fam_rhs(family: int, k: int, s: int, order: Fraction) -> QSeries:
     # With A = P(k+1) - 2: k odd gives chi^{(3,4)} times chi^{(P, A/2)}; k even
-    # gives B^{(P, A)} with the sigma + k/2 shift (applied uniformly; see the
-    # ledger note on the first family).  Family 3 adds the term with label
-    # P - 1 and the other sigma.
+    # gives B^{(P, A)}_{r, k+1} with the sigma + k/2 shift (applied uniformly;
+    # see the registry note of fam1-k2), read as B^{(A, P)}_{k+1, r} where
+    # A < P, which is k = 0 only, since branching_function needs p < p'.
+    # Family 3 adds the term with label r = P - 1 and the other sigma.
     P = fermionic._FAMILIES[family].P
     A = P * (k + 1) - 2
     out = QSeries.zero(order)
@@ -231,8 +212,8 @@ def _fam_rhs(family: int, k: int, s: int, order: Fraction) -> QSeries:
             out = out + (bosonic.virasoro_char(3, 4, (s + t) % 2 + 1, 1, order)
                          * bosonic.virasoro_char(P, A // 2, r, (k + 1) // 2, order))
         else:
-            out = out + bosonic.branching_function(
-                P, A, r, k + 1, (s + k // 2 + t) % 2, order)
+            labels = (P, A, r, k + 1) if P < A else (A, P, k + 1, r)
+            out = out + bosonic.branching_function(*labels, (s + k // 2 + t) % 2, order)
     return out
 
 
@@ -362,7 +343,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     for s in (0, 1):
         reg.append(IdentityDescriptor(
             f"E7conj-s{s}", "series-truncated", "conjectured-in-paper",
-            {"point": (0,)}, _ev_E7conj(s), order=12))
+            {"sigma": (s,)}, _ev_fam(1, 0), order=12))
     reg.append(IdentityDescriptor(
         "E6", "series-truncated", "conjectured-in-paper",
         {"point": (0,)}, _ev_E6, order=12))
@@ -377,10 +358,10 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         {"form": (0, 1)}, _ev_B46_s1, order=20))
     reg.append(IdentityDescriptor(
         "D6-B46-fermionic", "series-truncated", "conjectured-in-paper",
-        {"sigma": (0, 1)}, _ev_D6B46, order=12))
+        {"sigma": (0, 1)}, _ev_fam(2, 0), order=12))
     reg.append(IdentityDescriptor(
         "A5-B68-fermionic", "series-truncated", "conjectured-in-paper",
-        {"sigma": (0, 1)}, _ev_A5B68, order=12))
+        {"sigma": (0, 1)}, _ev_fam(3, 0), order=12))
     for fam in (1, 2, 3):
         for k in (1, 2):
             note = ""

@@ -1,7 +1,12 @@
 """Output pins: sha256 digests of qtrin's printed results.
 
 Six digests, each pinned to the value computed before the code it covers
-was last reworked; a rework must leave every byte as it is.
+was last reworked; a rework must leave every byte as it is.  ``report`` and
+``sides`` were re-pinned once, for one key alone: when the depth-0 character
+identities became the series families at k = 0, ``E7conj-s0`` and
+``E7conj-s1`` took the grid key ``sigma`` in place of ``point``.  With that
+key mapped back (grid ``{"point": [0]}``, params ``{'point': 0}``) both
+digests equal the earlier pins, f96f90b8... and 172d0a94....
 
 - ``report``: the full-level JSON report with every ``millis`` set to 0
   (pass/fail and point counts of all 41 identities).
@@ -38,8 +43,8 @@ from qtrin import bosonic, cli, fermionic, qpoly, verify
 from qtrin.liealg import algebra
 
 PINS = {
-    "report": "f96f90b8ecb31867c7394cfa84db1b978493a29e9e6ca5adbe5343aaa0ce9064",
-    "sides": "172d0a94e5050019b577fb098afdf3fa25004c0c5c21b02b027e45c0237ba5bf",
+    "report": "195dfee7cdbbf42bf2d444c8ae961cb9ce5e40d50c29efc023cf97f4c62b4af0",
+    "sides": "8ef772dc54cc1bbb2c5191ffc0fc95681bf0765614f6036f8490b057f222e6e0",
     "deep": "5341de100d6ce82259609284ad3a02cabc5da365c7ded9b61b052a9264df53fe",
     "chars": "1ad7ed17400e57a7eddcd9c1e02164902a416c82f9a469c400d6bc3e1ce37fea",
     "mn": "568433708db48d0655512e42d7a029b6dd347e30383b30b326a3b74f4d2b09f6",

@@ -112,6 +112,8 @@ def test_kseries_sides_refuse_a_family_or_depth_out_of_range():
                 side(family, 1, 1, 1)
         with pytest.raises(ValueError, match="^k must be >= 0$"):
             side(1, -1, 1, 1)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        fermionic.fsum_family_lhs(1, -1, 0, 5)
 
 
 def test_x_series_lhs_caps_the_depth_of_its_cells():
@@ -131,6 +133,7 @@ def test_sigma_outside_0_1_is_rejected():
     for sigma in (-1, 2, 3):
         for call in (lambda: fermionic.fermionic_char_sum("E7", 5, sigma=sigma),
                      lambda: fermionic.fsum_family_lhs(1, 1, sigma, 5),
+                     lambda: fermionic.fsum_family_lhs(1, 0, sigma, 5),
                      lambda: fermionic.f_poly("E7", 2, sigma)):
             with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
                 call()

@@ -10,7 +10,7 @@ import pytest
 import pins
 import qpoly_reference as ref
 from qtrin.qpoly import QPoly, QSeries
-from qtrin import verify
+from qtrin import bosonic, fermionic, verify
 
 
 EXPECTED = {
@@ -104,6 +104,9 @@ def test_choice_parameter_outside_registry_is_rejected():
     for grid in ({"point": (3,)}, {"point": (-1, 0)}, {"form": (0, 2)}):
         with pytest.raises(ValueError):
             verify.verify_identity("limit-mTlim", grid=grid)
+    # each E7conj-s<sigma> states one sigma
+    with pytest.raises(ValueError, match=r"^identity 'E7conj-s0' takes sigma in \[0\], got 1$"):
+        verify.verify_identity("E7conj-s0", grid={"sigma": (1,)})
 
 
 def test_grid_override_shrinks_run():
@@ -251,6 +254,28 @@ def test_limit_Tlim_holds_for_every_charge():
         assert r.passed, r.failures[:1]
 
 
+@pytest.mark.parametrize("family, k, sigma, M",
+                         list(product((1, 2, 3), range(3), (0, 1), (4, 8, 12))))
+def test_series_families_are_limits_of_the_polynomial_ones(family, k, sigma, M):
+    # at (L, M) = (2M + sigma, M) both polynomial sides of depth k equal both
+    # series sides of depth k times 1/(q)_inf, below q^(M+1) at sigma = 0 and
+    # below q^(M+3/2) (k = 0) or q^(M+1/2) (k >= 1) at sigma = 1: as L, M
+    # grow, [n+j, j] tends to 1/(q)_j.  The theta side against the branching
+    # functions and characters ties refined_T's rows to the Rocha-Caridi code.
+    L = 2 * M + sigma
+    cut = M + 1 if sigma == 0 else M + Fraction(3 if k == 0 else 1, 2)
+    # 1/(q)_inf below the cut from partition counts, not from euler_inverse
+    inv = {Fraction(n): c for n, c in enumerate(ref.partition_counts(ceil(cut)))}
+    series = [ref.mul(ref.parse(str(side)), inv, cut)
+              for side in (fermionic.fsum_family_lhs(family, k, sigma, cut),
+                           verify._fam_rhs(family, k, sigma, Fraction(cut)))]
+    polys = [ref.clean(ref.parse(str(side)).items(), cut)
+             for side in (bosonic.kseries_lhs(family, k, L, M),
+                          fermionic.kseries_rhs(family, k, L, M))]
+    assert series[0]  # the comparison checks some coefficient
+    assert series == [polys[0]] * 2 and polys[1] == polys[0]
+
+
 def test_compare_sides_gives_the_first_difference_or_none():
     # equal sides give None; unequal ones give the lowest
     # differing exponent and both coefficients there
@@ -278,7 +303,8 @@ def test_compare_sides_gives_the_first_difference_or_none():
 def test_full_level_report_is_pinned():
     # sha256 of the full-level JSON report with every millis set to 0,
     # computed before the grid loop and refined_T's cache were reworked; a
-    # speed-up must leave every byte of it as it is
+    # speed-up must leave every byte of it as it is.  Re-pinned once, for
+    # E7conj-s0/-s1's grid key alone (point -> sigma; see tests/pins.py)
     assert pins.report_digest() == pins.PINS["report"]
 
 
@@ -287,6 +313,8 @@ def test_series_sides_are_pinned():
     # identity's full-level grid, at its registry order, computed while
     # QSeries was a class of its own.  The report digest above pins only
     # pass/fail and point counts; this pins every term and every O(q^...).
+    # Re-pinned once, for E7conj-s0/-s1's params key alone (point -> sigma;
+    # every printed side is unchanged; see tests/pins.py)
     assert pins.sides_digest() == (pins.PINS["sides"], 65)
 
 
