@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 
 from .qpoly import QPoly, _over_one_minus, _times_one_minus
 
+_ZERO = QPoly.zero()
+
 
 def _gauss(n: int, a: int, k: int | None = None) -> tuple[int, ...]:
     """Dense coefficients of the Gaussian polynomial [n, a] from q^0 up, all
@@ -240,9 +242,9 @@ def _parts(terms: list[tuple[int, Sequence[tuple], int | None]],
     """positive_sum of (e, factors, k) terms, each cut to its first k slots
     (whole when k is None), as its parts: one (e, c) per class of exponents
     mod 1, from the least one's up, for q^(e/den) times the polynomial with
-    the coefficients c from q^0 up, c[0] and c[-1] nonzero.  A cut term's
-    factors and partial products are cut to its k slots, and its bound, the
-    product of its cut factors' values at q = 1, bounds every kept coefficient."""
+    the coefficients c from q^0 up, c[0] and c[-1] nonzero (_class_sum).  A
+    cut term's bound, the product of its cut factors' values at q = 1,
+    bounds every kept coefficient."""
     parts = []
     while terms:
         e0 = terms[0][0]
@@ -254,35 +256,41 @@ def _parts(terms: list[tuple[int, Sequence[tuple], int | None]],
             for f in factors:  # an uncut Gaussian's value needs no cache
                 v *= comb(*f) if k is None and len(f) == 2 else _cut_value(f, k)
             bound += v
-        w = _slot_bytes(bound)
-        slot = 8 * w
-        total = 0
-        rest = []  # terms of other classes mod 1
+        one, rest = [], []  # the terms of e0's class mod 1, and the others
         for t in terms:
-            e, factors, k = t
-            s, part = divmod(e - e0, den)
-            if part:
-                rest.append(t)
-                continue
-            p = 1
-            if k is None:
-                for f in factors:
-                    p *= _packed(f, w)
-            else:
-                top = 0  # the degree of the product so far
-                for f in factors:  # the factor's degree over its least exponent
-                    d = f[1] * (f[0] - f[1]) if len(f) == 2 else len(_factor(f)) - 1
-                    top += d
-                    if top < k:
-                        p *= _packed(f, w)
-                    else:  # cut the factor and the product to k slots
-                        p = p * _packed(f, w, k if k <= d else None) & ((1 << (slot * k)) - 1)
-                        top = k - 1
-            total += p << (slot * s)
-        # no slot carries, so the top nonzero slot holds the sum's highest bit
-        parts.append((e0, tuple(_unpacked(total, -(-total.bit_length() // slot), w))))
+            (rest if (t[0] - e0) % den else one).append(t)
+        parts.append((e0, _class_sum(one, e0, den, bound)))
         terms = rest
     return tuple(parts)
+
+
+def _class_sum(terms: Iterable[tuple[int, Sequence[tuple], int | None]],
+               e0: int, den: int, bound: int) -> tuple[int, ...]:
+    """The coefficients from q^(e0/den) up, the last nonzero, of one class
+    mod 1 of a kernel sum, least exponent e0, every coefficient at most
+    ``bound``: its (e, factors, k) terms, each cut to its first k slots
+    (whole when k is None) with its factors and partial products."""
+    w = _slot_bytes(bound)
+    slot = 8 * w
+    total = 0
+    for e, factors, k in terms:
+        p = 1
+        if k is None:
+            for f in factors:
+                p *= _packed(f, w)
+        else:
+            top = 0  # the degree of the product so far
+            for f in factors:  # the factor's degree over its least exponent
+                d = f[1] * (f[0] - f[1]) if len(f) == 2 else len(_factor(f)) - 1
+                top += d
+                if top < k:
+                    p *= _packed(f, w)
+                else:  # cut the factor and the product to k slots
+                    p = p * _packed(f, w, k if k <= d else None) & ((1 << (slot * k)) - 1)
+                    top = k - 1
+        total += p << (slot * ((e - e0) // den))
+    # no slot carries, so the top nonzero slot holds the sum's highest bit
+    return tuple(_unpacked(total, -(-total.bit_length() // slot), w))
 
 
 def _poly(parts: Sequence[tuple[int, Sequence[int]]], den: int) -> QPoly:
@@ -332,16 +340,17 @@ def _refined_terms(L: int, M: int, a: int, b: int) -> list[tuple[int, tuple]]:
 
 def refined_T(L: int, M: int, a: int, b: int) -> QPoly:
     """The refined q-trinomial coefficient with bounds L, M and charges a, b,
-    evaluated from its defining sum (_refined_terms) in one packed integer
-    (_refined).  It vanishes outside its support |a| <= L, |b| <= M, and
-    there the shared zero polynomial is returned before the caches: they
-    hold only in-support values, and the kernel is never called outside."""
+    evaluated from its defining sum in one packed integer (_refined).  It
+    vanishes outside its support |a| <= L, |b| <= M, and there the shared
+    zero polynomial is returned before the caches: they hold only
+    in-support values, and the kernel is never called outside.  A negative
+    bound has no support, and is refused on the way out."""
+    if -L <= a <= L and -M <= b <= M:
+        parts = _refined(L, M, a, b)
+        return parts[0][2] if parts else _ZERO
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
-    if abs(a) > L or abs(b) > M:
-        return QPoly.zero()
-    parts = _refined(L, M, a, b)
-    return parts[0][2] if parts else QPoly.zero()
+    return _ZERO
 
 
 @lru_cache(maxsize=None)
@@ -353,34 +362,41 @@ def _refined(L: int, M: int, a: int, b: int) -> tuple[tuple[int, tuple[int, ...]
     the QPoly, which shares it.
 
     Its terms (_refined_terms) have one shape, three Gaussians, and one
-    class mod 1 (n has the parity of L + a), so they are summed here
-    straight into one packed integer, with slots sized by the sum's value at
-    q = 1 (see positive_sum).  The first term, of the least n, gives the
-    least exponent, with the constant term 1 of its Gaussians.
+    class mod 1 (n has the parity e of L + a), so one walk over n lists them
+    and sums their value at q = 1 (as n steps by 2, both large Gaussians'
+    tops step down by 1), and _class_sum packs them.  The first term, n = e,
+    gives the least exponent e^2 = e, with the constant term 1 of its
+    Gaussians.
     """
-    terms = _refined_terms(L, M, a, b)
+    e = (L + a) % 2
+    x, y = M + b + (L - a - e) // 2, M - b + (L + a - e) // 2
+    terms, bound = [], 0
+    for n in range(e, min(L - abs(a), M) + 1, 2):
+        terms.append((n * n, ((M, n), (x, M + b), (y, M - b)), None))
+        bound += comb(M, n) * comb(x, M + b) * comb(y, M - b)
+        x, y = x - 1, y - 1
     if not terms:
         return ()
-    w = _slot_bytes(sum([comb(*f) * comb(*g) * comb(*h) for _, (f, g, h) in terms]))
-    slot = 8 * w
-    e0 = terms[0][0]
-    total = 0
-    for e, (f, g, h) in terms:
-        total += _packed(f, w) * _packed(g, w) * _packed(h, w) << (slot * ((e - e0) // 2))
-    c = tuple(_unpacked(total, -(-total.bit_length() // slot), w))
-    return ((e0, c, QPoly.from_coeffs(c, _start(e0, 2))),)
+    c = _class_sum(terms, e, 2, bound)
+    return ((e, c, QPoly.from_coeffs(c, _start(e, 2))),)
 
 
 def invariance_sum(L: int, M: int, a: int, b: int) -> QPoly:
     """Left side of T-invariance (Theorem 1): the sum over i from |b| to
-    min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), one
-    kernel call whose terms are a Gaussian times a refinement factor."""
-    terms = []
+    min(L-|a|, M) of q^{i^2/2} [L+M-i, L] refined_T(L-i, i, a, b), each term
+    a Gaussian times a refinement factor.  Every exponent has the parity of
+    L + a, one class mod 1, and they rise with i, so the terms are packed
+    straight into one integer (_class_sum) from the first one's exponent."""
+    terms, bound = [], 0
     for i in range(abs(b), min(L - abs(a), M) + 1):
         args = (L - i, i, a, b)
-        for e, _, _ in _refined(*args):  # keyed here, saving a _side_factors call per i
+        for e, c, _ in _refined(*args):
             terms.append((i * i + e, ((L + M - i, L), (_refined, args, 0)), None))
-    return _poly(_parts(terms, 2), 2)
+            bound += comb(L + M - i, L) * sum(c)
+    if not terms:
+        return _ZERO
+    e0 = terms[0][0]
+    return QPoly.from_coeffs(_class_sum(terms, e0, 2, bound), _start(e0, 2))
 
 
 def refinement_sum(L: int, a: int, b: int, swap: bool) -> QPoly:

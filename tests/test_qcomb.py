@@ -248,10 +248,14 @@ def test_refined_small_values():
 
 def test_refined_at_the_support_edge_against_reference(monkeypatch):
     # |a| = L, |b| = M is the last point of the support, one past it the
-    # refinement is zero, and there the kernel is never called
+    # refinement is zero, and there the kernel is never called; the box
+    # |a| <= L + 2, |b| <= M + 2 at L, M <= 5 crosses each side of the
+    # support test, which refined_T makes before its check of the bounds
     pairs = [(L, M) for L in range(11) for M in range(11)]
     edge = [(L, M, sa * x, sb * y) for L, M in pairs
             for x in (L, L + 1) for y in (M, M + 1) for sa in (1, -1) for sb in (1, -1)]
+    edge += [(L, M, a, b) for L in range(6) for M in range(6)
+             for a in range(-L - 2, L + 3) for b in range(-M - 2, M + 3)]
     for args in edge:
         assert refined_T(*args) == refined_T_reference(*args)
 
@@ -343,9 +347,14 @@ def test_refined_at_each_slot_width_against_reference(args, width):
 
 
 def test_refined_rejects_negative_bounds():
-    for args in ((-1, 2, 0, 0), (2, -1, 0, 0), (-3, -3, 1, 1)):
-        with pytest.raises(ValueError, match="L and M must be nonnegative"):
-            refined_T(*args)
+    # a negative bound is refused at every charge, in the support test's
+    # box and outside it
+    for L, M in product(range(-3, 4), repeat=2):
+        if L >= 0 and M >= 0:
+            continue
+        for a, b in product(range(-3, 4), repeat=2):
+            with pytest.raises(ValueError, match="L and M must be nonnegative"):
+                refined_T(L, M, a, b)
 
 
 def test_positive_sum_edge_cases():

@@ -276,6 +276,24 @@ def test_series_families_are_limits_of_the_polynomial_ones(family, k, sigma, M):
     assert series == [polys[0]] * 2 and polys[1] == polys[0]
 
 
+@pytest.mark.parametrize("L, reach", [(30, (16, 11, 11)), (60, (19, 11, 11))])
+def test_each_family_reaches_its_own_bound_at_depth_0(L, reach):
+    # past the (2M + sigma, M) line, at L/2 > M, both polynomial sides of
+    # depth 0 first differ from the series side times 1/(q)_inf at
+    # min(L/2 + 1, 2M - 1) for family 1 and at min(L/2 + 1, M + 1) for
+    # families 2 and 3
+    M, cut = 10, 20
+    inv = {Fraction(n): c for n, c in enumerate(ref.partition_counts(cut))}
+    for family, first in zip((1, 2, 3), reach):
+        assert first == min(L // 2 + 1, 2 * M - 1 if family == 1 else M + 1)
+        series = ref.mul(ref.parse(str(fermionic.fsum_family_lhs(family, 0, 0, Fraction(cut)))),
+                         inv, cut)
+        for side in (bosonic.kseries_lhs(family, 0, L, M), fermionic.kseries_rhs(family, 0, L, M)):
+            poly = ref.clean(ref.parse(str(side)).items(), cut)
+            assert min(e for e in poly.keys() | series.keys()
+                       if poly.get(e, 0) != series.get(e, 0)) == first
+
+
 def test_compare_sides_gives_the_first_difference_or_none():
     # equal sides give None; unequal ones give the lowest
     # differing exponent and both coefficients there
